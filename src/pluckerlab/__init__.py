@@ -52,6 +52,7 @@ from .plucker_form import (
     TangentSystem,
     build_tangent_system,
     diagonal_multiplicity,
+    diagonal_tangent_codim,
     eval_form,
     expand_form,
     expand_form_json,

@@ -22,7 +22,9 @@ from .exterior import (
     wedge,
     wedge_matrix,
 )
-from .plucker_form import PointTuple, diagonal_multiplicity, tangent_codim
+# tangent_codim stays importable from here: bench/tests reaches it as
+# grassmann.tangent_codim.
+from .plucker_form import _diagonal_kronecker_codim, tangent_codim  # noqa: F401
 from .scalars import (
     DenseMatrix,
     Field,
@@ -136,11 +138,14 @@ def classify_membership(w: ExteriorVector, m: int) -> ClassifierVerdict:
     """Decide whether a nonzero degree-r vector lies on the Grassmannian
     cone, using only the divisor-side data of the diagonal point.
 
-    First the diagonal multiplicity must reach m-1 (for even r this is the
-    vanishing of w ^ w; for odd r it holds automatically, so discrimination
-    happens entirely through the tangent bound).  Then the codimension of
-    the tangent system at the deepest stratum is compared with the closed
-    form threshold: equality characterizes membership.
+    First the diagonal multiplicity must reach m-1.  It does exactly when
+    w ^ w = 0, which for odd r holds in every characteristic (see
+    :func:`pluckerlab.plucker_form.diagonal_tangent_codim`), so only even r
+    takes the square and discrimination for odd r happens entirely through
+    the tangent bound.  Then the codimension of the tangent space at the
+    deepest stratum, from the Kronecker factorization of its system, is
+    compared with the closed form threshold: equality characterizes
+    membership.
     """
     if m < 3:
         raise ValueError("classification requires m >= 3")
@@ -150,9 +155,9 @@ def classify_membership(w: ExteriorVector, m: int) -> ClassifierVerdict:
     if w.n != r * m:
         raise ValueError("ambient dimension must equal degree * m")
     threshold = codim_threshold(r, m)
-    if diagonal_multiplicity(w) < m - 1:
+    if r % 2 == 0 and not wedge(w, w).is_zero:
         return ClassifierVerdict(Verdict.FAILS_MULTIPLICITY, threshold)
-    c_o = tangent_codim(PointTuple.diagonal(w, m), m - 1)
+    c_o = _diagonal_kronecker_codim(w, m)
     if c_o == threshold:
         return ClassifierVerdict(Verdict.IN_GRASSMANNIAN, threshold, c_o)
     if c_o < threshold:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 from typing import Sequence
 
 from .exterior import (
@@ -25,6 +25,7 @@ from .exterior import (
     lex_masks,
     top_wedge_coefficient,
     wedge,
+    wedge_matrix,
 )
 from .scalars import DenseMatrix, Field, Scalar, mat_rank
 
@@ -309,3 +310,61 @@ def diagonal_multiplicity(w: ExteriorVector) -> int:
         if power.is_zero:
             return m - j + 1
     return 0
+
+
+def diagonal_tangent_codim(w: ExteriorVector, m: int) -> int:
+    """Codimension of the tangent space to the deepest singular stratum at the
+    diagonal point (w, ..., w), through the Kronecker factorization of its
+    tangent system.  Equals ``tangent_codim(PointTuple.diagonal(w, m), m - 1)``.
+
+    Lemma.  Let M = ``wedge_matrix(w, r)`` and let B be the C(m,2) x m matrix
+    with rows indexed by the slot pairs S = {i < j} in lex order, B[S, i] =
+    (-1)^r, B[S, j] = 1 and zeros elsewhere.  Then the tangent system of
+    ``build_tangent_system`` at the diagonal point and k = m - 1 is B (x) M,
+    so its rank is rank(B) * rank(M) over any field.
+
+    Proof.  At k = m - 1 the slot subsets have size 2.  The point stores the
+    normalized c*w in every slot, so the block of subset S and slot i is
+    (-1)^(r*(pos+1)) times the matrix of t |-> c*w ^ t, with pos the position
+    of i in S: (-1)^r c*M for i, c*M for j, zero for the other slots.  The
+    common scalar c does not change the rank, so the system is B (x) M.  Pick
+    invertible P, Q, P', Q' with P B Q = diag(I_a, 0) and P' M Q' =
+    diag(I_b, 0).  Then (P (x) P') (B (x) M) (Q (x) Q') = (P B Q) (x) (P' M Q')
+    has exactly a*b nonzero entries, in distinct rows and columns, and
+    P (x) P' and Q (x) Q' are invertible; so rank(B (x) M) = a*b.
+
+    rank(B) is computed in w's field, never from a closed form: for odd r, B
+    is the oriented incidence matrix of the complete graph, of rank m - 1;
+    for even r it is the unsigned one, of rank m in characteristic other
+    than 2 (m >= 3), but m - 1 over F_2.
+
+    The point must lie on the stratum: w ^ w = 0.  For odd r that holds in
+    every characteristic, because the terms of w ^ w cancel in pairs
+    (e_I ^ e_J = -e_J ^ e_I), so only even r needs the square.
+    """
+    if w.is_zero:
+        raise ValueError("zero vector")
+    r = w.degree
+    if m < 2 or w.n != r * m:
+        raise ValueError("need m >= 2 and ambient dimension degree * m")
+    if r % 2 == 0 and not wedge(w, w).is_zero:
+        raise ValueError("diagonal point does not lie on the deepest singular stratum")
+    return _diagonal_kronecker_codim(w, m)
+
+
+def _diagonal_kronecker_codim(w: ExteriorVector, m: int) -> int:
+    """rank(B) * rank(wedge_matrix(w, r)) for a w known to satisfy w ^ w = 0."""
+    return _slot_pair_rank(w.degree % 2, m, w.field) * mat_rank(wedge_matrix(w, w.degree))
+
+
+@lru_cache(maxsize=None)
+def _slot_pair_rank(r_parity: int, m: int, field: Field) -> int:
+    """Rank of the signed slot-pair/slot incidence matrix B of
+    :func:`diagonal_tangent_codim`."""
+    z, one, lead = field.zero(), field.one(), field.from_int(-1 if r_parity else 1)
+    rows = []
+    for i, j in itertools.combinations(range(m), 2):
+        row = [z] * m
+        row[i], row[j] = lead, one
+        rows.append(row)
+    return mat_rank(DenseMatrix.from_rows(rows))

@@ -5,9 +5,11 @@ and a prime field Z/p with a fixed large prime, default p = 2^31 - 1.  All
 arithmetic is exact; there is no floating point anywhere in this package.
 
 Rank computations dispatch on the field: fraction-free (Bareiss) elimination
-over the rationals, plain Gaussian elimination on int64 numpy arrays over the
-prime field.  With p < 2^31.5 the products in the elimination update stay
-below 2^63, so int64 never overflows.
+over the rationals, plain Gaussian elimination on numpy arrays over the prime
+field.  The elimination update forms products of two residues, so the arrays
+are int64 only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger
+primes the same elimination runs on an object array of Python ints, which
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -16,11 +18,40 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
 DEFAULT_PRIME = 2**31 - 1
+
+# Miller-Rabin with these bases is deterministic far beyond 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@lru_cache(maxsize=None)
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Fp:
@@ -129,6 +160,14 @@ class PrimeField:
     p: int = DEFAULT_PRIME
 
     name = "fp"
+
+    def __post_init__(self):
+        if not isinstance(self.p, int):
+            raise ValueError(f"modulus must be an int, not {self.p!r}")
+        if self.p >= 2**64:
+            raise ValueError(f"modulus {self.p} is not below 2^64")
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def zero(self) -> Fp:
         return Fp(0, self.p)
@@ -290,8 +329,10 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return r
 
 
-def _to_residue_array(M: DenseMatrix) -> np.ndarray:
-    a = np.fromiter((e.v for e in M.entries), dtype=np.int64, count=M.rows * M.cols)
+def _to_residue_array(M: DenseMatrix, p: int) -> np.ndarray:
+    # int64 holds every product of two residues only while (p - 1)^2 < 2^63.
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    a = np.fromiter((e.v for e in M.entries), dtype=dtype, count=M.rows * M.cols)
     return a.reshape(M.rows, M.cols)
 
 
@@ -325,13 +366,18 @@ def mat_rank(M: DenseMatrix) -> int:
     field = _matrix_field(M)
     if isinstance(field, RationalField):
         return _rank_bareiss(_rows_as_integers(M))
-    return _rank_mod_p(_to_residue_array(M), field.p)
+    return _rank_mod_p(_to_residue_array(M, field.p), field.p)
 
 
 def mat_det(M: DenseMatrix) -> Scalar:
-    """Exact determinant of a square matrix (Gaussian elimination with division)."""
+    """Exact determinant of a square matrix (Gaussian elimination with division).
+
+    The 0 x 0 determinant is the empty product, the plain int 1.
+    """
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
+    if M.rows == 0:
+        return 1
     field = _matrix_field(M)
     n = M.rows
     rows = [list(M.row(i)) for i in range(n)]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -64,6 +65,39 @@ def test_membership_commands_require_m_three(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "m >= 3" in err
+
+
+def test_composite_prime_exits_two(capsys):
+    code = main(["reconstruction", "--prime", "15", "--trials", "1"])
+    assert code == 2
+    assert "not prime" in capsys.readouterr().err
+
+
+def test_codim_threshold_above_int64_safe_primes(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(
+        ["codim-threshold", "--r", "2", "--m", "3", "--prime", str(2**61 - 1),
+         "--trials", "20", "--out", str(out)]
+    )
+    assert code == 0
+    trials = [c for c in json.loads(out.read_text())["cases"] if c["check"] == "equality"]
+    assert len(trials) == 20 and all(c["codim"] == 18 for c in trials)
+
+
+# sha256 of json.dumps(report.body(), sort_keys=True, indent=2), recorded
+# with the full tangent system in the classifier.
+GOLDEN_BODIES = {
+    ("reconstruction", 2, 3): "0f62e964709b6439d1a5aea1374245a1f39ec0060bf99ffb28366da8077911f0",
+    ("reconstruction", 3, 3): "0618a32cbe013ec6ab9d01f48051e76ea8e1a7e90163c0276067b9b672a04ff9",
+    ("codim-threshold", 2, 3): "31090b3b322258053168a9b0fa6a6b80b2f00e87b986e122ce5a769bf7725ccd",
+}
+
+
+@pytest.mark.parametrize("command,r,m", sorted(GOLDEN_BODIES))
+def test_report_bodies_match_golden_digests(command, r, m):
+    report = run(ExperimentConfig(command=command, r=r, m=m, seed=0, trials=10))
+    text = json.dumps(report.body(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES[command, r, m]
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

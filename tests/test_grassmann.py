@@ -198,6 +198,25 @@ def test_classifier_sound_at_two_four():
     assert classify_membership(w, 4).tag is not Verdict.IN_GRASSMANNIAN
 
 
+def test_classifier_large_prime_matches_default_prime():
+    # The same integer data over p = 2^61 - 1, where ranks leave int64.
+    big = PrimeField(2**61 - 1)
+    rng = random.Random(73)
+    for r, reject in [(2, Verdict.FAILS_MULTIPLICITY), (3, Verdict.FAILS_TANGENT_BOUND)]:
+        n = 3 * r
+        member_rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+        coeffs = [rng.randint(-9, 9) for _ in range(math.comb(n, r))]
+        verdicts = []
+        for field in (F, big):
+            member = plucker_embed(rows_matrix(member_rows, field)).plucker
+            other = ExteriorVector.from_coefficients(
+                n, r, [field.from_int(c) for c in coeffs], field
+            )
+            verdicts.append((classify_membership(member, 3), classify_membership(other, 3)))
+        assert verdicts[0] == verdicts[1]
+        assert [v.tag for v in verdicts[0]] == [Verdict.IN_GRASSMANNIAN, reject]
+
+
 def test_classifier_projective_invariance():
     rng = random.Random(67)
     w = random_grass_point(2, 6, F, rng).plucker

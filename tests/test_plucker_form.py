@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from pluckerlab.exterior import ExteriorVector, random_exterior, top_wedge_coefficient
+from pluckerlab.exterior import (
+    ExteriorVector,
+    plucker_relations_hold,
+    random_exterior,
+    top_wedge_coefficient,
+    wedge,
+)
+from pluckerlab.grassmann import random_grass_point
 from pluckerlab.plucker_form import (
     PointTuple,
     build_tangent_system,
     diagonal_multiplicity,
+    diagonal_tangent_codim,
     evaluate_expansion,
     eval_form,
     expand_form,
@@ -246,3 +254,58 @@ def test_tangent_kernel_contains_slot_scalings():
             vec.extend(p.slots[i].scale(coeffs[i]).coefficient_vector())
         assert all(not x for x in mat_vec(M, vec))
         assert tangent_codim(p, k) <= M.cols - p.m
+
+
+# -- the two routes to the diagonal tangent codimension -----------------------------
+
+
+def _non_member(r, m, field, rng):
+    while True:
+        w = random_exterior(r * m, r, field, rng)
+        if not plucker_relations_hold(w):
+            return w
+
+
+def _diagonal_route_inputs():
+    rng = random.Random(31)
+    inputs = []
+    for field, r, m in [
+        (F, 2, 3),
+        (F, 3, 3),
+        (F, 2, 4),
+        (PrimeField(2), 2, 3),
+        (PrimeField(3), 2, 3),
+        (QQ, 2, 3),
+    ]:
+        inputs.append((random_grass_point(r, r * m, field, rng).plucker, m))
+        inputs.append((_non_member(r, m, field, rng), m))
+    crafted = basis(12, (1, 2, 3, 4)) + basis(12, (1, 2, 5, 6))
+    inputs.append((crafted, 3))
+    inputs.append((random_grass_point(4, 12, F, rng).plucker, 3))
+    return inputs
+
+
+def test_diagonal_tangent_codim_matches_full_system():
+    reached = 0
+    for w, m in _diagonal_route_inputs():
+        gate = w.degree % 2 == 0 and not wedge(w, w).is_zero
+        assert gate == (diagonal_multiplicity(w) < m - 1)
+        if gate:
+            # Off the deepest stratum both routes refuse.
+            with pytest.raises(ValueError):
+                diagonal_tangent_codim(w, m)
+            with pytest.raises(ValueError):
+                tangent_codim(PointTuple.diagonal(w, m), m - 1)
+            continue
+        reached += 1
+        assert diagonal_tangent_codim(w, m) == tangent_codim(PointTuple.diagonal(w, m), m - 1)
+    # Every member, the odd-degree and F_2 non-members, and the crafted vector.
+    assert reached == 10
+
+
+def test_diagonal_tangent_codim_validation():
+    with pytest.raises(ValueError):
+        diagonal_tangent_codim(ExteriorVector.zero(6, 2, F), 3)
+    with pytest.raises(ValueError):
+        diagonal_tangent_codim(basis(6, (1, 2)), 2)
+    assert diagonal_tangent_codim(basis(4, (1, 2)), 2) == 1

@@ -116,6 +116,34 @@ def test_rank_mixed_field_error():
         mat_rank(M)
 
 
+def test_rank_above_int64_safe_primes():
+    # (p - 1)^2 overflows int64 here, so elimination runs on Python ints.
+    big = PrimeField(2**61 - 1)
+    rng = random.Random(41)
+    for _ in range(5):
+        A = random_matrix(6, 4, big, rng)
+        B = random_matrix(4, 6, big, rng)
+        prod = [
+            [sum((A.at(i, k) * B.at(k, j) for k in range(4)), big.zero()) for j in range(6)]
+            for i in range(6)
+        ]
+        assert mat_rank(DenseMatrix.from_rows(prod)) == 4
+
+
+def test_prime_field_rejects_non_primes():
+    for bad in (0, 1, 4, 15, 561, 3215031751, 2**64 + 13, 7.0):
+        with pytest.raises(ValueError):
+            PrimeField(bad)
+    for good in (2, 3, 37, 41, DEFAULT_PRIME, 2**61 - 1, 2**64 - 59):
+        assert PrimeField(good).p == good
+
+
+def test_det_of_empty_matrix_is_one():
+    det = mat_det(DenseMatrix(0, 0, ()))
+    assert det == 1 and type(det) is int
+    assert F.one() * det == F.one() and Fraction(1, 3) * det == Fraction(1, 3)
+
+
 def test_det_examples():
     M = DenseMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
     assert mat_det(M) == Fraction(-2)
