@@ -42,6 +42,7 @@ from .grassmann import (
     codim_small_m,
     codim_threshold,
     ev_m_det,
+    field_codim_threshold,
     is_decomposable,
     mu_rank,
     plucker_embed,

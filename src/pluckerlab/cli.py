@@ -46,8 +46,8 @@ from .exterior import (
 from .grassmann import (
     Verdict,
     classify_membership,
-    codim_threshold,
     ev_m_det,
+    field_codim_threshold,
     mu_rank,
     plucker_embed,
     random_grass_point,
@@ -293,26 +293,26 @@ def _suite_rank_bound(cfg: ExperimentConfig, rng: random.Random):
 
 
 def _sample_rejection(cfg: ExperimentConfig, rng: random.Random):
-    """A vector expected to fail membership: for even r one with nonzero
-    square, for odd r one failing the contraction oracle."""
+    """A vector expected to fail membership: one with nonzero square fails
+    the multiplicity test, and one with zero square failing the contraction
+    oracle fails the tangent bound.  The square vanishes for every w when r
+    is odd or the characteristic is 2."""
     field = cfg.field_obj()
     r, m = cfg.r, cfg.m
     n = r * m
     while True:
         w = random_exterior(n, r, field, rng)
-        if r % 2 == 0:
-            if not wedge(w, w).is_zero:
-                return w, Verdict.FAILS_MULTIPLICITY
-        else:
-            if not plucker_relations_hold(w):
-                return w, Verdict.FAILS_TANGENT_BOUND
+        if not wedge(w, w).is_zero:
+            return w, Verdict.FAILS_MULTIPLICITY
+        if not plucker_relations_hold(w):
+            return w, Verdict.FAILS_TANGENT_BOUND
 
 
 def _suite_reconstruction(cfg: ExperimentConfig, rng: random.Random):
     field = cfg.field_obj()
     r, m = cfg.r, cfg.m
     n = r * m
-    threshold = codim_threshold(r, m)
+    threshold = field_codim_threshold(r, m, field)
     cases = []
     counter = []
     for trial in range(cfg.trials):
@@ -356,7 +356,7 @@ def _suite_codim_threshold(cfg: ExperimentConfig, rng: random.Random):
     field = cfg.field_obj()
     r, m = cfg.r, cfg.m
     n = r * m
-    threshold = codim_threshold(r, m)
+    threshold = field_codim_threshold(r, m, field)
     cases = [
         {
             "check": "closed_form",

@@ -2,9 +2,25 @@
 
 A degree-k basis element e_I of wedge^k(V), with dim V = n <= 64, is labelled
 by the strictly increasing index set I in {1, ..., n}, encoded as the bitmask
-with bit (i-1) set for each i in I.  All signs in the package reduce to one
-kernel: the parity of the merge permutation interleaving two disjoint sorted
-index sets (``merge_sign``).
+with bit (i-1) set for each i in I.
+
+Sign kernel.  e_I ^ e_J = (-1)^s e_{I+J} for disjoint I and J, where s counts
+the pairs i in I, j in J with i > j: the inversions of the merge permutation
+interleaving the two sorted index sets.  Counted from the side of J, s is the
+number of bits of J that have an odd number of bits of I above them, so with
+``_odd_above(I)``, the mask of those bit positions cached once per basis mask,
+the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
+package (``merge_sign``, ``wedge``, ``wedge_matrix``, the tangent systems and
+the shuffle expansion of the wedge form) is read off this one mask.
+
+``wedge`` and ``wedge_matrix`` walk ``_disjoint(n, a, b)``, a cached table
+from each degree-a mask to the degree-b masks disjoint from it, split by
+sign, instead of testing every pair of terms for overlap and computing each
+pair's sign.  A wedge with fewer term pairs than the table has entries
+(sparse vectors, or large n) splits its own pairs the same way instead.
+``wedge`` runs its arithmetic on the field's unboxed representation (plain
+ints over F_p, reduced once per output term), unboxing its inputs and boxing
+each output term once per call.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -14,6 +30,7 @@ position of j inside the sorted set phi + {j}.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,14 +69,19 @@ def _indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _merge_parity(a: int, b: int) -> int:
-    """Parity of inversions between sorted(a) followed by sorted(b)."""
-    inv = 0
-    while a:
-        low = a & -a
-        inv += (b & (low - 1)).bit_count()
-        a ^= low
-    return inv & 1
+@lru_cache(maxsize=None)
+def _odd_above(mu: int) -> int:
+    """Mask of the bits j with an odd number of bits of mu above j.
+
+    For disjoint masks, e_mu ^ e_mv = -e_{mu|mv} exactly when
+    ``(mv & _odd_above(mu)).bit_count()`` is odd.
+    """
+    out = 0
+    while mu:
+        low = mu & -mu
+        out ^= low - 1
+        mu ^= low
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +92,33 @@ def lex_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(
         _mask_from_indices(c, n) for c in itertools.combinations(range(1, n + 1), k)
     )
+
+
+def _signed_disjoint(mu: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks mv disjoint from mu, in their given order, split by the sign
+    of e_mu ^ e_mv: (those with sign +1, those with sign -1)."""
+    odd = _odd_above(mu)
+    plus, minus = [], []
+    for mv in masks:
+        if not mu & mv:
+            (minus if (mv & odd).bit_count() & 1 else plus).append(mv)
+    return tuple(plus), tuple(minus)
+
+
+@lru_cache(maxsize=None)
+def _disjoint(n: int, a: int, b: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each degree-a mask on n letters -> the degree-b masks disjoint from it,
+    split by sign as in :func:`_signed_disjoint`.  The rows hold the int
+    objects of ``lex_masks(n, b)``, not copies, so at (12, 4, 4) the table
+    costs about 300 KB."""
+    masks = lex_masks(n, b)
+    return {mu: _signed_disjoint(mu, masks) for mu in lex_masks(n, a)}
+
+
+@lru_cache(maxsize=None)
+def _lex_position(n: int, k: int) -> dict[int, int]:
+    """Position of each degree-k mask in ``lex_masks(n, k)``."""
+    return {m: i for i, m in enumerate(lex_masks(n, k))}
 
 
 @dataclass(frozen=True)
@@ -104,7 +153,7 @@ def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
         raise ValueError("ambient dimension mismatch")
     if I.mask & J.mask:
         return 0
-    return -1 if _merge_parity(I.mask, J.mask) else 1
+    return -1 if (J.mask & _odd_above(I.mask)).bit_count() & 1 else 1
 
 
 class ExteriorVector:
@@ -267,23 +316,31 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
         raise ValueError("ambient dimension mismatch")
     if u.field != v.field:
         raise ValueError("field mismatch")
-    total = u.degree + v.degree
-    if total > u.n:
-        raise ValueError(
-            f"degree overflow: {u.degree} + {v.degree} > {u.n}"
-        )
-    terms: dict = {}
+    n, a, b = u.n, u.degree, v.degree
+    if a + b > n:
+        raise ValueError(f"degree overflow: {a} + {b} > {n}")
+    field = u.field
+    unbox = field.unbox
+    vt = {mv: unbox(c) for mv, c in v.terms.items()}
+    if len(u.terms) * len(vt) >= math.comb(n, a) * math.comb(n - a, b):
+        rows = _disjoint(n, a, b)
+    else:
+        # Sparse input: the cached table would cost more to build or walk
+        # than the pair scan it replaces (at n = 64 it can reach 10^9 masks).
+        rows = {mu: _signed_disjoint(mu, vt) for mu in u.terms}
+    coeff = vt.get
+    acc: dict = {}
+    get = acc.get
     for mu, cu in u.terms.items():
-        for mv, cv in v.terms.items():
-            if mu & mv:
-                continue
-            c = cu * cv
-            if _merge_parity(mu, mv):
-                c = -c
-            m = mu | mv
-            acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-    return ExteriorVector(u.n, total, terms, u.field)
+        cu = unbox(cu)
+        for c, row in zip((cu, -cu), rows[mu]):
+            for mv in row:
+                cv = coeff(mv)
+                if cv is not None:
+                    m = mu | mv
+                    acc[m] = get(m, 0) + c * cv
+    box = field.box
+    return ExteriorVector(n, a + b, {m: box(c) for m, c in acc.items()}, field)
 
 
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
@@ -366,16 +423,13 @@ def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     target = u.degree + s
     if target > n:
         raise ValueError("degree overflow")
-    col_masks = lex_masks(n, s)
-    row_masks = lex_masks(n, target)
-    row_pos = {m: i for i, m in enumerate(row_masks)}
-    ncols = len(col_masks)
-    z = u.field.zero()
-    entries = [z] * (len(row_masks) * ncols)
-    for j, tm in enumerate(col_masks):
-        for um, c in u.terms.items():
-            if um & tm:
-                continue
-            val = -c if _merge_parity(um, tm) else c
-            entries[row_pos[um | tm] * ncols + j] = val
-    return DenseMatrix(len(row_masks), ncols, tuple(entries))
+    row_pos = _lex_position(n, target)
+    col_pos = _lex_position(n, s)
+    ncols = len(col_pos)
+    entries = [u.field.zero()] * (len(row_pos) * ncols)
+    rows = _disjoint(n, u.degree, s)
+    for um, c in u.terms.items():
+        for val, row in zip((c, -c), rows[um]):
+            for tm in row:
+                entries[row_pos[um | tm] * ncols + col_pos[tm]] = val
+    return DenseMatrix(len(row_pos), ncols, tuple(entries))

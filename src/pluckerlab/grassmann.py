@@ -24,7 +24,11 @@ from .exterior import (
 )
 # tangent_codim stays importable from here: bench/tests reaches it as
 # grassmann.tangent_codim.
-from .plucker_form import _diagonal_kronecker_codim, tangent_codim  # noqa: F401
+from .plucker_form import (  # noqa: F401
+    _diagonal_kronecker_codim,
+    _slot_pair_rank,
+    tangent_codim,
+)
 from .scalars import (
     DenseMatrix,
     Field,
@@ -97,12 +101,29 @@ def codim_threshold(r: int, m: int) -> int:
     stratum at a diagonal point, attained exactly on the Grassmannian cone.
 
     Equals m * binom((m-1)r, r) for even r and (m-1) * binom((m-1)r, r) for
-    odd r.  Requires m >= 3; see :func:`codim_small_m` for m = 2.
+    odd r.  This is the value over a field of characteristic other than 2;
+    :func:`field_codim_threshold` gives it over any field.  Requires m >= 3;
+    see :func:`codim_small_m` for m = 2.
     """
     if m < 3:
         raise ValueError("threshold formula requires m >= 3")
     B = math.comb((m - 1) * r, r)
     return m * B if r % 2 == 0 else (m - 1) * B
+
+
+def field_codim_threshold(r: int, m: int, field: Field) -> int:
+    """The threshold of :func:`codim_threshold` over the given field:
+    rank_F(B) * binom((m-1)r, r), with B the slot-pair/slot incidence matrix
+    of :func:`pluckerlab.plucker_form.diagonal_tangent_codim`.
+
+    It equals ``codim_threshold(r, m)`` unless r is even and the field has
+    characteristic 2, where rank_F(B) is m - 1 instead of m.  A decomposable
+    w has ``mu_rank(w, r) == binom((m-1)r, r)`` over every field, which
+    gives the threshold.
+    """
+    if m < 3:
+        raise ValueError("threshold formula requires m >= 3")
+    return _slot_pair_rank(r % 2, m, field) * math.comb((m - 1) * r, r)
 
 
 def codim_small_m(m: int) -> int:
@@ -142,10 +163,11 @@ def classify_membership(w: ExteriorVector, m: int) -> ClassifierVerdict:
     w ^ w = 0, which for odd r holds in every characteristic (see
     :func:`pluckerlab.plucker_form.diagonal_tangent_codim`), so only even r
     takes the square and discrimination for odd r happens entirely through
-    the tangent bound.  Then the codimension of the tangent space at the
-    deepest stratum, from the Kronecker factorization of its system, is
-    compared with the closed form threshold: equality characterizes
-    membership.
+    the tangent bound.  In characteristic 2 the square of every w vanishes,
+    so there too only the tangent bound discriminates.  Then the codimension
+    of the tangent space at the deepest stratum, from the Kronecker
+    factorization of its system, is compared with the threshold in w's field
+    (:func:`field_codim_threshold`): equality characterizes membership.
     """
     if m < 3:
         raise ValueError("classification requires m >= 3")
@@ -154,7 +176,7 @@ def classify_membership(w: ExteriorVector, m: int) -> ClassifierVerdict:
     r = w.degree
     if w.n != r * m:
         raise ValueError("ambient dimension must equal degree * m")
-    threshold = codim_threshold(r, m)
+    threshold = field_codim_threshold(r, m, w.field)
     if r % 2 == 0 and not wedge(w, w).is_zero:
         return ClassifierVerdict(Verdict.FAILS_MULTIPLICITY, threshold)
     c_o = _diagonal_kronecker_codim(w, m)

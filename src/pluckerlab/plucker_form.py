@@ -21,7 +21,8 @@ from typing import Sequence
 from .exterior import (
     ExteriorVector,
     MultiIndex,
-    _merge_parity,
+    _indices_from_mask,
+    _odd_above,
     lex_masks,
     top_wedge_coefficient,
     wedge,
@@ -93,7 +94,7 @@ def expand_form(r: int, m: int):
         if len(blocks) == m:
             out.append((blocks, -1 if parity else 1))
             return
-        free = _indices_of(remaining)
+        free = _indices_from_mask(remaining)
         for comb in itertools.combinations(free, r):
             bm = 0
             for i in comb:
@@ -102,21 +103,10 @@ def expand_form(r: int, m: int):
                 remaining ^ bm,
                 blocks + (MultiIndex(bm, n),),
                 acc_mask | bm,
-                parity ^ _merge_parity(acc_mask, bm),
+                parity ^ ((bm & _odd_above(acc_mask)).bit_count() & 1),
             )
 
     rec(full, (), 0, 0)
-    return out
-
-
-def _indices_of(mask: int) -> list[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
     return out
 
 
@@ -281,7 +271,7 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
                 for um, c in u.terms.items():
                     if um & tm:
                         continue
-                    val = -c if _merge_parity(um, tm) else c
+                    val = -c if (tm & _odd_above(um)).bit_count() & 1 else c
                     if negate:
                         val = -val
                     entries[(row_off + row_pos[um | tm]) * cols_total + base] = val

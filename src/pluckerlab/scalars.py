@@ -152,6 +152,14 @@ class RationalField:
     def is_element(self, x) -> bool:
         return isinstance(x, Fraction)
 
+    # Kernels that loop over many scalars run on the unboxed representation;
+    # for the rationals it is the Fraction itself.
+    def unbox(self, x: Fraction) -> Fraction:
+        return x
+
+    def box(self, c: Fraction) -> Fraction:
+        return c
+
 
 @dataclass(frozen=True)
 class PrimeField:
@@ -189,6 +197,15 @@ class PrimeField:
 
     def is_element(self, x) -> bool:
         return isinstance(x, Fp) and x.p == self.p
+
+    # Unboxed elements are plain ints, reduced mod p only when boxed again.
+    def unbox(self, x: Fp) -> int:
+        if x.p != self.p:
+            raise ValueError(f"mixed moduli {x.p} and {self.p}")
+        return x.v
+
+    def box(self, c: int) -> Fp:
+        return Fp(c, self.p)
 
 
 Field = Union[RationalField, PrimeField]

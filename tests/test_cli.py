@@ -84,6 +84,17 @@ def test_codim_threshold_above_int64_safe_primes(tmp_path):
     assert len(trials) == 20 and all(c["codim"] == 18 for c in trials)
 
 
+@pytest.mark.parametrize("command", ["reconstruction", "codim-threshold"])
+def test_membership_suites_over_f2(command, tmp_path):
+    out = tmp_path / "r.json"
+    code = main(
+        [command, "--r", "2", "--m", "3", "--prime", "2", "--trials", "6", "--out", str(out)]
+    )
+    assert code == 0
+    cases = json.loads(out.read_text())["cases"]
+    assert len(cases) > 6 and all(c["ok"] for c in cases)
+
+
 # sha256 of json.dumps(report.body(), sort_keys=True, indent=2), recorded
 # with the full tangent system in the classifier.
 GOLDEN_BODIES = {

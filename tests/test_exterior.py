@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pluckerlab import exterior
 from pluckerlab.exterior import (
     ExteriorVector,
     MultiIndex,
+    _odd_above,
     contract,
     lex_masks,
     merge_sign,
@@ -15,8 +18,9 @@ from pluckerlab.exterior import (
     random_exterior,
     top_wedge_coefficient,
     wedge,
+    wedge_matrix,
 )
-from pluckerlab.scalars import QQ, PrimeField, sample_scalar
+from pluckerlab.scalars import QQ, Fp, PrimeField, mat_vec, sample_scalar
 
 F = PrimeField()
 
@@ -54,6 +58,14 @@ def test_wedge_dimension_mismatch():
         wedge(ev(4, (1,)), ev(6, (2,)))
     with pytest.raises(ValueError):
         wedge(ev(4, (1,)), ExteriorVector.basis(4, (2,), F))
+
+
+def test_wedge_rejects_coefficients_of_another_modulus():
+    F7 = PrimeField(7)
+    u = ExteriorVector(4, 1, {1: Fp(3, 5)}, F7)
+    for v in (ExteriorVector.basis(4, (2,), F7), ExteriorVector(4, 1, {2: Fp(4, 5)}, F7)):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            wedge(u, v)
 
 
 def test_merge_sign_examples():
@@ -95,6 +107,97 @@ def test_bilinearity(u, u2, v, a, b):
     left = wedge(a * u + b * u2, v)
     right = a * wedge(u, v) + b * wedge(u2, v)
     assert left == right
+
+
+# -- the kernel against an independent reference --------------------------------
+
+
+def _inversions(seq):
+    return sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
+
+
+def reference_wedge(u, v):
+    """Wedge from index tuples: the sign of e_I ^ e_J is the parity of the
+    inversions of the concatenation I + J, with no masks and no tables."""
+    field, n = u.field, u.n
+    acc = {}
+    for I, cu in ((m.indices, u.coefficient(m)) for m in u.support()):
+        for J, cv in ((m.indices, v.coefficient(m)) for m in v.support()):
+            if set(I) & set(J):
+                continue
+            c = cu * cv
+            if _inversions(I + J) % 2:
+                c = -c
+            K = tuple(sorted(I + J))
+            acc[K] = acc[K] + c if K in acc else c
+    out = ExteriorVector.zero(n, u.degree + v.degree, field)
+    for K, c in acc.items():
+        out = out + ExteriorVector.basis(n, K, field).scale(c)
+    return out
+
+
+KERNEL_FIELDS = [F, PrimeField(2), PrimeField(2**61 - 1), QQ]
+
+
+@st.composite
+def wedge_pairs(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 9))
+    a = draw(st.integers(0, n))
+    b = draw(st.integers(0, n - a))
+
+    def vector(k):
+        masks = lex_masks(n, k)
+        dense = draw(st.booleans())
+        keep = masks if dense else draw(st.lists(st.sampled_from(masks), max_size=4))
+        coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=len(keep), max_size=len(keep)))
+        return ExteriorVector(n, k, {m: field.from_int(c) for m, c in zip(keep, coeffs)}, field)
+
+    return vector(a), vector(b)
+
+
+@given(wedge_pairs())
+@settings(max_examples=150, deadline=None)
+def test_wedge_matches_reference(pair):
+    u, v = pair
+    w = wedge(u, v)
+    assert w == reference_wedge(u, v)
+    assert all(u.field.is_element(c) for c in w.terms.values())
+
+
+@given(wedge_pairs())
+@settings(max_examples=150, deadline=None)
+def test_wedge_matrix_applies_wedge(pair):
+    u, t = pair
+    M = wedge_matrix(u, t.degree)
+    assert mat_vec(M, t.coefficient_vector()) == wedge(u, t).coefficient_vector()
+
+
+def test_odd_above_gives_merge_parity_exhaustively():
+    for n in range(1, 9):
+        for mu in range(1 << n):
+            I = MultiIndex(mu, n).indices
+            rest = ((1 << n) - 1) ^ mu
+            sub = rest
+            while True:
+                J = MultiIndex(sub, n).indices
+                assert (sub & _odd_above(mu)).bit_count() & 1 == _inversions(I + J) & 1
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+
+
+def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
+    # The table for (64, 3, 3) would hold about 1.5e9 masks, so building it
+    # is refused here rather than attempted.
+    def no_table(*args):
+        raise AssertionError(f"disjoint-mask table {args} built for a sparse wedge")
+
+    monkeypatch.setattr(exterior, "_disjoint", no_table)
+    u = ExteriorVector.basis(64, (1, 5, 64), F)
+    v = ExteriorVector.basis(64, (2, 3, 4), F) + ExteriorVector.basis(64, (5, 6, 7), F)
+    # (1, 5, 64, 2, 3, 4) has six inversions; e_{5,6,7} meets u.
+    assert wedge(u, v) == ExteriorVector.basis(64, (1, 2, 3, 4, 5, 64), F)
 
 
 # -- contraction and the decomposability oracle -------------------------------

@@ -17,6 +17,7 @@ from pluckerlab.grassmann import (
     codim_small_m,
     codim_threshold,
     ev_m_det,
+    field_codim_threshold,
     is_decomposable,
     mu_rank,
     plucker_embed,
@@ -134,6 +135,18 @@ def test_codim_threshold_values():
     assert codim_threshold(4, 3) == 210
 
 
+def test_field_codim_threshold_differs_only_in_characteristic_two():
+    F2 = PrimeField(2)
+    for r in range(1, 5):
+        for m in (3, 4):
+            for field in (F, PrimeField(3), QQ):
+                assert field_codim_threshold(r, m, field) == codim_threshold(r, m)
+            expected = (m - 1) * math.comb((m - 1) * r, r)
+            assert field_codim_threshold(r, m, F2) == expected
+    with pytest.raises(ValueError):
+        field_codim_threshold(2, 2, F)
+
+
 def test_codim_threshold_requires_m_three():
     with pytest.raises(ValueError):
         codim_threshold(2, 2)
@@ -215,6 +228,24 @@ def test_classifier_large_prime_matches_default_prime():
             verdicts.append((classify_membership(member, 3), classify_membership(other, 3)))
         assert verdicts[0] == verdicts[1]
         assert [v.tag for v in verdicts[0]] == [Verdict.IN_GRASSMANNIAN, reject]
+
+
+def test_classifier_over_f2_agrees_with_contraction_oracle():
+    # Over F_2 every square vanishes, so even r is decided by the tangent
+    # bound alone, against the threshold (m - 1) * binom(4, 2) = 12.
+    F2 = PrimeField(2)
+    rng = random.Random(79)
+    sample = [random_grass_point(2, 6, F2, rng).plucker for _ in range(10)]
+    sample += [random_exterior(6, 2, F2, rng) for _ in range(30)]
+    seen = set()
+    for w in sample:
+        v = classify_membership(w, 3)
+        member = plucker_relations_hold(w)
+        assert (v.tag is Verdict.IN_GRASSMANNIAN) == member
+        assert v.tag is not Verdict.FAILS_MULTIPLICITY
+        assert v.threshold == 12 and (v.observed_codim == 12) == member
+        seen.add(member)
+    assert seen == {True, False}
 
 
 def test_classifier_projective_invariance():
