@@ -3,7 +3,9 @@
 A pair is a splitting type (d_1, ..., d_r) with sum r*(m-1) together with the
 complete monomial section basis: component i carries the forms u^a v^(d_i-a).
 Binary forms are coefficient tuples; points of the line are stored with the
-canonical representative (u, 1), or (1, 0) at infinity.
+canonical representative (u, 1), or (1, 0) at infinity.  Every evaluation of
+a section at a point goes through one kernel, :func:`_section_values`, which
+takes the monomial values u^a v^(d-a) once per point and degree.
 
 The determinant divisor is the vanishing of the determinant of the m-point
 evaluation matrix.  On the line it factors as a constant times the r-th power
@@ -27,13 +29,14 @@ from .scalars import (
     PrimeField,
     Scalar,
     field_from_name,
+    field_of,
     mat_det,
     mat_rank,
+    mat_vec,
     sample_scalar,
 )
 
 Form = tuple  # coefficients, entry a multiplies u^a v^(deg-a)
-Section = tuple  # one Form per bundle component
 
 
 @dataclass(frozen=True)
@@ -54,17 +57,11 @@ class P1Point:
 
     @classmethod
     def affine(cls, x: Scalar) -> "P1Point":
-        return cls.of(x, _one_like(x))
+        return cls.of(x, field_of(x).one())
 
     @classmethod
     def infinity(cls, field: Field) -> "P1Point":
         return cls(field.one(), field.zero())
-
-
-def _one_like(x: Scalar) -> Scalar:
-    from .scalars import field_of
-
-    return field_of(x).one()
 
 
 def _zero_form(degree: int, field: Field) -> Form:
@@ -96,20 +93,13 @@ def _form_mul(a: Form, b: Form, field: Field) -> Form:
     return tuple(out)
 
 
-def _form_eval(coeffs: Form, pt: P1Point, field: Field) -> Scalar:
-    d = len(coeffs) - 1
-    upow = field.one()
-    # value = sum coeffs[a] u^a v^(d-a); accumulate u powers, then v powers.
-    vals = []
-    for a in range(d + 1):
-        vals.append(coeffs[a] * upow)
-        upow = upow * pt.u
-    total = field.zero()
-    vpow = field.one()
-    for a in range(d, -1, -1):
-        total = total + vals[a] * vpow
-        vpow = vpow * pt.v
-    return total
+def _monomials(pt: P1Point, d: int, field: Field) -> list[Scalar]:
+    """Values of the monomials u^a v^(d-a) at pt, a ascending."""
+    upow, vpow = [field.one()], [field.one()]
+    for _ in range(d):
+        upow.append(upow[-1] * pt.u)
+        vpow.append(vpow[-1] * pt.v)
+    return [upow[a] * vpow[d - a] for a in range(d + 1)]
 
 
 @dataclass(frozen=True)
@@ -121,26 +111,29 @@ class BundlePairP1:
     splitting: tuple
     sections: tuple
     field: Field
-    complete: bool = True
 
     def __post_init__(self):
-        rm = self.r * self.m
+        r, rm, splitting = self.r, self.r * self.m, self.splitting
+        if len(splitting) != r:
+            raise ValueError(f"splitting must have {r} degrees, got {len(splitting)}")
+        if sum(splitting) != r * (self.m - 1):
+            raise ValueError(f"splitting must sum to {r * (self.m - 1)}, got {sum(splitting)}")
+        if any(d < 0 for d in splitting):
+            raise ValueError("negative summand: the section space falls short of dimension r*m")
         if len(self.sections) != rm:
             raise ValueError(f"need {rm} sections, got {len(self.sections)}")
-        rows = [_flatten_section(s) for s in self.sections]
+        for section in self.sections:
+            if len(section) != r:
+                raise ValueError(f"each section needs {r} components")
+            if any(len(f) != d + 1 for f, d in zip(section, splitting)):
+                raise ValueError("component length must be its splitting degree plus one")
+        rows = [[c for form in s for c in form] for s in self.sections]
         if mat_rank(DenseMatrix.from_rows(rows)) != rm:
             raise ValueError("sections are linearly dependent")
 
     @property
     def section_count(self) -> int:
         return len(self.sections)
-
-
-def _flatten_section(section: Section) -> list:
-    flat = []
-    for form in section:
-        flat.extend(form)
-    return flat
 
 
 @dataclass(frozen=True)
@@ -156,33 +149,14 @@ class DivisorReport:
         if self.identically_zero and self.all_matched:
             raise ValueError("identically_zero and all_matched are exclusive")
 
-    def to_json(self, field: Field) -> dict:
-        return {
-            "constant_c": None
-            if self.constant_c is None
-            else field.element_to_str(self.constant_c),
-            "trials": self.trials,
-            "all_matched": self.all_matched,
-            "identically_zero": self.identically_zero,
-        }
-
 
 def make_pair(
     splitting: Sequence[int], m: int, field: Field = PrimeField(DEFAULT_PRIME)
 ) -> BundlePairP1:
     """Complete monomial pair for a splitting type summing to r*(m-1)."""
     splitting = tuple(splitting)
-    r = len(splitting)
     if m < 2:
         raise ValueError("need m >= 2")
-    if sum(splitting) != r * (m - 1):
-        raise ValueError(
-            f"splitting must sum to {r * (m - 1)}, got {sum(splitting)}"
-        )
-    if any(d < 0 for d in splitting):
-        raise ValueError(
-            "negative summand: the section space falls short of dimension r*m"
-        )
     sections = []
     for i, d in enumerate(splitting):
         for a in range(d + 1):
@@ -191,26 +165,37 @@ def make_pair(
                 for j, dj in enumerate(splitting)
             )
             sections.append(comp)
-    return BundlePairP1(r, m, splitting, tuple(sections), field)
+    return BundlePairP1(len(splitting), m, splitting, tuple(sections), field)
 
 
 def is_balanced(pair: BundlePairP1) -> bool:
     return all(d == pair.m - 1 for d in pair.splitting)
 
 
+def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list[Scalar]]:
+    """One row per section: its r component values at each point in turn."""
+    field = pair.field
+    zero = field.zero()
+    tables = [{d: _monomials(pt, d, field) for d in set(pair.splitting)} for pt in points]
+    rows = []
+    for section in pair.sections:
+        row = []
+        for table in tables:
+            for form, d in zip(section, pair.splitting):
+                acc = zero
+                for c, x in zip(form, table[d]):
+                    if c:
+                        acc = acc + c * x
+                row.append(acc)
+        rows.append(row)
+    return rows
+
+
 def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:
     """rm x rm matrix: one row per section, an r-column block per point."""
     if len(points) != pair.m:
         raise ValueError(f"need {pair.m} points")
-    field = pair.field
-    rows = []
-    for section in pair.sections:
-        row = []
-        for pt in points:
-            for j in range(pair.r):
-                row.append(_form_eval(section[j], pt, field))
-        rows.append(row)
-    return DenseMatrix.from_rows(rows)
+    return DenseMatrix.from_rows(_section_values(pair, points))
 
 
 def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:
@@ -343,22 +328,13 @@ def det_map_rank(pair: BundlePairP1) -> int:
     return mat_rank(det_map_matrix(pair))
 
 
-def _value_rows(pair: BundlePairP1, x: P1Point) -> list[list[Scalar]]:
-    field = pair.field
-    return [
-        [_form_eval(section[j], x, field) for section in pair.sections]
-        for j in range(pair.r)
-    ]
-
-
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
     r x r minors."""
     rm = pair.r * pair.m
-    rows = _value_rows(pair, x)
     vec = None
-    for row in rows:
+    for row in zip(*_section_values(pair, [x])):
         terms = {1 << j: c for j, c in enumerate(row) if c}
         rv = ExteriorVector(rm, 1, terms, pair.field)
         vec = rv if vec is None else wedge(vec, rv)
@@ -373,15 +349,7 @@ def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVe
     D = pair.r * (pair.m - 1)
     if len(functional) != D + 1:
         raise ValueError(f"functional must have {D + 1} coefficients")
-    M = det_map_matrix(pair)
-    coeffs = []
-    for cidx in range(M.cols):
-        acc = pair.field.zero()
-        for a in range(M.rows):
-            f = functional[a]
-            if f:
-                acc = acc + M.at(a, cidx) * f
-        coeffs.append(acc)
+    coeffs = mat_vec(det_map_matrix(pair).transpose(), functional)
     vec = ExteriorVector.from_coefficients(pair.r * pair.m, pair.r, coeffs, pair.field)
     if vec.is_zero:
         raise ValueError("functional annihilates the image: indeterminacy point")
@@ -391,12 +359,7 @@ def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVe
 def evaluation_functional(pair: BundlePairP1, x: P1Point) -> list[Scalar]:
     """Coefficients of 'evaluate a degree r(m-1) form at x' in the monomial
     dual basis."""
-    D = pair.r * (pair.m - 1)
-    field = pair.field
-    out = []
-    for a in range(D + 1):
-        out.append(_form_eval(_monomial_form(D, a, field), x, field))
-    return out
+    return _monomials(x, pair.r * (pair.m - 1), pair.field)
 
 
 def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
@@ -424,14 +387,7 @@ def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:
     """Whether sections evaluated at two distinct points fill both fibers."""
     if x == y:
         raise ValueError("points must be distinct")
-    field = pair.field
-    rows = []
-    for section in pair.sections:
-        row = []
-        for pt in (x, y):
-            for j in range(pair.r):
-                row.append(_form_eval(section[j], pt, field))
-        rows.append(row)
+    rows = _section_values(pair, (x, y))
     return mat_rank(DenseMatrix.from_rows(rows)) == 2 * pair.r
 
 
@@ -454,9 +410,7 @@ def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:
                 for comp, form in zip(comps, old)
             ]
         new_sections.append(tuple(comps))
-    return BundlePairP1(
-        pair.r, pair.m, pair.splitting, tuple(new_sections), pair.field, pair.complete
-    )
+    return BundlePairP1(pair.r, pair.m, pair.splitting, tuple(new_sections), pair.field)
 
 
 # -- symbolic second witness -------------------------------------------------

@@ -393,9 +393,7 @@ def _suite_degeneracy_det(cfg: ExperimentConfig, rng: random.Random):
                     A = random_matrix(r, n - 1, field, rng)
                     rows = [list(A.row(i)) + [field.zero()] for i in range(r)]
                     try:
-                        points.append(
-                            _embed_rows(rows, field)
-                        )
+                        points.append(plucker_embed(DenseMatrix.from_rows(rows)))
                         break
                     except ValueError:
                         continue
@@ -421,10 +419,6 @@ def _suite_degeneracy_det(cfg: ExperimentConfig, rng: random.Random):
                 {"trial": trial, "pluckers": [pt.plucker.to_json() for pt in points]}
             )
     return cases, counter
-
-
-def _embed_rows(rows, field):
-    return plucker_embed(DenseMatrix.from_rows(rows))
 
 
 def _require_pair(cfg: ExperimentConfig):

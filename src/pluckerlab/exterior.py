@@ -40,7 +40,6 @@ from .scalars import (
     DenseMatrix,
     Field,
     Scalar,
-    field_of,
     sample_scalar,
 )
 

@@ -163,22 +163,28 @@ def polar(k: int, w: PointTuple, t: Sequence[ExteriorVector]) -> Scalar:
     return total
 
 
-def _subset_wedges(slots: Sequence[ExteriorVector], max_size: int) -> dict:
-    """Ordered wedges w_S for all slot subsets S with 1 <= |S| <= max_size.
+def _subset_wedge_levels(slots: Sequence[ExteriorVector]):
+    """The lattice of slot subsets, one level at a time: for |S| = 1, ..., m
+    yields {smask: w_S}, the ordered wedges of the slots in S.
 
     Keys are bitmasks over slot positions (bit i = slot i).  Built bottom-up:
-    w_S = w_min ^ w_{S - min}.
+    w_S = w_min ^ w_{S - min}.  Once a level is all zero every later one is.
     """
     m = len(slots)
-    memo = {1 << i: slots[i] for i in range(m)}
-    for size in range(2, max_size + 1):
+    level = {1 << i: slots[i] for i in range(m)}
+    yield level
+    for size in range(2, m + 1):
+        prev, level = level, {}
         for comb in itertools.combinations(range(m), size):
             smask = 0
             for i in comb:
                 smask |= 1 << i
-            low = smask & -smask
-            memo[smask] = wedge(slots[comb[0]], memo[smask ^ low])
-    return memo
+            level[smask] = wedge(slots[comb[0]], prev[smask ^ (smask & -smask)])
+        yield level
+
+
+def _all_zero(level: dict) -> bool:
+    return all(w.is_zero for w in level.values())
 
 
 def multiplicity_at(p: PointTuple) -> int:
@@ -188,23 +194,9 @@ def multiplicity_at(p: PointTuple) -> int:
     the subset lattice and stops at the first all-zero level.  Always at most
     m-1 because the slots are nonzero.
     """
-    m = p.m
-    prev = {1 << i: p.slots[i] for i in range(m)}
-    for size in range(2, m + 1):
-        cur = {}
-        all_zero = True
-        for comb in itertools.combinations(range(m), size):
-            smask = 0
-            for i in comb:
-                smask |= 1 << i
-            low = smask & -smask
-            val = wedge(p.slots[comb[0]], prev[smask ^ low])
-            cur[smask] = val
-            if not val.is_zero:
-                all_zero = False
-        if all_zero:
-            return m - size + 1
-        prev = cur
+    for size, level in enumerate(_subset_wedge_levels(p.slots), 1):
+        if _all_zero(level):
+            return p.m - size + 1
     return 0
 
 
@@ -239,9 +231,12 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
         return TangentSystem(0, p, DenseMatrix(0, cols_total, ()))
     if not 1 <= k <= m - 1:
         raise ValueError("singularity order must be in 0..m-1")
-    if multiplicity_at(p) < k:
-        raise ValueError("point does not lie on the k-th singular stratum")
     ssize = m - k + 1
+    # Multiplicity at least k means the level of size ssize is all zero.
+    levels = _subset_wedge_levels(p.slots)
+    memo = next(itertools.islice(levels, ssize - 2, None))
+    if not _all_zero(next(levels)):
+        raise ValueError("point does not lie on the k-th singular stratum")
     target = r * ssize
     row_masks = lex_masks(n, target)
     rows_per_block = len(row_masks)
@@ -249,7 +244,6 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
     subsets = list(itertools.combinations(range(m), ssize))
     rows_total = len(subsets) * rows_per_block
 
-    memo = _subset_wedges(p.slots, ssize - 1) if ssize >= 2 else {}
     z = p.field.zero()
     entries = [z] * (rows_total * cols_total)
     col_masks = lex_masks(n, r)

@@ -276,9 +276,6 @@ class DenseMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def transpose(self) -> "DenseMatrix":
         ent = [None] * (self.rows * self.cols)
         for i in range(self.rows):

@@ -33,7 +33,14 @@ from pluckerlab.exterior import (
     plucker_relations_hold,
     top_wedge_coefficient,
 )
-from pluckerlab.scalars import QQ, PrimeField, mat_det, mat_rank, random_matrix
+from pluckerlab.scalars import (
+    QQ,
+    DenseMatrix,
+    PrimeField,
+    mat_det,
+    mat_rank,
+    random_matrix,
+)
 
 F = PrimeField()
 
@@ -75,6 +82,21 @@ def test_sections_must_be_independent():
     dup = pair.sections[:5] + (pair.sections[0],)
     with pytest.raises(ValueError, match="dependent"):
         BundlePairP1(2, 3, (2, 2), dup, F)
+
+
+def test_pair_refuses_wrong_shapes():
+    sections = make_pair((2, 2), 3, F).sections
+    cubics = make_pair((3, 3), 4, F).sections[:6]  # independent, degree-3 parts
+    with pytest.raises(ValueError, match="length"):
+        BundlePairP1(2, 3, (2, 2), cubics, F)
+    with pytest.raises(ValueError, match="splitting"):
+        BundlePairP1(2, 3, (2, 2, 2), sections, F)
+    with pytest.raises(ValueError, match="length"):
+        BundlePairP1(2, 3, (4, 0), sections, F)
+    with pytest.raises(ValueError, match="negative"):
+        BundlePairP1(2, 3, (5, -1), sections, F)
+    with pytest.raises(ValueError, match="components"):
+        BundlePairP1(2, 3, (2, 2), tuple(s + s[:1] for s in sections), F)
 
 
 # -- evaluation and divisor ---------------------------------------------------------
@@ -356,3 +378,62 @@ def test_pair_json_rational_field():
     pair = pair_from_json({"r": 1, "m": 3, "splitting": [2], "field": "q"})
     assert pair.field == QQ
     assert is_balanced(pair)
+
+
+# -- evaluation against an independent reference ------------------------------------------
+
+
+def _horner(form, pt):
+    """sum_a form[a] u^a v^(d-a), by Horner's rule in u with a running power of v."""
+    acc = form[-1]
+    vpow = pt.v if pt.v else pt.u  # a canonical point carries the field's one
+    for c in reversed(form[:-1]):
+        vpow = vpow * pt.v
+        acc = acc * pt.u + c * vpow
+    return acc
+
+
+def _reference_rows(pair, points):
+    return [
+        [_horner(section[j], pt) for pt in points for j in range(pair.r)]
+        for section in pair.sections
+    ]
+
+
+def _pairs_and_points(field, seed):
+    rng = random.Random(seed)
+    pairs = []
+    for splitting in [(2,), (2, 2), (3, 1), (4, 0), (2, 2, 2)]:
+        pair = make_pair(splitting, 3, field)
+        pairs.append(pair)
+        rm = pair.r * pair.m
+        while True:
+            G = random_matrix(rm, rm, field, rng)
+            if mat_det(G):
+                break
+        pairs.append(change_basis(pair, G))
+    inf = P1Point.infinity(field)
+    point_sets = [[inf] + sample_distinct_points(2, field, rng)]
+    point_sets += [sample_distinct_points(3, field, rng) for _ in range(3)]
+    return pairs, point_sets
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["fp", "q"])
+def test_evaluation_agrees_with_horner_reference(field):
+    pairs, point_sets = _pairs_and_points(field, 31)
+    for pair in pairs:
+        D = pair.r * (pair.m - 1)
+        for pts in point_sets:
+            M = evaluation_matrix(pair, pts)
+            ref = _reference_rows(pair, pts)
+            assert [list(M.row(i)) for i in range(M.rows)] == ref
+            for x in pts:
+                monomials = [_monomial(D, a, field) for a in range(D + 1)]
+                assert evaluation_functional(pair, x) == [_horner(f, x) for f in monomials]
+            for x, y in ((pts[0], pts[1]), (pts[2], pts[1])):
+                expect = mat_rank(DenseMatrix.from_rows(_reference_rows(pair, (x, y))))
+                assert two_point_surjectivity(pair, x, y) == (expect == 2 * pair.r)
+
+
+def _monomial(d, a, field):
+    return tuple(field.one() if i == a else field.zero() for i in range(d + 1))

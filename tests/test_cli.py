@@ -101,6 +101,21 @@ GOLDEN_BODIES = {
     ("reconstruction", 2, 3): "0f62e964709b6439d1a5aea1374245a1f39ec0060bf99ffb28366da8077911f0",
     ("reconstruction", 3, 3): "0618a32cbe013ec6ab9d01f48051e76ea8e1a7e90163c0276067b9b672a04ff9",
     ("codim-threshold", 2, 3): "31090b3b322258053168a9b0fa6a6b80b2f00e87b986e122ce5a769bf7725ccd",
+    # Recorded with the per-form evaluation of sections and the two separate
+    # walks over slot subsets.
+    ("codim-threshold", 3, 3): "62924e9ebc1092c6e776bf54487e915696bead7ec1e18806e91839837fe1135d",
+    ("multiplicity-bound", 2, 3): "253260fadecb3f163cb32d30bc0f72e785e0827b00f280f5aa6e014eab79cf72",
+    ("multiplicity-bound", 3, 3): "c2fcf0353959e630efabf39abc1145622c9b49de296fda52dc60018fcd5b4cb3",
+    ("degeneracy-det", 2, 3): "7b439a571f7fb54322f930edb81f37efc8f8f155aec5e58ef8958ab3d9c50203",
+    ("degeneracy-det", 3, 3): "9a3fa013aff9acf4a3fe2da0186c53daf833e3d98556f4ee8aa42d0ef8d6cdaa",
+    ("p1-detmap", 2, 3): "35eb445a704d5677fb84c25c029065b899a2d796cdf7e5d7f77650708426c4fa",
+    ("p1-detmap", 3, 3): "0a7c3380e454dc0bd021ac3b6985a16e52be8c9e020caaa4dea5426e3856361a",
+    ("p1-divisor", 2, 3): "53e98f1f98e8c510b44aeb13ecddf4e6ddff7e5e792a945038383a609d2d1083",
+    ("p1-divisor", 3, 3): "379f1ec12bd1addfdff00e3c7e495b07a4123b641a2b7037e32204fcf0315527",
+    ("p1-lambda", 2, 3): "2b34240740fa9a9cbab311296bc0fc991f4edc268f2d0a95fe2f07cec4eb4290",
+    ("p1-lambda", 3, 3): "17e1ff5ecc4d90b6334ad016e94f3654086eb253edaeb12d2bd974e9ff9a33ab",
+    ("p1-no-form", 2, 3): "1774e7ec1927c5256e62b735e8f62a832bcbc08bf0bbd97b517a19a536eff837",
+    ("p1-no-form", 3, 3): "6e08d58c042bd3db8c6a45998af42863434060ebdbff8361a6046d24ce203b92",
 }
 
 
