@@ -33,6 +33,7 @@ from .exterior import (
     top_wedge_coefficient,
     wedge,
     wedge_matrix,
+    wedge_rank,
 )
 from .grassmann import (
     ClassifierVerdict,
@@ -70,6 +71,7 @@ from .scalars import (
     RationalField,
     mat_det,
     mat_rank,
+    rank_mod_p,
     sample_scalar,
 )
 

@@ -19,9 +19,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exterior import ExteriorVector, lex_masks, wedge
+from .exterior import ExteriorVector, _odd_above, lex_masks, wedge
 from .scalars import (
     DEFAULT_PRIME,
     DenseMatrix,
@@ -289,15 +290,24 @@ def diagonal_factor_check(pair: BundlePairP1, trials: int, seed: int) -> Divisor
     return DivisorReport(c, trials, all_matched, False)
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+@lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """Each permutation of range(k), in ``itertools.permutations`` order, with
+    whether it is odd: the sign of e_perm[0] ^ e_perm[1] ^ ... against
+    e_0 ^ ... ^ e_(k-1), wedged mask by mask through ``_odd_above``."""
+    out = []
+    for perm in itertools.permutations(range(k)):
+        mask = odd = 0
+        for i in perm:
+            odd ^= (_odd_above(mask) >> i) & 1
+            mask |= 1 << i
+        out.append((perm, bool(odd)))
+    return tuple(out)
 
 
+# lambda_image needs this matrix for every functional it maps, so it is
+# cached per pair; few pairs are in use at once, hence the small bound.
+@lru_cache(maxsize=8)
 def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
     """Matrix of the determinant map from wedges of sections to forms.
 
@@ -312,11 +322,11 @@ def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
     ncols = len(combos)
     for cidx, comb in enumerate(combos):
         col = _zero_form(D, field)
-        for perm in itertools.permutations(range(r)):
+        for perm, odd in _signed_permutations(r):
             f: Form = (field.one(),)
             for a in range(r):
                 f = _form_mul(f, pair.sections[comb[a]][perm[a]], field)
-            if _perm_sign(perm) < 0:
+            if odd:
                 f = tuple(-x for x in f)
             col = _form_add(col, f)
         for a in range(D + 1):
@@ -427,8 +437,7 @@ def divisor_coefficient_tensor(pair: BundlePairP1) -> dict:
         raise ValueError("symbolic expansion is limited to rm <= 7")
     field = pair.field
     out: dict = {}
-    for perm in itertools.permutations(range(rm)):
-        sign = _perm_sign(perm)
+    for perm, odd in _signed_permutations(rm):
         point_forms = []
         for i in range(pair.m):
             f: Form = (field.one(),)
@@ -440,7 +449,7 @@ def divisor_coefficient_tensor(pair: BundlePairP1) -> dict:
             coeff = combo[0][1]
             for _, c in combo[1:]:
                 coeff = coeff * c
-            if sign < 0:
+            if odd:
                 coeff = -coeff
             acc = out.get(key)
             total = coeff if acc is None else acc + coeff

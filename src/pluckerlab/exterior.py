@@ -13,14 +13,24 @@ the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
 package (``merge_sign``, ``wedge``, ``wedge_matrix``, the tangent systems and
 the shuffle expansion of the wedge form) is read off this one mask.
 
-``wedge`` and ``wedge_matrix`` walk ``_disjoint(n, a, b)``, a cached table
-from each degree-a mask to the degree-b masks disjoint from it, split by
-sign, instead of testing every pair of terms for overlap and computing each
-pair's sign.  A wedge with fewer term pairs than the table has entries
-(sparse vectors, or large n) splits its own pairs the same way instead.
+``wedge`` walks ``_disjoint(n, a, b)``, a cached table from each degree-a
+mask to the degree-b masks disjoint from it, split by sign, instead of
+testing every pair of terms for overlap and computing each pair's sign.  A
+wedge with fewer term pairs than the table has entries (sparse vectors, or
+large n) splits its own pairs the same way instead.
 ``wedge`` runs its arithmetic on the field's unboxed representation (plain
 ints over F_p, reduced once per output term), unboxing its inputs and boxing
 each output term once per call.
+
+Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``_disjoint``,
+lists for each degree-a mask (in lex order) the flat row-major positions of
+the nonzero entries of the matrix of t |-> e_mu ^ t on wedge^s(V), with one
+sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
+row.  ``_wedge_array`` fills a matrix from it with one fancy-index
+assignment: ``wedge_matrix`` with the boxed coefficients, and over F_p
+``wedge_rank`` with their residues c or p - c, into the numpy array that
+:func:`pluckerlab.scalars.rank_mod_p` eliminates, so no boxed matrix is
+built on the classifier's path.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -36,10 +46,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .scalars import (
     DenseMatrix,
     Field,
+    PrimeField,
     Scalar,
+    _residue_dtype,
+    mat_rank,
+    rank_mod_p,
     sample_scalar,
 )
 
@@ -118,6 +134,29 @@ def _disjoint(n: int, a: int, b: int) -> dict[int, tuple[tuple[int, ...], tuple[
 def _lex_position(n: int, k: int) -> dict[int, int]:
     """Position of each degree-k mask in ``lex_masks(n, k)``."""
     return {m: i for i, m in enumerate(lex_masks(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _wedge_scatter(n: int, a: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each basis vector e_mu of degree a lands in the matrix of
+    t |-> e_mu ^ t on wedge^s(V), lex bases on both sides, stored row-major.
+
+    Row i of the table belongs to the i-th mask mu of ``lex_masks(n, a)``:
+    ``flat[i]`` holds the flat positions ``row * ncols + col`` of its
+    C(n - a, s) nonzero entries, one per degree-s mask t disjoint from mu,
+    and ``neg[i]`` marks those where e_mu ^ e_t = -e_{mu|t}.  The matrix of
+    t |-> u ^ t puts c_mu, negated where marked, at the positions of row
+    i for each term c_mu e_mu of u; no two terms share a position, because
+    mu = (mu|t) minus t is fixed by the entry's row and column.
+    """
+    row_pos = _lex_position(n, a + s)
+    col_pos = _lex_position(n, s)
+    ncols = len(col_pos)
+    flat, neg = [], []
+    for mu, (plus, minus) in _disjoint(n, a, s).items():
+        flat.append([row_pos[mu | t] * ncols + col_pos[t] for t in plus + minus])
+        neg.append([False] * len(plus) + [True] * len(minus))
+    return np.array(flat, dtype=np.intp), np.array(neg, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -416,19 +455,43 @@ def random_exterior(
             return vec
 
 
+def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
+    """The matrix of t |-> u ^ t on wedge^s(V) as an array filled with
+    ``fill``, scattered from ``_wedge_scatter``: c[i] or minus_c[i] (column
+    vectors, one row per term of u in ``u.terms`` order) at the positions of
+    the table row of the i-th term, as its sign flags say."""
+    n, a = u.n, u.degree
+    if a + s > n:
+        raise ValueError("degree overflow")
+    at = _lex_position(n, a)
+    rows = np.fromiter((at[um] for um in u.terms), dtype=np.intp, count=len(u.terms))
+    flat, neg = _wedge_scatter(n, a, s)
+    nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
+    A = np.full(nrows * ncols, fill, dtype=c.dtype)
+    A[flat[rows]] = np.where(neg[rows], minus_c, c)
+    return A.reshape(nrows, ncols)
+
+
 def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     """Matrix of t |-> u ^ t on wedge^s(V), in lex bases on both sides."""
-    n = u.n
-    target = u.degree + s
-    if target > n:
-        raise ValueError("degree overflow")
-    row_pos = _lex_position(n, target)
-    col_pos = _lex_position(n, s)
-    ncols = len(col_pos)
-    entries = [u.field.zero()] * (len(row_pos) * ncols)
-    rows = _disjoint(n, u.degree, s)
-    for um, c in u.terms.items():
-        for val, row in zip((c, -c), rows[um]):
-            for tm in row:
-                entries[row_pos[um | tm] * ncols + col_pos[tm]] = val
-    return DenseMatrix(len(row_pos), ncols, tuple(entries))
+    c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
+    A = _wedge_array(u, s, c, -c, u.field.zero())
+    return DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
+
+
+def wedge_rank(u: ExteriorVector, s: int) -> int:
+    """Rank of t |-> u ^ t on wedge^s(V): ``mat_rank(wedge_matrix(u, s))``.
+
+    Over F_p the matrix is never boxed: each coefficient of u is unboxed
+    once, and one fancy-index assignment writes c or p - c from the scatter
+    table into a zeroed residue array, which
+    :func:`pluckerlab.scalars.rank_mod_p` eliminates.  Over Q it is Bareiss
+    elimination on ``wedge_matrix(u, s)``.
+    """
+    field = u.field
+    if not isinstance(field, PrimeField):
+        return mat_rank(wedge_matrix(u, s))
+    p, unbox = field.p, field.unbox
+    c = np.array([unbox(x) for x in u.terms.values()], dtype=_residue_dtype(p))
+    c = c.reshape(-1, 1)
+    return rank_mod_p(_wedge_array(u, s, c, p - c, 0), p)

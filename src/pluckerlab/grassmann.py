@@ -20,7 +20,7 @@ from .exterior import (
     ExteriorVector,
     plucker_relations_hold,
     wedge,
-    wedge_matrix,
+    wedge_rank,
 )
 # tangent_codim stays importable from here: bench/tests reaches it as
 # grassmann.tangent_codim.
@@ -35,7 +35,6 @@ from .scalars import (
     Scalar,
     field_of,
     mat_det,
-    mat_rank,
     random_matrix,
 )
 
@@ -82,7 +81,7 @@ def mu_rank(w: ExteriorVector, s: int) -> int:
         raise ValueError("s must be at least 1")
     if w.degree + s > w.n:
         raise ValueError("degree overflow")
-    return mat_rank(wedge_matrix(w, s))
+    return wedge_rank(w, s)
 
 
 def is_decomposable(w: ExteriorVector) -> bool:

@@ -26,7 +26,7 @@ from .exterior import (
     lex_masks,
     top_wedge_coefficient,
     wedge,
-    wedge_matrix,
+    wedge_rank,
 )
 from .scalars import DenseMatrix, Field, Scalar, mat_rank
 
@@ -338,7 +338,7 @@ def diagonal_tangent_codim(w: ExteriorVector, m: int) -> int:
 
 def _diagonal_kronecker_codim(w: ExteriorVector, m: int) -> int:
     """rank(B) * rank(wedge_matrix(w, r)) for a w known to satisfy w ^ w = 0."""
-    return _slot_pair_rank(w.degree % 2, m, w.field) * mat_rank(wedge_matrix(w, w.degree))
+    return _slot_pair_rank(w.degree % 2, m, w.field) * wedge_rank(w, w.degree)
 
 
 @lru_cache(maxsize=None)

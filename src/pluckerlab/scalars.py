@@ -6,10 +6,13 @@ arithmetic is exact; there is no floating point anywhere in this package.
 
 Rank computations dispatch on the field: fraction-free (Bareiss) elimination
 over the rationals, plain Gaussian elimination on numpy arrays over the prime
-field.  The elimination update forms products of two residues, so the arrays
-are int64 only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger
-primes the same elimination runs on an object array of Python ints, which
-cannot overflow.
+field.  The prime-field elimination, :func:`rank_mod_p`, is the one kernel
+for every rank mod p: ``mat_rank`` feeds it the residues of a boxed matrix,
+and ``exterior.wedge_rank`` an array it scatters without boxing.  The
+elimination update forms products of two residues, so the arrays are int64
+only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
+elimination runs on an object array of Python ints, which cannot overflow.
+``_residue_dtype`` holds that rule for both callers.
 """
 
 from __future__ import annotations
@@ -200,6 +203,8 @@ class PrimeField:
 
     # Unboxed elements are plain ints, reduced mod p only when boxed again.
     def unbox(self, x: Fp) -> int:
+        if type(x) is not Fp:
+            raise ValueError(f"{x!r} is not an element of Z/{self.p}")
         if x.p != self.p:
             raise ValueError(f"mixed moduli {x.p} and {self.p}")
         return x.v
@@ -343,14 +348,21 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return r
 
 
+def _residue_dtype(p: int):
+    """Array dtype for residues mod p under :func:`rank_mod_p`: int64 only
+    while every product of two residues fits, (p - 1)^2 < 2^63; otherwise
+    object, whose Python ints cannot overflow."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
+
+
 def _to_residue_array(M: DenseMatrix, p: int) -> np.ndarray:
-    # int64 holds every product of two residues only while (p - 1)^2 < 2^63.
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    a = np.fromiter((e.v for e in M.entries), dtype=dtype, count=M.rows * M.cols)
+    a = np.fromiter((e.v for e in M.entries), dtype=_residue_dtype(p), count=M.rows * M.cols)
     return a.reshape(M.rows, M.cols)
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank over F_p of an array of residues in [0, p) with dtype
+    ``_residue_dtype(p)``, by Gaussian elimination that overwrites A."""
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -380,7 +392,7 @@ def mat_rank(M: DenseMatrix) -> int:
     field = _matrix_field(M)
     if isinstance(field, RationalField):
         return _rank_bareiss(_rows_as_integers(M))
-    return _rank_mod_p(_to_residue_array(M, field.p), field.p)
+    return rank_mod_p(_to_residue_array(M, field.p), field.p)
 
 
 def mat_det(M: DenseMatrix) -> Scalar:

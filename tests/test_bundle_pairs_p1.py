@@ -262,6 +262,21 @@ def test_lambda_restriction_equals_classifying_map():
             assert lam.normalized() == cls.normalized()
 
 
+def test_lambda_equals_classifying_map_after_a_basis_change():
+    # The monomial basis puts each section in one component, so only the
+    # identity permutation contributes to a column of the determinant map; a
+    # generic basis mixes components and makes every permutation sign count.
+    rng = random.Random(29)
+    for splitting, m in [((2, 2), 3), ((2, 2, 2), 3)]:
+        rm = len(splitting) * m
+        G = random_matrix(rm, rm, F, rng)
+        pair = change_basis(make_pair(splitting, m, F), G)
+        for _ in range(3):
+            x = sample_points(1, F, rng)[0]
+            lam = lambda_image(pair, evaluation_functional(pair, x))
+            assert lam.normalized() == classify_point(pair, x).normalized()
+
+
 def test_lambda_rank_one_identity():
     pair = make_pair((2,), 3, F)
     functional = [F.from_int(3), F.from_int(1), F.from_int(4)]

@@ -19,8 +19,9 @@ from pluckerlab.exterior import (
     top_wedge_coefficient,
     wedge,
     wedge_matrix,
+    wedge_rank,
 )
-from pluckerlab.scalars import QQ, Fp, PrimeField, mat_vec, sample_scalar
+from pluckerlab.scalars import QQ, Fp, PrimeField, mat_rank, mat_vec, sample_scalar
 
 F = PrimeField()
 
@@ -198,6 +199,75 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
     v = ExteriorVector.basis(64, (2, 3, 4), F) + ExteriorVector.basis(64, (5, 6, 7), F)
     # (1, 5, 64, 2, 3, 4) has six inversions; e_{5,6,7} meets u.
     assert wedge(u, v) == ExteriorVector.basis(64, (1, 2, 3, 4, 5, 64), F)
+
+
+# -- the residue rank kernel against plain row reduction --------------------------
+
+
+def reference_rank_mod_p(rows, p):
+    """Rank mod p by Gauss-Jordan reduction on lists of Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_wedge_columns(u, s):
+    """The matrix of t |-> u ^ t as its columns u ^ e_t, one per degree-s
+    mask t in lex order, each from :func:`reference_wedge`."""
+    field = u.field
+    columns = []
+    for t in lex_masks(u.n, s):
+        image = reference_wedge(u, ExteriorVector(u.n, s, {t: field.one()}, field))
+        columns.append([c.v for c in image.coefficient_vector()])
+    return columns
+
+
+RANK_FIELDS = [F, PrimeField(2), PrimeField(3), PrimeField(2**61 - 1)]
+
+
+@st.composite
+def rank_inputs(draw, fields, max_n=9):
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, max_n))
+    a = draw(st.integers(0, n))
+    s = draw(st.integers(0, n - a))
+    masks = lex_masks(n, a)
+    keep = masks if draw(st.booleans()) else draw(st.lists(st.sampled_from(masks), max_size=4))
+    coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=len(keep), max_size=len(keep)))
+    return ExteriorVector(n, a, {m: field.from_int(c) for m, c in zip(keep, coeffs)}, field), s
+
+
+@given(rank_inputs(RANK_FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_wedge_rank_matches_reference_rank_mod_p(case):
+    u, s = case
+    assert wedge_rank(u, s) == reference_rank_mod_p(reference_wedge_columns(u, s), u.field.p)
+
+
+# Bareiss on 2^70-sized entries: n <= 7 keeps the matrices at 35 x 35 or less.
+@given(rank_inputs([QQ], max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_wedge_rank_over_q_is_bareiss_on_the_boxed_matrix(case):
+    u, s = case
+    assert wedge_rank(u, s) == mat_rank(wedge_matrix(u, s))
+
+
+def test_wedge_rank_of_zero_and_degree_overflow():
+    for field in RANK_FIELDS + [QQ]:
+        assert wedge_rank(ExteriorVector.zero(6, 2, field), 3) == 0
+        with pytest.raises(ValueError, match="overflow"):
+            wedge_rank(ExteriorVector.basis(6, (1, 2, 3), field), 4)
 
 
 # -- contraction and the decomposability oracle -------------------------------

@@ -9,6 +9,7 @@ from pluckerlab.exterior import (
     random_exterior,
     top_wedge_coefficient,
     wedge,
+    wedge_matrix,
 )
 from pluckerlab.grassmann import (
     ClassifierVerdict,
@@ -24,7 +25,7 @@ from pluckerlab.grassmann import (
     random_grass_point,
 )
 from pluckerlab.plucker_form import PointTuple, eval_form
-from pluckerlab.scalars import DenseMatrix, QQ, PrimeField
+from pluckerlab.scalars import DenseMatrix, QQ, PrimeField, mat_rank
 
 F = PrimeField()
 
@@ -228,6 +229,42 @@ def test_classifier_large_prime_matches_default_prime():
             verdicts.append((classify_membership(member, 3), classify_membership(other, 3)))
         assert verdicts[0] == verdicts[1]
         assert [v.tag for v in verdicts[0]] == [Verdict.IN_GRASSMANNIAN, reject]
+
+
+def test_classifier_at_four_three_agrees_with_contraction_oracle():
+    # rank(B) = 3 at (4,3), so a verdict past the multiplicity gate reads
+    # 3 * rank(wedge_matrix(w, 4)).  Over the default prime that rank is also
+    # taken through the boxed matrix and mat_rank; over 2^61 - 1 the boxed
+    # rank alone takes over a second, so only the verdict is checked there.
+    big = PrimeField(2**61 - 1)
+    rng = random.Random(89)
+    crafted = basis(12, (1, 2, 3, 4), F) + basis(12, (1, 2, 5, 6), F)
+    cases = [
+        (crafted, Verdict.FAILS_TANGENT_BOUND),
+        (random_grass_point(4, 12, F, rng).plucker, Verdict.IN_GRASSMANNIAN),
+        (random_exterior(12, 4, F, rng), Verdict.FAILS_MULTIPLICITY),
+        (random_grass_point(4, 12, big, rng).plucker, Verdict.IN_GRASSMANNIAN),
+    ]
+    for w, tag in cases:
+        v = classify_membership(w, 3)
+        assert v.tag is tag
+        assert (tag is Verdict.IN_GRASSMANNIAN) == plucker_relations_hold(w)
+        assert v.threshold == 210
+        if tag is Verdict.FAILS_MULTIPLICITY:
+            continue
+        assert (v.observed_codim == 210) == (tag is Verdict.IN_GRASSMANNIAN)
+        if w.field == F:
+            assert v.observed_codim == 3 * mat_rank(wedge_matrix(w, 4))
+
+
+def test_int_coefficient_is_refused_by_every_kernel():
+    F7 = PrimeField(7)
+    w = ExteriorVector(9, 3, {0b111: 3}, F7)
+    e = ExteriorVector.basis(9, (4,), F7)
+    for call in (lambda: wedge(w, e), lambda: wedge(e, w), lambda: mu_rank(w, 1),
+                 lambda: classify_membership(w, 3)):
+        with pytest.raises(ValueError, match="not an element"):
+            call()
 
 
 def test_classifier_over_f2_agrees_with_contraction_oracle():
