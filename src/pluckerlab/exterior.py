@@ -13,24 +13,36 @@ the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
 package (``merge_sign``, ``wedge``, ``wedge_matrix``, the tangent systems and
 the shuffle expansion of the wedge form) is read off this one mask.
 
-``wedge`` walks ``_disjoint(n, a, b)``, a cached table from each degree-a
-mask to the degree-b masks disjoint from it, split by sign, instead of
-testing every pair of terms for overlap and computing each pair's sign.  A
-wedge with fewer term pairs than the table has entries (sparse vectors, or
-large n) splits its own pairs the same way instead.
-``wedge`` runs its arithmetic on the field's unboxed representation (plain
-ints over F_p, reduced once per output term), unboxing its inputs and boxing
-each output term once per call.
+``wedge`` has three paths, chosen from the field and the pair count.  A
+wedge with fewer term pairs than the C(n, a) * C(n - a, b) disjoint pairs of
+the tables (sparse vectors, or large n) scans its own pairs, splitting them
+by sign as the tables do, and never builds a table.  A denser wedge over F_p
+with (p - 1)^2 < 2^63 runs on residue vectors: each input is unboxed once
+into a dense int64 vector in lex order, every disjoint pair is read from
+``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
+coordinate), and the signed products, each reduced mod p, are summed by
+output coordinate in int64, exactly while C(a + b, a) * p < 2^63 (proved in
+``_wedge_residues``); only the nonzero outputs are boxed.  Other dense
+wedges (over Q, or p above 2^31.5) walk ``_disjoint(n, a, b)``, a cached
+table from each degree-a mask to the degree-b masks disjoint from it, split
+by sign, on plain ints (or Fractions), reduced once per output term.
+``top_wedge_coefficient`` folds its slots the same way, but keeps the
+running wedge a residue vector across the residue steps and boxes only the
+final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
+skips the per-term checks of the public constructor.
 
 Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``_disjoint``,
 lists for each degree-a mask (in lex order) the flat row-major positions of
 the nonzero entries of the matrix of t |-> e_mu ^ t on wedge^s(V), with one
 sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
 row.  ``_wedge_array`` fills a matrix from it with one fancy-index
-assignment: ``wedge_matrix`` with the boxed coefficients, and over F_p
-``wedge_rank`` with their residues c or p - c, into the numpy array that
+assignment: ``wedge_matrix`` and the blocks of
+``plucker_form.build_tangent_system`` with the boxed coefficients, and over
+F_p ``wedge_rank`` with their residues c or p - c, into the numpy array that
 :func:`pluckerlab.scalars.rank_mod_p` eliminates, so no boxed matrix is
-built on the classifier's path.
+built on the classifier's path.  The residue ``wedge`` reads the same table
+through ``_wedge_gather``, so every wedge kernel over F_p shares one index
+table.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -159,6 +171,29 @@ def _wedge_scatter(n: int, a: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(flat, dtype=np.intp), np.array(neg, dtype=bool)
 
 
+@lru_cache(maxsize=None)
+def _wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_wedge_scatter(n, a, b)`` split and grouped by output coordinate,
+    for the wedge of a degree-a by a degree-b vector.
+
+    A scatter entry ``row * ncols + col`` of table row i is the disjoint pair
+    (i-th degree-a mask, col-th degree-b mask) landing on output coordinate
+    ``row``, and each degree-(a + b) mask splits in C(a + b, a) such pairs.
+    Row K of each returned array lists the pairs of output coordinate K: the
+    lex position of the degree-a mask, that of the degree-b mask, and the
+    scatter table's sign flag.
+    """
+    flat, neg = _wedge_scatter(n, a, b)
+    out_row, v_col = np.divmod(flat, math.comb(n, b))
+    order = np.argsort(out_row, axis=None, kind="stable")
+    shape = (-1, math.comb(a + b, a))
+    return (
+        (order // flat.shape[1]).reshape(shape),
+        v_col.ravel()[order].reshape(shape),
+        neg.ravel()[order].reshape(shape),
+    )
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """A strictly increasing subset of {1, ..., n} as a bitmask."""
@@ -214,6 +249,14 @@ class ExteriorVector:
         self.degree = degree
         self.field = field
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, degree: int, terms: dict, field: Field) -> "ExteriorVector":
+        """Construct without the checks of ``__init__``: the caller passes
+        only nonzero coefficients, on masks of this degree within range."""
+        self = object.__new__(cls)
+        self.n, self.degree, self.field, self.terms = n, degree, field, terms
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -348,6 +391,66 @@ class ExteriorVector:
         return ExteriorVector(n, data["degree"], terms, field)
 
 
+def _table_pays(nu: int, nv: int, n: int, a: int, b: int) -> bool:
+    """Whether a wedge of an nu-term degree-a vector and an nv-term degree-b
+    vector walks the cached tables: its term pairs are at least the table's
+    C(n, a) * C(n - a, b) disjoint pairs.  Sparser wedges (and at n = 64 the
+    table can reach 10^9 masks) scan their own pairs instead."""
+    return nu * nv >= math.comb(n, a) * math.comb(n - a, b)
+
+
+def _residue_prime(field: Field, a: int, b: int):
+    """p when a degree-a by degree-b wedge over ``field`` runs on int64
+    residue vectors (see :func:`_wedge_residues` for why the bounds make it
+    exact), else None."""
+    if not isinstance(field, PrimeField):
+        return None
+    p = field.p
+    if _residue_dtype(p) is np.int64 and math.comb(a + b, a) * p < 2**63:
+        return p
+    return None
+
+
+def _term_positions(u: ExteriorVector) -> np.ndarray:
+    """Lex position of each term of u, in ``u.terms`` order."""
+    at = _lex_position(u.n, u.degree)
+    return np.fromiter(map(at.__getitem__, u.terms), dtype=np.intp, count=len(u.terms))
+
+
+def _residues(u: ExteriorVector) -> np.ndarray:
+    """u as a dense int64 vector of residues in [0, p), in lex order."""
+    x = np.zeros(math.comb(u.n, u.degree), dtype=np.int64)
+    x[_term_positions(u)] = np.fromiter(
+        map(u.field.unbox, u.terms.values()), dtype=np.int64, count=len(u.terms)
+    )
+    return x
+
+
+def _from_residues(z: np.ndarray, n: int, k: int, field: PrimeField) -> ExteriorVector:
+    """The degree-k vector with lex-ordered residues z, boxing only its
+    nonzero coordinates."""
+    nz = np.flatnonzero(z)
+    masks = map(lex_masks(n, k).__getitem__, nz.tolist())
+    terms = dict(zip(masks, map(field.box, z[nz].tolist())))
+    return ExteriorVector._trusted(n, k, terms, field)
+
+
+def _wedge_residues(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p: int) -> np.ndarray:
+    """Residue vector of the wedge of the degree-a residue vector x and the
+    degree-b residue vector y, lex order throughout.
+
+    Output coordinate K sums the C(a + b, a) pairs of row K of
+    ``_wedge_gather(n, a, b)``.  Exactness in int64: x and y hold residues
+    in [0, p), so each product is at most (p - 1)^2 < 2^63, which
+    ``_residue_dtype(p) is np.int64`` guarantees; reduced mod p and signed
+    as p - x, each term lies in [0, p]; so a row's sum is at most
+    C(a + b, a) * p, below 2^63 by the check in :func:`_residue_prime`.
+    """
+    u_at, v_at, neg = _wedge_gather(n, a, b)
+    prod = x[u_at] * y[v_at] % p
+    return np.where(neg, p - prod, prod).sum(axis=1) % p
+
+
 def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     """Bilinear wedge product, signed by the merge permutation parity."""
     if u.n != v.n:
@@ -358,14 +461,16 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
     field = u.field
-    unbox = field.unbox
-    vt = {mv: unbox(c) for mv, c in v.terms.items()}
-    if len(u.terms) * len(vt) >= math.comb(n, a) * math.comb(n - a, b):
+    if _table_pays(len(u.terms), len(v.terms), n, a, b):
+        p = _residue_prime(field, a, b)
+        if p is not None:
+            z = _wedge_residues(_residues(u), _residues(v), n, a, b, p)
+            return _from_residues(z, n, a + b, field)
         rows = _disjoint(n, a, b)
     else:
-        # Sparse input: the cached table would cost more to build or walk
-        # than the pair scan it replaces (at n = 64 it can reach 10^9 masks).
-        rows = {mu: _signed_disjoint(mu, vt) for mu in u.terms}
+        rows = {mu: _signed_disjoint(mu, v.terms) for mu in u.terms}
+    unbox = field.unbox
+    vt = {mv: unbox(c) for mv, c in v.terms.items()}
     coeff = vt.get
     acc: dict = {}
     get = acc.get
@@ -378,26 +483,45 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
                     m = mu | mv
                     acc[m] = get(m, 0) + c * cv
     box = field.box
-    return ExteriorVector(n, a + b, {m: box(c) for m, c in acc.items()}, field)
+    terms = {m: x for m, c in acc.items() if (x := box(c))}
+    return ExteriorVector._trusted(n, a + b, terms, field)
 
 
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     """Coefficient of e_{1..n} in the ordered wedge of the given vectors.
 
-    The degrees must add up to the ambient dimension exactly.
+    The degrees must add up to the ambient dimension exactly.  Each step of
+    the fold that :func:`wedge` would run on residue vectors runs on them
+    here too, and the running wedge stays a residue vector between such
+    steps: only the final coefficient is boxed.
     """
     if not vectors:
         raise ValueError("empty wedge")
-    n = vectors[0].n
+    n, field = vectors[0].n, vectors[0].field
     if sum(v.degree for v in vectors) != n:
         raise ValueError("degrees must sum to the ambient dimension")
-    acc = vectors[0]
+    for v in vectors:
+        if v.n != n:
+            raise ValueError("ambient dimension mismatch")
+        if v.field != field:
+            raise ValueError("field mismatch")
+    acc, x, a = vectors[0], None, vectors[0].degree  # x: acc as residues, or None
     for v in vectors[1:]:
-        if acc.is_zero:
-            break
-        acc = wedge(acc, v)
-    full = (1 << n) - 1
-    return acc.terms.get(full, acc.field.zero())
+        b = v.degree
+        count = len(acc.terms) if x is None else int(np.count_nonzero(x))
+        if not count:
+            return field.zero()
+        p = _residue_prime(field, a, b)
+        if p is not None and _table_pays(count, len(v.terms), n, a, b):
+            x = _wedge_residues(_residues(acc) if x is None else x, _residues(v), n, a, b, p)
+        else:
+            if x is not None:
+                acc, x = _from_residues(x, n, a, field), None
+            acc = wedge(acc, v)
+        a += b
+    if x is not None:
+        return field.box(int(x[0]))
+    return acc.terms.get((1 << n) - 1, field.zero())
 
 
 def _contract_mask(phi_mask: int, w: ExteriorVector) -> ExteriorVector:
@@ -463,8 +587,7 @@ def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
     n, a = u.n, u.degree
     if a + s > n:
         raise ValueError("degree overflow")
-    at = _lex_position(n, a)
-    rows = np.fromiter((at[um] for um in u.terms), dtype=np.intp, count=len(u.terms))
+    rows = _term_positions(u)
     flat, neg = _wedge_scatter(n, a, s)
     nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
     A = np.full(nrows * ncols, fill, dtype=c.dtype)

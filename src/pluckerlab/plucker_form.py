@@ -18,11 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .exterior import (
     ExteriorVector,
     MultiIndex,
     _indices_from_mask,
     _odd_above,
+    _wedge_array,
     lex_masks,
     top_wedge_coefficient,
     wedge,
@@ -237,39 +240,22 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
     memo = next(itertools.islice(levels, ssize - 2, None))
     if not _all_zero(next(levels)):
         raise ValueError("point does not lie on the k-th singular stratum")
-    target = r * ssize
-    row_masks = lex_masks(n, target)
-    rows_per_block = len(row_masks)
-    row_pos = {mask: i for i, mask in enumerate(row_masks)}
+    rows_per_block = len(lex_masks(n, r * ssize))
     subsets = list(itertools.combinations(range(m), ssize))
-    rows_total = len(subsets) * rows_per_block
-
     z = p.field.zero()
-    entries = [z] * (rows_total * cols_total)
-    col_masks = lex_masks(n, r)
-
+    A = np.full((len(subsets) * rows_per_block, cols_total), z, dtype=object)
     for b, S in enumerate(subsets):
-        row_off = b * rows_per_block
+        rows = slice(b * rows_per_block, (b + 1) * rows_per_block)
+        smask = sum(1 << i for i in S)
         for pos, i in enumerate(S):
-            rest = 0
-            for j in S:
-                if j != i:
-                    rest |= 1 << j
-            u = memo[rest]
+            u = memo[smask ^ (1 << i)]
+            c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
             # Substituting t_i in place inside the ordered wedge over S equals
             # (-1)^(r*(pos + |S| - 1)) times u ^ t_i with u = w_{S - i}.
-            negate = bool((r * (pos + ssize - 1)) & 1)
-            col_off = i * ncols_slot
-            for j, tm in enumerate(col_masks):
-                base = col_off + j
-                for um, c in u.terms.items():
-                    if um & tm:
-                        continue
-                    val = -c if (tm & _odd_above(um)).bit_count() & 1 else c
-                    if negate:
-                        val = -val
-                    entries[(row_off + row_pos[um | tm]) * cols_total + base] = val
-    matrix = DenseMatrix(rows_total, cols_total, tuple(entries))
+            plus, minus = (-c, c) if (r * (pos + ssize - 1)) & 1 else (c, -c)
+            cols = slice(i * ncols_slot, (i + 1) * ncols_slot)
+            A[rows, cols] = _wedge_array(u, r, plus, minus, z)
+    matrix = DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
     return TangentSystem(k, p, matrix)
 
 

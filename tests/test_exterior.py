@@ -137,7 +137,20 @@ def reference_wedge(u, v):
     return out
 
 
-KERNEL_FIELDS = [F, PrimeField(2), PrimeField(2**61 - 1), QQ]
+# 3037000493 is the largest prime with (p - 1)^2 < 2^63: the edge of the
+# int64 residue kernels.  2^61 - 1 is above it, so it takes the int path.
+KERNEL_FIELDS = [
+    F, PrimeField(2), PrimeField(3), PrimeField(3037000493), PrimeField(2**61 - 1), QQ
+]
+
+
+def draw_vector(draw, field, n, k):
+    """A degree-k vector, dense or with at most four terms."""
+    masks = lex_masks(n, k)
+    dense = draw(st.booleans())
+    keep = masks if dense else draw(st.lists(st.sampled_from(masks), max_size=4))
+    coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=len(keep), max_size=len(keep)))
+    return ExteriorVector(n, k, {m: field.from_int(c) for m, c in zip(keep, coeffs)}, field)
 
 
 @st.composite
@@ -146,15 +159,7 @@ def wedge_pairs(draw):
     n = draw(st.integers(1, 9))
     a = draw(st.integers(0, n))
     b = draw(st.integers(0, n - a))
-
-    def vector(k):
-        masks = lex_masks(n, k)
-        dense = draw(st.booleans())
-        keep = masks if dense else draw(st.lists(st.sampled_from(masks), max_size=4))
-        coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=len(keep), max_size=len(keep)))
-        return ExteriorVector(n, k, {m: field.from_int(c) for m, c in zip(keep, coeffs)}, field)
-
-    return vector(a), vector(b)
+    return draw_vector(draw, field, n, a), draw_vector(draw, field, n, b)
 
 
 @given(wedge_pairs())
@@ -172,6 +177,59 @@ def test_wedge_matrix_applies_wedge(pair):
     u, t = pair
     M = wedge_matrix(u, t.degree)
     assert mat_vec(M, t.coefficient_vector()) == wedge(u, t).coefficient_vector()
+
+
+@st.composite
+def top_wedge_slots(draw):
+    """2 to 4 slots, dense or sparse, whose degrees add up to n <= 9."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 9))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+    degrees = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return [draw_vector(draw, field, n, k) for k in degrees]
+
+
+@given(top_wedge_slots())
+@settings(max_examples=150, deadline=None)
+def test_top_wedge_coefficient_matches_reference_fold(slots):
+    acc = slots[0]
+    for v in slots[1:]:
+        acc = reference_wedge(acc, v)
+    c = top_wedge_coefficient(slots)
+    assert c == acc.coefficient((1 << acc.n) - 1)
+    assert acc.field.is_element(c)
+
+
+@pytest.mark.parametrize("n, a, b", [(6, 2, 2), (9, 3, 3), (9, 3, 6)])
+def test_dense_wedge_of_largest_residues_at_the_int64_edge(n, a, b):
+    # Every coefficient p - 1: each unreduced product is (p - 1)^2, just
+    # below 2^63, so a sum of two of them would wrap around.
+    field = PrimeField(3037000493)
+    u, v = (
+        ExteriorVector.from_coefficients(n, k, [field.from_int(-1)] * len(lex_masks(n, k)), field)
+        for k in (a, b)
+    )
+    assert wedge(u, v) == reference_wedge(u, v)
+    if a + b == n:
+        assert top_wedge_coefficient([u, v]) == reference_wedge(u, v).coefficient((1 << n) - 1)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
+@pytest.mark.parametrize("bad, message", [(3, "not an element"), (Fp(3, 5), "mixed moduli")])
+def test_dense_wedges_refuse_foreign_coefficients(field, bad, message):
+    # Dense vectors take the table paths, which unbox every coefficient.
+    rng = random.Random(2)
+    v, w = random_exterior(6, 2, field, rng), random_exterior(6, 2, field, rng)
+    u = ExteriorVector(6, 2, {**v.terms, lex_masks(6, 2)[7]: bad}, field)
+    for call in (
+        lambda: wedge(u, v),
+        lambda: wedge(v, u),
+        lambda: top_wedge_coefficient([u, v, w]),
+        lambda: top_wedge_coefficient([v, w, u]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_odd_above_gives_merge_parity_exhaustively():
