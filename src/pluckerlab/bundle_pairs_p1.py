@@ -7,6 +7,11 @@ canonical representative (u, 1), or (1, 0) at infinity.  Every evaluation of
 a section at a point goes through one kernel, :func:`_section_values`, which
 takes the monomial values u^a v^(d-a) once per point and degree.
 
+The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
+terms a pair stores; ``divisor_value`` passes its rows straight to the one
+determinant loop, ``scalars._det``, and ``classify_point`` folds them through
+``exterior._wedge_walk``.  Only returned values are boxed.
+
 The determinant divisor is the vanishing of the determinant of the m-point
 evaluation matrix.  On the line it factors as a constant times the r-th power
 of the pairwise-difference product; both the sampled and the fully symbolic
@@ -15,6 +20,7 @@ verification of that identity live here.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -22,16 +28,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exterior import ExteriorVector, _odd_above, lex_masks, wedge
+from .exterior import ExteriorVector, _odd_above, _wedge_walk, lex_masks
 from .scalars import (
     DEFAULT_PRIME,
     DenseMatrix,
     Field,
     PrimeField,
     Scalar,
+    _det,
+    _modulus,
     field_from_name,
     field_of,
-    mat_det,
     mat_rank,
     mat_vec,
     sample_scalar,
@@ -94,13 +101,12 @@ def _form_mul(a: Form, b: Form, field: Field) -> Form:
     return tuple(out)
 
 
-def _monomials(pt: P1Point, d: int, field: Field) -> list[Scalar]:
-    """Values of the monomials u^a v^(d-a) at pt, a ascending."""
-    upow, vpow = [field.one()], [field.one()]
-    for _ in range(d):
-        upow.append(upow[-1] * pt.u)
-        vpow.append(vpow[-1] * pt.v)
-    return [upow[a] * vpow[d - a] for a in range(d + 1)]
+def _monomials(pt: P1Point, d: int, field: Field) -> list:
+    """Unboxed values of the monomials u^a v^(d-a) at pt, a ascending."""
+    u, v, p = field.unbox(pt.u), field.unbox(pt.v), _modulus(field)
+    if p is None:
+        return [u**a * v ** (d - a) for a in range(d + 1)]
+    return [pow(u, a, p) * pow(v, d - a, p) % p for a in range(d + 1)]
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,8 @@ class BundlePairP1:
     splitting: tuple
     sections: tuple
     field: Field
+    # Per section, its nonzero terms unboxed: (component j, exponent a, c).
+    terms: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, rm, splitting = self.r, self.r * self.m, self.splitting
@@ -123,11 +131,16 @@ class BundlePairP1:
             raise ValueError("negative summand: the section space falls short of dimension r*m")
         if len(self.sections) != rm:
             raise ValueError(f"need {rm} sections, got {len(self.sections)}")
+        unbox = self.field.unbox
+        terms = []
         for section in self.sections:
             if len(section) != r:
                 raise ValueError(f"each section needs {r} components")
             if any(len(f) != d + 1 for f, d in zip(section, splitting)):
                 raise ValueError("component length must be its splitting degree plus one")
+            nonzero = ((j, a, c) for j, f in enumerate(section) for a, c in enumerate(f) if c)
+            terms.append(tuple((j, a, unbox(c)) for j, a, c in nonzero))
+        object.__setattr__(self, "terms", tuple(terms))
         rows = [[c for form in s for c in form] for s in self.sections]
         if mat_rank(DenseMatrix.from_rows(rows)) != rm:
             raise ValueError("sections are linearly dependent")
@@ -173,36 +186,43 @@ def is_balanced(pair: BundlePairP1) -> bool:
     return all(d == pair.m - 1 for d in pair.splitting)
 
 
-def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list[Scalar]]:
-    """One row per section: its r component values at each point in turn."""
-    field = pair.field
-    zero = field.zero()
-    tables = [{d: _monomials(pt, d, field) for d in set(pair.splitting)} for pt in points]
+def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]:
+    """One row per section: its r component values at each point in turn,
+    unboxed (residues in [0, p), or Fractions)."""
+    field, r, p = pair.field, pair.r, _modulus(pair.field)
+    zero = field.unbox(field.zero())
+    values = []  # per point, the monomial values of each component's degree
+    for pt in points:
+        table = {d: _monomials(pt, d, field) for d in set(pair.splitting)}
+        values.append([table[d] for d in pair.splitting])
     rows = []
-    for section in pair.sections:
-        row = []
-        for table in tables:
-            for form, d in zip(section, pair.splitting):
-                acc = zero
-                for c, x in zip(form, table[d]):
-                    if c:
-                        acc = acc + c * x
-                row.append(acc)
-        rows.append(row)
+    for terms in pair.terms:
+        row = [zero] * (r * len(points))
+        for base, at in zip(range(0, len(row), r), values):
+            for j, a, c in terms:
+                row[base + j] += c * at[j][a]
+        rows.append(row if p is None else [x % p for x in row])
     return rows
+
+
+def _boxed(rows: list[list], field: Field) -> DenseMatrix:
+    box = field.box
+    return DenseMatrix.from_rows([[box(x) for x in row] for row in rows])
 
 
 def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:
     """rm x rm matrix: one row per section, an r-column block per point."""
     if len(points) != pair.m:
         raise ValueError(f"need {pair.m} points")
-    return DenseMatrix.from_rows(_section_values(pair, points))
+    return _boxed(_section_values(pair, points), pair.field)
 
 
 def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:
     """Value at the chosen representatives of the multihomogeneous form
     cutting the determinant divisor."""
-    return mat_det(evaluation_matrix(pair, points))
+    if len(points) != pair.m:
+        raise ValueError(f"need {pair.m} points")
+    return _det(_section_values(pair, points), pair.field)
 
 
 def sample_affine_point(field: Field, rng: random.Random) -> P1Point:
@@ -342,15 +362,15 @@ def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
     r x r minors."""
-    rm = pair.r * pair.m
-    vec = None
-    for row in zip(*_section_values(pair, [x])):
+    rm, field = pair.r * pair.m, pair.field
+    acc = {0: field.unbox(field.one())}  # the empty wedge, degree 0
+    for a, row in enumerate(zip(*_section_values(pair, [x]))):
         terms = {1 << j: c for j, c in enumerate(row) if c}
-        rv = ExteriorVector(rm, 1, terms, pair.field)
-        vec = rv if vec is None else wedge(vec, rv)
-    if vec.is_zero:
+        acc = _wedge_walk(acc, terms, rm, a, 1, _modulus(field))
+    if not acc:
         raise ValueError("evaluation drops rank: not globally generated here")
-    return vec
+    box = field.box
+    return ExteriorVector._trusted(rm, pair.r, {m: box(c) for m, c in acc.items()}, field)
 
 
 def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVector:
@@ -369,7 +389,7 @@ def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVe
 def evaluation_functional(pair: BundlePairP1, x: P1Point) -> list[Scalar]:
     """Coefficients of 'evaluate a degree r(m-1) form at x' in the monomial
     dual basis."""
-    return _monomials(x, pair.r * (pair.m - 1), pair.field)
+    return list(map(pair.field.box, _monomials(x, pair.r * (pair.m - 1), pair.field)))
 
 
 def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
@@ -398,7 +418,7 @@ def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:
     if x == y:
         raise ValueError("points must be distinct")
     rows = _section_values(pair, (x, y))
-    return mat_rank(DenseMatrix.from_rows(rows)) == 2 * pair.r
+    return mat_rank(_boxed(rows, pair.field)) == 2 * pair.r
 
 
 def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:

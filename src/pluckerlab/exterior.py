@@ -25,7 +25,8 @@ output coordinate in int64, exactly while C(a + b, a) * p < 2^63 (proved in
 ``_wedge_residues``); only the nonzero outputs are boxed.  Other dense
 wedges (over Q, or p above 2^31.5) walk ``_disjoint(n, a, b)``, a cached
 table from each degree-a mask to the degree-b masks disjoint from it, split
-by sign, on plain ints (or Fractions), reduced once per output term.
+by sign, on plain ints (or Fractions), reduced once per output term.  That
+dict walk is ``_wedge_walk``, which ``classify_point`` on P^1 also folds by.
 ``top_wedge_coefficient`` folds its slots the same way, but keeps the
 running wedge a residue vector across the residue steps and boxes only the
 final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
@@ -65,6 +66,7 @@ from .scalars import (
     Field,
     PrimeField,
     Scalar,
+    _modulus,
     _residue_dtype,
     mat_rank,
     rank_mod_p,
@@ -307,29 +309,32 @@ class ExteriorVector:
         if self.field != other.field:
             raise ValueError("field mismatch")
 
+    # Sums, negatives and multiples keep validated masks: they build through
+    # ``_trusted`` and drop zero coefficients themselves.
+
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return ExteriorVector(self.n, self.degree, terms, self.field)
+            if acc is None:
+                terms[m] = c
+            elif total := acc + c:
+                terms[m] = total
+            else:
+                del terms[m]
+        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
 
     def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
         return self + (-other)
 
     def __neg__(self) -> "ExteriorVector":
-        return ExteriorVector(
-            self.n, self.degree, {m: -c for m, c in self.terms.items()}, self.field
-        )
+        terms = {m: -c for m, c in self.terms.items()}
+        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
 
     def scale(self, scalar: Scalar) -> "ExteriorVector":
-        return ExteriorVector(
-            self.n,
-            self.degree,
-            {m: scalar * c for m, c in self.terms.items()},
-            self.field,
-        )
+        terms = {m: x for m, c in self.terms.items() if (x := scalar * c)}
+        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
 
     def __rmul__(self, scalar) -> "ExteriorVector":
         if isinstance(scalar, int):
@@ -466,25 +471,35 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
         if p is not None:
             z = _wedge_residues(_residues(u), _residues(v), n, a, b, p)
             return _from_residues(z, n, a + b, field)
+    unbox, box = field.unbox, field.box
+    ut = {mu: unbox(c) for mu, c in u.terms.items()}
+    vt = {mv: unbox(c) for mv, c in v.terms.items()}
+    walk = _wedge_walk(ut, vt, n, a, b, _modulus(field))
+    return ExteriorVector._trusted(n, a + b, {m: box(c) for m, c in walk.items()}, field)
+
+
+def _wedge_walk(ut: dict, vt: dict, n: int, a: int, b: int, p) -> dict:
+    """Nonzero terms of the wedge of degree-a terms ut by degree-b terms vt,
+    unboxed: masks to ints reduced mod p, or to Fractions when p is None.
+    Walks ``_disjoint(n, a, b)`` when :func:`_table_pays`, else the pairs of
+    ut and vt, split by sign."""
+    if _table_pays(len(ut), len(vt), n, a, b):
         rows = _disjoint(n, a, b)
     else:
-        rows = {mu: _signed_disjoint(mu, v.terms) for mu in u.terms}
-    unbox = field.unbox
-    vt = {mv: unbox(c) for mv, c in v.terms.items()}
+        rows = {mu: _signed_disjoint(mu, vt) for mu in ut}
     coeff = vt.get
     acc: dict = {}
     get = acc.get
-    for mu, cu in u.terms.items():
-        cu = unbox(cu)
+    for mu, cu in ut.items():
         for c, row in zip((cu, -cu), rows[mu]):
             for mv in row:
                 cv = coeff(mv)
                 if cv is not None:
                     m = mu | mv
                     acc[m] = get(m, 0) + c * cv
-    box = field.box
-    terms = {m: x for m, c in acc.items() if (x := box(c))}
-    return ExteriorVector._trusted(n, a + b, terms, field)
+    if p is None:
+        return {m: c for m, c in acc.items() if c}
+    return {m: x for m, c in acc.items() if (x := c % p)}
 
 
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
@@ -595,10 +610,24 @@ def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
     return A.reshape(nrows, ncols)
 
 
+def _boxed_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
+    """u's coefficients in ``u.terms`` order as an object column c, and -c."""
+    c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
+    return c, -c
+
+
+def _residue_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
+    """Over F_p, the residues of u's coefficients in ``u.terms`` order as a
+    column c of dtype ``_residue_dtype(p)``, and p - c: the residues of -c."""
+    p, unbox = u.field.p, u.field.unbox
+    c = np.array([unbox(x) for x in u.terms.values()], dtype=_residue_dtype(p))
+    c = c.reshape(-1, 1)
+    return c, p - c
+
+
 def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     """Matrix of t |-> u ^ t on wedge^s(V), in lex bases on both sides."""
-    c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
-    A = _wedge_array(u, s, c, -c, u.field.zero())
+    A = _wedge_array(u, s, *_boxed_column(u), u.field.zero())
     return DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
 
 
@@ -611,10 +640,6 @@ def wedge_rank(u: ExteriorVector, s: int) -> int:
     :func:`pluckerlab.scalars.rank_mod_p` eliminates.  Over Q it is Bareiss
     elimination on ``wedge_matrix(u, s)``.
     """
-    field = u.field
-    if not isinstance(field, PrimeField):
+    if not isinstance(u.field, PrimeField):
         return mat_rank(wedge_matrix(u, s))
-    p, unbox = field.p, field.unbox
-    c = np.array([unbox(x) for x in u.terms.values()], dtype=_residue_dtype(p))
-    c = c.reshape(-1, 1)
-    return rank_mod_p(_wedge_array(u, s, c, p - c, 0), p)
+    return rank_mod_p(_wedge_array(u, s, *_residue_column(u), 0), u.field.p)

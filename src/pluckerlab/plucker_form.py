@@ -23,15 +23,25 @@ import numpy as np
 from .exterior import (
     ExteriorVector,
     MultiIndex,
+    _boxed_column,
     _indices_from_mask,
     _odd_above,
+    _residue_column,
     _wedge_array,
     lex_masks,
     top_wedge_coefficient,
     wedge,
     wedge_rank,
 )
-from .scalars import DenseMatrix, Field, Scalar, mat_rank
+from .scalars import (
+    DenseMatrix,
+    Field,
+    PrimeField,
+    Scalar,
+    _residue_dtype,
+    mat_rank,
+    rank_mod_p,
+)
 
 
 @dataclass(frozen=True)
@@ -227,11 +237,19 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
     t |-> t ^ w_{S - i}, the sign coming from moving t_i to the front across
     blocks of degree r.
     """
+    A = _tangent_array(p, k, _boxed_column, p.field.zero(), object)
+    return TangentSystem(k, p, DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist())))
+
+
+def _tangent_array(p: PointTuple, k: int, column, fill, dtype) -> np.ndarray:
+    """The matrix of :func:`build_tangent_system` as a ``dtype`` array over
+    ``fill``; ``column(u)`` gives u's coefficients and their negatives, boxed
+    or as residues, as ``exterior._wedge_array`` takes them."""
     r, m, n = p.r, p.m, p.n
     ncols_slot = len(lex_masks(n, r))
     cols_total = m * ncols_slot
     if k == 0:
-        return TangentSystem(0, p, DenseMatrix(0, cols_total, ()))
+        return np.full((0, cols_total), fill, dtype=dtype)
     if not 1 <= k <= m - 1:
         raise ValueError("singularity order must be in 0..m-1")
     ssize = m - k + 1
@@ -242,27 +260,29 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
         raise ValueError("point does not lie on the k-th singular stratum")
     rows_per_block = len(lex_masks(n, r * ssize))
     subsets = list(itertools.combinations(range(m), ssize))
-    z = p.field.zero()
-    A = np.full((len(subsets) * rows_per_block, cols_total), z, dtype=object)
+    A = np.full((len(subsets) * rows_per_block, cols_total), fill, dtype=dtype)
     for b, S in enumerate(subsets):
         rows = slice(b * rows_per_block, (b + 1) * rows_per_block)
         smask = sum(1 << i for i in S)
         for pos, i in enumerate(S):
             u = memo[smask ^ (1 << i)]
-            c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
+            c, minus_c = column(u)
             # Substituting t_i in place inside the ordered wedge over S equals
             # (-1)^(r*(pos + |S| - 1)) times u ^ t_i with u = w_{S - i}.
-            plus, minus = (-c, c) if (r * (pos + ssize - 1)) & 1 else (c, -c)
+            plus, minus = (minus_c, c) if (r * (pos + ssize - 1)) & 1 else (c, minus_c)
             cols = slice(i * ncols_slot, (i + 1) * ncols_slot)
-            A[rows, cols] = _wedge_array(u, r, plus, minus, z)
-    matrix = DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
-    return TangentSystem(k, p, matrix)
+            A[rows, cols] = _wedge_array(u, r, plus, minus, fill)
+    return A
 
 
 def tangent_codim(p: PointTuple, k: int) -> int:
     """Codimension of the tangent space to the k-th singular stratum at p,
-    i.e. the rank of its defining linear system."""
-    return mat_rank(build_tangent_system(p, k).matrix)
+    i.e. the rank of its defining linear system (never boxed over F_p)."""
+    field = p.field
+    if not isinstance(field, PrimeField):
+        return mat_rank(build_tangent_system(p, k).matrix)
+    A = _tangent_array(p, k, _residue_column, 0, _residue_dtype(field.p))
+    return rank_mod_p(A, field.p)
 
 
 def diagonal_multiplicity(w: ExteriorVector) -> int:

@@ -13,6 +13,12 @@ elimination update forms products of two residues, so the arrays are int64
 only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
 elimination runs on an object array of Python ints, which cannot overflow.
 ``_residue_dtype`` holds that rule for both callers.
+
+Determinants come from one elimination loop, ``_det``, on unboxed rows
+(ints kept reduced mod p, or Fractions), boxing only the result; ``mat_det``
+and ``bundle_pairs_p1.divisor_value`` feed it.  Its matrices are at most
+12 x 12, where numpy's per-call overhead leaves an int64 loop barely faster
+than boxed scalars and plain ints take about a third of their time.
 """
 
 from __future__ import annotations
@@ -405,29 +411,47 @@ def mat_det(M: DenseMatrix) -> Scalar:
     if M.rows == 0:
         return 1
     field = _matrix_field(M)
-    n = M.rows
-    rows = [list(M.row(i)) for i in range(n)]
-    det = field.one()
+    unbox = field.unbox
+    return _det([[unbox(e) for e in M.row(i)] for i in range(M.rows)], field)
+
+
+def _modulus(field: Field):
+    """p for Z/p, None for the rationals."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _det(rows: list[list], field: Field) -> Scalar:
+    """Boxed determinant of a nonempty square matrix of unboxed rows (residues
+    in [0, p), or Fractions), eliminated in place.  Entries stay reduced, so
+    a zero test is a test mod p."""
+    p = _modulus(field)
+    n = len(rows)
+    det = 1
     for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
             return field.zero()
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             det = -det
         pv = rows[c][c]
-        det = det * pv
+        if p is None:
+            det *= pv
+            inv = 1 / pv
+        else:
+            det = det * pv % p
+            inv = pow(pv, -1, p)
+        tail = rows[c][c + 1 :]
         for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                ri, rc = rows[i], rows[c]
-                for j in range(c, n):
-                    ri[j] = ri[j] - f * rc[j]
-    return det
+            ri = rows[i]
+            if ri[c]:
+                f = ri[c] * inv
+                if p is None:
+                    ri[c + 1 :] = [x - f * y for x, y in zip(ri[c + 1 :], tail)]
+                else:
+                    f %= p
+                    ri[c + 1 :] = [(x - f * y) % p for x, y in zip(ri[c + 1 :], tail)]
+    return field.box(det)
 
 
 def mat_vec(M: DenseMatrix, v: Sequence[Scalar]) -> list[Scalar]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from pluckerlab.exterior import (
     ExteriorVector,
     plucker_relations_hold,
     top_wedge_coefficient,
+    wedge,
 )
 from pluckerlab.scalars import (
     QQ,
@@ -452,3 +454,93 @@ def test_evaluation_agrees_with_horner_reference(field):
 
 def _monomial(d, a, field):
     return tuple(field.one() if i == a else field.zero() for i in range(d + 1))
+
+
+# -- unboxed kernels against boxed references ---------------------------------------------
+
+# F_7 makes zero minors and zero section values common; 2^61 - 1 is above
+# the int64 bound of the residue arrays.
+KERNEL_FIELDS = [F, PrimeField(7), PrimeField(2**61 - 1), QQ]
+KERNEL_IDS = ["fp", "f7", "p61", "q"]
+
+
+def _leibniz(rows, field):
+    """Determinant as the signed sum over permutations, on boxed entries."""
+    n = len(rows)
+    total = field.zero()
+    for perm in itertools.permutations(range(n)):
+        odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2)) % 2
+        term = field.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + (-term if odd else term)
+    return total
+
+
+def _kernel_pairs(field, rng):
+    """Monomial pairs with rm <= 6, and each after a random invertible basis
+    change, so that sections have several terms."""
+    pairs = []
+    shapes = [((2,), 3), ((1, 1), 2), ((2, 2), 3), ((3, 1), 3), ((4, 0), 3), ((1, 1, 1), 2)]
+    for splitting, m in shapes:
+        pair = make_pair(splitting, m, field)
+        rm = pair.r * m
+        while True:
+            G = random_matrix(rm, rm, field, rng)
+            if mat_rank(G) == rm:
+                break
+        pairs += [pair, change_basis(pair, G)]
+    return pairs
+
+
+def _kernel_points(pair, rng):
+    """Distinct points, a tuple through infinity, and a repeated point."""
+    field, m = pair.field, pair.m
+    tuples = [sample_distinct_points(m, field, rng) for _ in range(3)]
+    tuples.append([P1Point.infinity(field)] + sample_distinct_points(m - 1, field, rng))
+    repeated = sample_distinct_points(m, field, rng)
+    repeated[-1] = repeated[0]
+    return tuples + [repeated]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_divisor_value_matches_leibniz_determinant_of_horner_values(field):
+    rng = random.Random(37)
+    for pair in _kernel_pairs(field, rng):
+        for pts in _kernel_points(pair, rng):
+            value = divisor_value(pair, pts)
+            assert field.is_element(value)
+            assert value == _leibniz(_reference_rows(pair, pts), field)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_classify_point_matches_boxed_wedge_fold(field):
+    rng = random.Random(41)
+    for pair in _kernel_pairs(field, rng):
+        rm = pair.r * pair.m
+        for x in [P1Point.infinity(field)] + sample_distinct_points(4, field, rng):
+            vec = None
+            for row in zip(*_reference_rows(pair, [x])):
+                rv = ExteriorVector(rm, 1, {1 << j: c for j, c in enumerate(row)}, field)
+                vec = rv if vec is None else wedge(vec, rv)
+            got = classify_point(pair, x)
+            assert got == vec and got.degree == pair.r
+            assert all(field.is_element(c) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_mat_det_matches_leibniz(field):
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for trial in range(6):
+            # Half-zero entries force row swaps; the last trials are singular.
+            rows = [
+                [field.sample(rng) if rng.random() < 0.5 else field.zero() for _ in range(n)]
+                for _ in range(n)
+            ]
+            if trial == 5 and n > 1:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            M = DenseMatrix.from_rows(rows)
+            det = mat_det(M)
+            assert field.is_element(det)
+            assert det == _leibniz(rows, field)

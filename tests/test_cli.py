@@ -126,6 +126,27 @@ def test_report_bodies_match_golden_digests(command, r, m):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES[command, r, m]
 
 
+# The same digests for the P^1 suites over Q, recorded with the boxed
+# section evaluation, determinant and classifying-map wedges.
+GOLDEN_BODIES_Q = {
+    ("p1-detmap", 2, 3): "5d88f10d06721ffd48e86b7ccfb64b2e56a57c06e48d12638b7c5d6559d4f9bb",
+    ("p1-detmap", 3, 3): "d09ccc696b9c87bcbd77acd6863c2c391539c12ffa9b2b84a10d3b344617f6fc",
+    ("p1-divisor", 2, 3): "92fa00262c14bc0411db5239d6b125e4ca6abbb73c47305165ef979a19d2547d",
+    ("p1-divisor", 3, 3): "142b4cecb0f63dd714fa6459938e55407baf903ef3dc093d76f1c970cc036dd4",
+    ("p1-lambda", 2, 3): "f698eadf394ec50b371228df4f05e303a6b8ccbecd90c2b0c2db414b98ff4857",
+    ("p1-lambda", 3, 3): "2d66fb1bdb4014bae60054b36284d7aa788c7074b40dbcdc42005610c0951497",
+    ("p1-no-form", 2, 3): "4cfbd4dc1788c3894bc25ef046be2dfecfc2ee3dea97cdca2c0e366b7572d384",
+    ("p1-no-form", 3, 3): "ec2612b9a5c0593bf88e8811906ff8666ab9f082e94f9e21f4710ca911514724",
+}
+
+
+@pytest.mark.parametrize("command,r,m", sorted(GOLDEN_BODIES_Q))
+def test_report_bodies_over_q_match_golden_digests(command, r, m):
+    cfg = ExperimentConfig(command=command, r=r, m=m, field="q", seed=0, trials=10)
+    text = json.dumps(run(cfg).body(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES_Q[command, r, m]
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -110,6 +110,25 @@ def test_bilinearity(u, u2, v, a, b):
     assert left == right
 
 
+@pytest.mark.parametrize("field", [F, PrimeField(7), QQ], ids=["fp", "f7", "q"])
+def test_sum_negative_and_multiple_drop_zero_terms(field):
+    rng = random.Random(47)
+    for _ in range(20):
+        u = random_exterior(6, 2, field, rng)
+        v = random_exterior(6, 2, field, rng)
+        keep = rng.sample(list(u.terms), 7)
+        v = v + ExteriorVector(6, 2, {m: -v.coefficient(m) - u.terms[m] for m in keep}, field)
+        naive = {m: u.coefficient(m) + v.coefficient(m) for m in lex_masks(6, 2)}
+        total = u + v
+        assert total == ExteriorVector(6, 2, naive, field)
+        assert all(total.terms.values()) and not set(keep) & set(total.terms)
+        assert (u + (-u)).terms == {} and (u - u).is_zero
+        assert (-u).terms == {m: -c for m, c in u.terms.items()}
+        assert u.scale(field.zero()).terms == {}
+        c = field.sample(rng)
+        assert u.scale(c) == ExteriorVector(6, 2, {m: c * x for m, x in u.terms.items()}, field)
+
+
 # -- the kernel against an independent reference --------------------------------
 
 

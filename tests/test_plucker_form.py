@@ -25,7 +25,7 @@ from pluckerlab.plucker_form import (
     polar,
     tangent_codim,
 )
-from pluckerlab.scalars import QQ, PrimeField, poly_interpolate
+from pluckerlab.scalars import QQ, PrimeField, mat_rank, poly_interpolate
 
 F = PrimeField()
 
@@ -254,6 +254,24 @@ def test_tangent_kernel_contains_slot_scalings():
             vec.extend(p.slots[i].scale(coeffs[i]).coefficient_vector())
         assert all(not x for x in mat_vec(M, vec))
         assert tangent_codim(p, k) <= M.cols - p.m
+
+
+@pytest.mark.parametrize(
+    "field", [F, PrimeField(7), PrimeField(2**61 - 1)], ids=["fp", "f7", "p61"]
+)
+def test_tangent_codim_ranks_the_boxed_system(field):
+    # tangent_codim fills residues over F_p; the boxed system is the reference.
+    rng = random.Random(53)
+    for r, m in [(2, 3), (3, 3), (2, 4)]:
+        n = r * m
+        w = random_grass_point(r, n, field, rng).plucker
+        v = random_exterior(n, r, field, rng)
+        cases = [(PointTuple.diagonal(w, m), m - 1), (PointTuple.diagonal(v, m), m - 1)]
+        cases.append((PointTuple.of([v] * (m - 1) + [w]), 1))
+        for p, k in cases:
+            if multiplicity_at(p) < k:
+                continue
+            assert tangent_codim(p, k) == mat_rank(build_tangent_system(p, k).matrix)
 
 
 # -- the two routes to the diagonal tangent codimension -----------------------------

@@ -159,6 +159,15 @@ def test_det_examples():
     assert mat_det(S) == 0
 
 
+def test_det_mixed_field_error():
+    with pytest.raises(ValueError, match="mixed-field"):
+        mat_det(DenseMatrix(2, 2, (F.one(), Fraction(1), F.one(), F.one())))
+    with pytest.raises(ValueError, match="mixed-field"):
+        mat_det(DenseMatrix(2, 2, (Fraction(1), Fraction(2), F.one(), Fraction(3))))
+    with pytest.raises(ValueError, match="mixed-field"):
+        mat_det(DenseMatrix(2, 2, (F.one(), F.one(), PrimeField(7).one(), F.one())))
+
+
 def test_det_multiplicativity():
     rng = random.Random(11)
     A = random_matrix(4, 4, F, rng)
