@@ -10,7 +10,8 @@ takes the monomial values u^a v^(d-a) once per point and degree.
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
 terms a pair stores; ``divisor_value`` passes its rows straight to the one
 determinant loop, ``scalars._det``, and ``classify_point`` folds them through
-``exterior._wedge_walk``.  Only returned values are boxed.
+``exterior._wedge_walk`` into an unboxed ``ExteriorVector``.  Only returned
+scalars are boxed.
 
 The determinant divisor is the vanishing of the determinant of the m-point
 evaluation matrix.  On the line it factors as a constant times the r-th power
@@ -157,11 +158,6 @@ class DivisorReport:
     constant_c: Optional[Scalar]
     trials: int
     all_matched: bool
-    identically_zero: bool
-
-    def __post_init__(self):
-        if self.identically_zero and self.all_matched:
-            raise ValueError("identically_zero and all_matched are exclusive")
 
 
 def make_pair(
@@ -307,7 +303,7 @@ def diagonal_factor_check(pair: BundlePairP1, trials: int, seed: int) -> Divisor
         if not ok:
             all_matched = False
             break
-    return DivisorReport(c, trials, all_matched, False)
+    return DivisorReport(c, trials, all_matched)
 
 
 @lru_cache(maxsize=None)
@@ -369,8 +365,7 @@ def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
         acc = _wedge_walk(acc, terms, rm, a, 1, _modulus(field))
     if not acc:
         raise ValueError("evaluation drops rank: not globally generated here")
-    box = field.box
-    return ExteriorVector._trusted(rm, pair.r, {m: box(c) for m, c in acc.items()}, field)
+    return ExteriorVector._trusted(rm, pair.r, acc, field)
 
 
 def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVector:

@@ -4,6 +4,15 @@ A degree-k basis element e_I of wedge^k(V), with dim V = n <= 64, is labelled
 by the strictly increasing index set I in {1, ..., n}, encoded as the bitmask
 with bit (i-1) set for each i in I.
 
+Representation.  An ``ExteriorVector`` stores its nonzero coefficients once,
+unboxed (residues in [0, p) over F_p, Fractions over Q), in one private
+mask -> coefficient dict that its arithmetic and every kernel read.  The
+public constructor unboxes each coefficient through ``field.unbox``, which
+refuses non-elements; ``_trusted`` takes them unboxed and reduced.  ``terms``
+is a read-only boxed view for the API, built on first access and cached.
+Over F_p a vector also keeps its dense int64 lex-order residue vector,
+computed when a residue kernel first needs it and marked read-only.
+
 Sign kernel.  e_I ^ e_J = (-1)^s e_{I+J} for disjoint I and J, where s counts
 the pairs i in I, j in J with i > j: the inversions of the merge permutation
 interleaving the two sorted index sets.  Counted from the side of J, s is the
@@ -15,22 +24,23 @@ the shuffle expansion of the wedge form) is read off this one mask.
 
 ``wedge`` has three paths, chosen from the field and the pair count.  A
 wedge with fewer term pairs than the C(n, a) * C(n - a, b) disjoint pairs of
-the tables (sparse vectors, or large n) scans its own pairs, splitting them
-by sign as the tables do, and never builds a table.  A denser wedge over F_p
-with (p - 1)^2 < 2^63 runs on residue vectors: each input is unboxed once
-into a dense int64 vector in lex order, every disjoint pair is read from
-``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
-coordinate), and the signed products, each reduced mod p, are summed by
-output coordinate in int64, exactly while C(a + b, a) * p < 2^63 (proved in
-``_wedge_residues``); only the nonzero outputs are boxed.  Other dense
-wedges (over Q, or p above 2^31.5) walk ``_disjoint(n, a, b)``, a cached
-table from each degree-a mask to the degree-b masks disjoint from it, split
-by sign, on plain ints (or Fractions), reduced once per output term.  That
-dict walk is ``_wedge_walk``, which ``classify_point`` on P^1 also folds by.
+the tables (sparse vectors, or large n) scans its own pairs, signing each
+one off ``_odd_above``, and never builds a table.  A denser wedge over F_p
+with (p - 1)^2 < 2^63 runs on the inputs' cached residue vectors: every
+disjoint pair is read from ``_wedge_gather(n, a, b)`` (the scatter table
+below, grouped by output coordinate), and the signed products, each reduced
+mod p, are summed by output coordinate in int64, exactly while
+C(a + b, a) * p < 2^63 (proved in ``_wedge_residues``); the nonzero outputs
+become the result's coefficients.  Other dense wedges (over Q, or p above
+2^31.5) walk ``_disjoint(n, a, b)``, a cached table from each degree-a mask
+to the degree-b masks disjoint from it, split by sign, on plain ints (or
+Fractions), reduced once per output term.  That dict walk is
+``_wedge_walk``, which ``classify_point`` on P^1 also folds by.
 ``top_wedge_coefficient`` folds its slots the same way, but keeps the
 running wedge a residue vector across the residue steps and boxes only the
 final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
-skips the per-term checks of the public constructor.
+skips the per-term checks of the public constructor, so nothing on these
+paths is boxed.
 
 Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``_disjoint``,
 lists for each degree-a mask (in lex order) the flat row-major positions of
@@ -39,7 +49,7 @@ sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
 row.  ``_wedge_array`` fills a matrix from it with one fancy-index
 assignment: ``wedge_matrix`` and the blocks of
 ``plucker_form.build_tangent_system`` with the boxed coefficients, and over
-F_p ``wedge_rank`` with their residues c or p - c, into the numpy array that
+F_p ``wedge_rank`` with the residues c or p - c, into the numpy array that
 :func:`pluckerlab.scalars.rank_mod_p` eliminates, so no boxed matrix is
 built on the classifier's path.  The residue ``wedge`` reads the same table
 through ``_wedge_gather``, so every wedge kernel over F_p shares one index
@@ -57,7 +67,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -234,7 +245,7 @@ def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
 class ExteriorVector:
     """Homogeneous element of wedge^k(V) as a sparse mask -> coefficient map."""
 
-    __slots__ = ("n", "degree", "field", "terms")
+    __slots__ = ("n", "degree", "field", "_coeffs", "_terms", "_res")
 
     def __init__(self, n: int, degree: int, terms: dict, field: Field):
         if not 0 < n <= 64:
@@ -245,20 +256,27 @@ class ExteriorVector:
         for mask, coeff in terms.items():
             if mask.bit_count() != degree or mask >> n:
                 raise ValueError(f"mask {mask:b} has wrong degree or range")
-            if coeff:
-                clean[mask] = coeff
-        self.n = n
-        self.degree = degree
-        self.field = field
-        self.terms = clean
+            if c := field.unbox(coeff):
+                clean[mask] = c
+        self.n, self.degree, self.field = n, degree, field
+        self._coeffs, self._terms, self._res = clean, None, None
 
     @classmethod
-    def _trusted(cls, n: int, degree: int, terms: dict, field: Field) -> "ExteriorVector":
-        """Construct without the checks of ``__init__``: the caller passes
-        only nonzero coefficients, on masks of this degree within range."""
+    def _trusted(cls, n: int, degree: int, coeffs: dict, field: Field) -> "ExteriorVector":
+        """Construct without the checks of ``__init__``: the caller passes only
+        nonzero unboxed coefficients, on masks of this degree within range."""
         self = object.__new__(cls)
-        self.n, self.degree, self.field, self.terms = n, degree, field, terms
+        self.n, self.degree, self.field = n, degree, field
+        self._coeffs, self._terms, self._res = coeffs, None, None
         return self
+
+    @property
+    def terms(self) -> Mapping[int, Scalar]:
+        """Read-only mask -> boxed coefficient view, built on first access."""
+        if self._terms is None:
+            box = self.field.box
+            self._terms = MappingProxyType({m: box(c) for m, c in self._coeffs.items()})
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -284,21 +302,21 @@ class ExteriorVector:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def coefficient(self, index) -> Scalar:
         mask = index.mask if isinstance(index, MultiIndex) else index
-        return self.terms.get(mask, self.field.zero())
+        return self.field.box(self._coeffs[mask]) if mask in self._coeffs else self.field.zero()
 
     def coefficient_vector(self) -> list[Scalar]:
         """Dense coefficients in the lex basis order of this degree."""
-        z = self.field.zero()
-        return [self.terms.get(m, z) for m in lex_masks(self.n, self.degree)]
+        z, box, get = self.field.zero(), self.field.box, self._coeffs.get
+        return [z if (c := get(m)) is None else box(c) for m in lex_masks(self.n, self.degree)]
 
     def support(self) -> list[MultiIndex]:
         return [
             MultiIndex(m, self.n)
-            for m in sorted(self.terms, key=_indices_from_mask)
+            for m in sorted(self._coeffs, key=_indices_from_mask)
         ]
 
     # -- algebra -----------------------------------------------------------
@@ -309,32 +327,34 @@ class ExteriorVector:
         if self.field != other.field:
             raise ValueError("field mismatch")
 
-    # Sums, negatives and multiples keep validated masks: they build through
-    # ``_trusted`` and drop zero coefficients themselves.
+    # Sums, negatives and multiples keep the unboxed coefficients reduced mod
+    # p, drop zeros themselves and build through ``_trusted``.
 
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = c
-            elif total := acc + c:
-                terms[m] = total
-            else:
-                del terms[m]
-        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
+        p = _modulus(self.field)
+        coeffs = dict(self._coeffs)
+        for m, c in other._coeffs.items():
+            total = coeffs.pop(m, 0) + c
+            if p is not None and total >= p:
+                total -= p
+            if total:
+                coeffs[m] = total
+        return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
 
     def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
         return self + (-other)
 
     def __neg__(self) -> "ExteriorVector":
-        terms = {m: -c for m, c in self.terms.items()}
-        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
+        p, items = _modulus(self.field), self._coeffs.items()
+        coeffs = {m: -c for m, c in items} if p is None else {m: p - c for m, c in items}
+        return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
 
     def scale(self, scalar: Scalar) -> "ExteriorVector":
-        terms = {m: x for m, c in self.terms.items() if (x := scalar * c)}
-        return ExteriorVector._trusted(self.n, self.degree, terms, self.field)
+        s, p = self.field.unbox(scalar), _modulus(self.field)
+        items = self._coeffs.items() if s else ()  # s * c is nonzero for nonzero s, c
+        coeffs = {m: s * c for m, c in items} if p is None else {m: s * c % p for m, c in items}
+        return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
 
     def __rmul__(self, scalar) -> "ExteriorVector":
         if isinstance(scalar, int):
@@ -345,11 +365,11 @@ class ExteriorVector:
         """Mask of the lexicographically smallest nonzero coordinate."""
         if self.is_zero:
             raise ValueError("zero vector has no leading term")
-        return min(self.terms, key=_indices_from_mask)
+        return min(self._coeffs, key=_indices_from_mask)
 
     def normalized(self) -> "ExteriorVector":
         """Canonical projective representative: leading coefficient one."""
-        lead = self.terms[self.leading_mask()]
+        lead = self.coefficient(self.leading_mask())
         if lead == self.field.one():
             return self
         return self.scale(self.field.one() / lead)
@@ -360,7 +380,7 @@ class ExteriorVector:
             and self.n == other.n
             and self.degree == other.degree
             and self.field == other.field
-            and self.terms == other.terms
+            and self._coeffs == other._coeffs
         )
 
     def __repr__(self):
@@ -379,9 +399,9 @@ class ExteriorVector:
             "n": self.n,
             "degree": self.degree,
             "terms": [
-                [list(_indices_from_mask(m)), self.field.element_to_str(c)]
+                [list(_indices_from_mask(m)), self.field.element_to_str(self.field.box(c))]
                 for m, c in sorted(
-                    self.terms.items(), key=lambda kv: _indices_from_mask(kv[0])
+                    self._coeffs.items(), key=lambda kv: _indices_from_mask(kv[0])
                 )
             ],
         }
@@ -417,27 +437,28 @@ def _residue_prime(field: Field, a: int, b: int):
 
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
-    """Lex position of each term of u, in ``u.terms`` order."""
+    """Lex position of each term of u, in the order of its coefficients."""
     at = _lex_position(u.n, u.degree)
-    return np.fromiter(map(at.__getitem__, u.terms), dtype=np.intp, count=len(u.terms))
+    return np.fromiter(map(at.__getitem__, u._coeffs), dtype=np.intp, count=len(u._coeffs))
 
 
 def _residues(u: ExteriorVector) -> np.ndarray:
-    """u as a dense int64 vector of residues in [0, p), in lex order."""
-    x = np.zeros(math.comb(u.n, u.degree), dtype=np.int64)
-    x[_term_positions(u)] = np.fromiter(
-        map(u.field.unbox, u.terms.values()), dtype=np.int64, count=len(u.terms)
-    )
+    """u over F_p as a dense int64 vector of residues in [0, p), in lex
+    order: computed on first use, then kept on u, read-only."""
+    x = u._res
+    if x is None:
+        x = np.zeros(math.comb(u.n, u.degree), dtype=np.int64)
+        x[_term_positions(u)] = list(u._coeffs.values())
+        x.flags.writeable = False
+        u._res = x
     return x
 
 
 def _from_residues(z: np.ndarray, n: int, k: int, field: PrimeField) -> ExteriorVector:
-    """The degree-k vector with lex-ordered residues z, boxing only its
-    nonzero coordinates."""
+    """The degree-k vector with lex-ordered residues z."""
     nz = np.flatnonzero(z)
     masks = map(lex_masks(n, k).__getitem__, nz.tolist())
-    terms = dict(zip(masks, map(field.box, z[nz].tolist())))
-    return ExteriorVector._trusted(n, k, terms, field)
+    return ExteriorVector._trusted(n, k, dict(zip(masks, z[nz].tolist())), field)
 
 
 def _wedge_residues(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p: int) -> np.ndarray:
@@ -465,38 +486,39 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     n, a, b = u.n, u.degree, v.degree
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
-    field = u.field
-    if _table_pays(len(u.terms), len(v.terms), n, a, b):
+    field, ut, vt = u.field, u._coeffs, v._coeffs
+    if _table_pays(len(ut), len(vt), n, a, b):
         p = _residue_prime(field, a, b)
         if p is not None:
             z = _wedge_residues(_residues(u), _residues(v), n, a, b, p)
             return _from_residues(z, n, a + b, field)
-    unbox, box = field.unbox, field.box
-    ut = {mu: unbox(c) for mu, c in u.terms.items()}
-    vt = {mv: unbox(c) for mv, c in v.terms.items()}
-    walk = _wedge_walk(ut, vt, n, a, b, _modulus(field))
-    return ExteriorVector._trusted(n, a + b, {m: box(c) for m, c in walk.items()}, field)
+    return ExteriorVector._trusted(n, a + b, _wedge_walk(ut, vt, n, a, b, _modulus(field)), field)
 
 
 def _wedge_walk(ut: dict, vt: dict, n: int, a: int, b: int, p) -> dict:
     """Nonzero terms of the wedge of degree-a terms ut by degree-b terms vt,
     unboxed: masks to ints reduced mod p, or to Fractions when p is None.
     Walks ``_disjoint(n, a, b)`` when :func:`_table_pays`, else the pairs of
-    ut and vt, split by sign."""
-    if _table_pays(len(ut), len(vt), n, a, b):
-        rows = _disjoint(n, a, b)
-    else:
-        rows = {mu: _signed_disjoint(mu, vt) for mu in ut}
-    coeff = vt.get
+    ut and vt, signing each disjoint pair by the mask ``_odd_above(mu)``."""
     acc: dict = {}
     get = acc.get
-    for mu, cu in ut.items():
-        for c, row in zip((cu, -cu), rows[mu]):
-            for mv in row:
-                cv = coeff(mv)
-                if cv is not None:
+    if _table_pays(len(ut), len(vt), n, a, b):
+        rows, coeff = _disjoint(n, a, b), vt.get
+        for mu, cu in ut.items():
+            for c, row in zip((cu, -cu), rows[mu]):
+                for mv in row:
+                    cv = coeff(mv)
+                    if cv is not None:
+                        m = mu | mv
+                        acc[m] = get(m, 0) + c * cv
+    else:
+        for mu, cu in ut.items():
+            odd = _odd_above(mu)
+            for mv, cv in vt.items():
+                if not mu & mv:
                     m = mu | mv
-                    acc[m] = get(m, 0) + c * cv
+                    x = cu * cv
+                    acc[m] = get(m, 0) + (-x if (mv & odd).bit_count() & 1 else x)
     if p is None:
         return {m: c for m, c in acc.items() if c}
     return {m: x for m, c in acc.items() if (x := c % p)}
@@ -523,11 +545,11 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     acc, x, a = vectors[0], None, vectors[0].degree  # x: acc as residues, or None
     for v in vectors[1:]:
         b = v.degree
-        count = len(acc.terms) if x is None else int(np.count_nonzero(x))
+        count = len(acc._coeffs) if x is None else int(np.count_nonzero(x))
         if not count:
             return field.zero()
         p = _residue_prime(field, a, b)
-        if p is not None and _table_pays(count, len(v.terms), n, a, b):
+        if p is not None and _table_pays(count, len(v._coeffs), n, a, b):
             x = _wedge_residues(_residues(acc) if x is None else x, _residues(v), n, a, b, p)
         else:
             if x is not None:
@@ -536,7 +558,7 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
         a += b
     if x is not None:
         return field.box(int(x[0]))
-    return acc.terms.get((1 << n) - 1, field.zero())
+    return acc.coefficient((1 << n) - 1)
 
 
 def _contract_mask(phi_mask: int, w: ExteriorVector) -> ExteriorVector:
@@ -597,7 +619,7 @@ def random_exterior(
 def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
     """The matrix of t |-> u ^ t on wedge^s(V) as an array filled with
     ``fill``, scattered from ``_wedge_scatter``: c[i] or minus_c[i] (column
-    vectors, one row per term of u in ``u.terms`` order) at the positions of
+    vectors, one row per term of u in coefficient order) at the positions of
     the table row of the i-th term, as its sign flags say."""
     n, a = u.n, u.degree
     if a + s > n:
@@ -611,17 +633,17 @@ def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
 
 
 def _boxed_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
-    """u's coefficients in ``u.terms`` order as an object column c, and -c."""
+    """u's boxed coefficients in coefficient order as an object column c,
+    and -c."""
     c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
     return c, -c
 
 
 def _residue_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
-    """Over F_p, the residues of u's coefficients in ``u.terms`` order as a
+    """Over F_p, the residues of u's coefficients in coefficient order as a
     column c of dtype ``_residue_dtype(p)``, and p - c: the residues of -c."""
-    p, unbox = u.field.p, u.field.unbox
-    c = np.array([unbox(x) for x in u.terms.values()], dtype=_residue_dtype(p))
-    c = c.reshape(-1, 1)
+    p = u.field.p
+    c = np.array(list(u._coeffs.values()), dtype=_residue_dtype(p)).reshape(-1, 1)
     return c, p - c
 
 

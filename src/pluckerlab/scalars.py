@@ -164,6 +164,8 @@ class RationalField:
     # Kernels that loop over many scalars run on the unboxed representation;
     # for the rationals it is the Fraction itself.
     def unbox(self, x: Fraction) -> Fraction:
+        if not isinstance(x, Fraction):
+            raise ValueError(f"{x!r} is not an element of Q")
         return x
 
     def box(self, c: Fraction) -> Fraction:

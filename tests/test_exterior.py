@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -63,10 +64,10 @@ def test_wedge_dimension_mismatch():
 
 def test_wedge_rejects_coefficients_of_another_modulus():
     F7 = PrimeField(7)
-    u = ExteriorVector(4, 1, {1: Fp(3, 5)}, F7)
-    for v in (ExteriorVector.basis(4, (2,), F7), ExteriorVector(4, 1, {2: Fp(4, 5)}, F7)):
-        with pytest.raises(ValueError, match="mixed moduli"):
-            wedge(u, v)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        ExteriorVector(4, 1, {1: Fp(3, 5)}, F7)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        ExteriorVector(4, 1, {2: Fp(4, 5)}, F7)
 
 
 def test_merge_sign_examples():
@@ -237,18 +238,98 @@ def test_dense_wedge_of_largest_residues_at_the_int64_edge(n, a, b):
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
 @pytest.mark.parametrize("bad, message", [(3, "not an element"), (Fp(3, 5), "mixed moduli")])
 def test_dense_wedges_refuse_foreign_coefficients(field, bad, message):
-    # Dense vectors take the table paths, which unbox every coefficient.
+    # The constructor unboxes every coefficient, so no kernel sees a foreign one.
     rng = random.Random(2)
-    v, w = random_exterior(6, 2, field, rng), random_exterior(6, 2, field, rng)
-    u = ExteriorVector(6, 2, {**v.terms, lex_masks(6, 2)[7]: bad}, field)
-    for call in (
-        lambda: wedge(u, v),
-        lambda: wedge(v, u),
-        lambda: top_wedge_coefficient([u, v, w]),
-        lambda: top_wedge_coefficient([v, w, u]),
+    v = random_exterior(6, 2, field, rng)
+    with pytest.raises(ValueError, match=message):
+        ExteriorVector(6, 2, {**v.terms, lex_masks(6, 2)[7]: bad}, field)
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        (F, 3, "not an element"),
+        (F, Fp(3, 5), "mixed moduli"),
+        (F, Fraction(1, 2), "not an element"),
+        (QQ, 3, "not an element"),
+        (QQ, Fp(3, 5), "not an element"),
+    ],
+)
+def test_foreign_coefficients_and_scalars_are_refused(field, bad, message):
+    with pytest.raises(ValueError, match=message):
+        ExteriorVector.from_coefficients(4, 2, [field.one()] * 5 + [bad], field)
+    u = ExteriorVector.from_coefficients(4, 2, [field.one()] * 6, field)
+    with pytest.raises(ValueError, match=message):
+        u.scale(bad)
+
+
+# -- the unboxed representation against arithmetic on the boxed view ------------
+
+
+def boxed_sum(s, t):
+    """The terms of s + t, added with the field's boxed scalars."""
+    out = dict(s)
+    for m, c in t.items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def representation_cases(draw):
+    """Two vectors of one shape, v sharing some terms of -u so that sums
+    cancel, and a scalar."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    u, v = draw_vector(draw, field, n, k), draw_vector(draw, field, n, k)
+    shared = draw(st.lists(st.sampled_from(sorted(u.terms)), max_size=3)) if u.terms else []
+    v = ExteriorVector(n, k, {**v.terms, **{m: -u.terms[m] for m in shared}}, field)
+    return u, v, field.from_int(draw(st.integers(-(2**70), 2**70)))
+
+
+@given(representation_cases())
+@settings(max_examples=150, deadline=None)
+def test_unboxed_arithmetic_matches_the_boxed_view(case):
+    u, v, s = case
+    field, n, k = u.field, u.n, u.degree
+    minus_v = {m: -c for m, c in v.terms.items()}
+    for got, want in (
+        (u + v, boxed_sum(u.terms, v.terms)),
+        (u - v, boxed_sum(u.terms, minus_v)),
+        (-v, minus_v),
+        (u.scale(s), {m: s * c for m, c in u.terms.items()}),
     ):
-        with pytest.raises(ValueError, match=message):
-            call()
+        want = {m: c for m, c in want.items() if c}
+        assert got == ExteriorVector(n, k, want, field)
+        assert dict(got.terms) == want
+        assert all(field.is_element(c) for c in got.terms.values())
+    assert (u == v) == (dict(u.terms) == dict(v.terms))
+    assert ExteriorVector(n, k, v.terms, field) == v
+    assert u.coefficient_vector() == [u.terms.get(m, field.zero()) for m in lex_masks(n, k)]
+    assert u.to_json()["terms"] == [
+        [list(M.indices), field.element_to_str(u.terms[M.mask])] for M in u.support()
+    ]
+    assert ExteriorVector.from_json(json.loads(json.dumps(u.to_json())), field) == u
+
+
+@given(representation_cases())
+@settings(max_examples=100, deadline=None)
+def test_residue_vector_is_cached_read_only_and_current(case):
+    u, v, s = case
+    if not isinstance(u.field, PrimeField):
+        return
+    # Operands with residue vectors already cached must not lend them to
+    # the vectors built from them.
+    exterior._residues(u), exterior._residues(v)
+    built = [u, v, u + v, u - v, -u, u.scale(s)]
+    if 2 * u.degree <= u.n:
+        built.append(wedge(u, v))
+    for w in built:
+        x = exterior._residues(w)
+        assert x.tolist() == [w.field.unbox(c) for c in w.coefficient_vector()]
+        assert exterior._residues(w) is x and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1
 
 
 def test_odd_above_gives_merge_parity_exhaustively():

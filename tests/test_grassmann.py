@@ -259,12 +259,8 @@ def test_classifier_at_four_three_agrees_with_contraction_oracle():
 
 def test_int_coefficient_is_refused_by_every_kernel():
     F7 = PrimeField(7)
-    w = ExteriorVector(9, 3, {0b111: 3}, F7)
-    e = ExteriorVector.basis(9, (4,), F7)
-    for call in (lambda: wedge(w, e), lambda: wedge(e, w), lambda: mu_rank(w, 1),
-                 lambda: classify_membership(w, 3)):
-        with pytest.raises(ValueError, match="not an element"):
-            call()
+    with pytest.raises(ValueError, match="not an element"):
+        ExteriorVector(9, 3, {0b111: 3}, F7)
 
 
 def test_classifier_over_f2_agrees_with_contraction_oracle():
