@@ -49,11 +49,19 @@ sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
 row.  ``_wedge_array`` fills a matrix from it with one fancy-index
 assignment: ``wedge_matrix`` and the blocks of
 ``plucker_form.build_tangent_system`` with the boxed coefficients, and over
-F_p ``wedge_rank`` with the residues c or p - c, into the numpy array that
-:func:`pluckerlab.scalars.rank_mod_p` eliminates, so no boxed matrix is
+F_p ``wedge_rank`` with the residues c or p - c, so no boxed matrix is
 built on the classifier's path.  The residue ``wedge`` reads the same table
 through ``_wedge_gather``, so every wedge kernel over F_p shares one index
 table.
+
+Rank over F_p.  The table row of u's first term c_0 e_mu0 is also a
+diagonal block of the wedge matrix: rows mu0 | t and columns t for the
+C(n - a, s) masks t disjoint from mu0, entries +-c_0.  So ``wedge_rank``
+counts those pivots at once and hands only the Schur complement S of that
+block (``_wedge_schur``, formed by :func:`pluckerlab.scalars.submul_mod_p`)
+to :func:`pluckerlab.scalars.rank_mod_p`.  A decomposable u has rank
+C(n - a, s), so its S is zero (the Plucker relations in the chart c_0 != 0)
+and Grassmannian members get their rank with no elimination at all.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -82,6 +90,7 @@ from .scalars import (
     mat_rank,
     rank_mod_p,
     sample_scalar,
+    submul_mod_p,
 )
 
 
@@ -562,16 +571,19 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
 
 
 def _contract_mask(phi_mask: int, w: ExteriorVector) -> ExteriorVector:
-    out: dict = {}
-    for mask, c in w.terms.items():
+    """contract(phi, w) on unboxed coefficients.  Term c e_mask of w with
+    phi inside mask contributes (-1)^pos c to e_j, j = mask minus phi; no
+    two terms share j, so nothing is summed and no coefficient vanishes."""
+    p, out = _modulus(w.field), {}
+    for mask, c in w._coeffs.items():
         if mask & phi_mask != phi_mask:
             continue
         jbit = mask ^ phi_mask
-        pos = 1 + (phi_mask & (jbit - 1)).bit_count()
-        val = -c if pos & 1 else c
-        acc = out.get(jbit)
-        out[jbit] = val if acc is None else acc + val
-    return ExteriorVector(w.n, 1, out, w.field)
+        if (phi_mask & (jbit - 1)).bit_count() & 1:  # pos even
+            out[jbit] = c
+        else:
+            out[jbit] = -c if p is None else p - c
+    return ExteriorVector._trusted(w.n, 1, out, w.field)
 
 
 def contract(phi: MultiIndex, w: ExteriorVector) -> ExteriorVector:
@@ -622,6 +634,8 @@ def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
     vectors, one row per term of u in coefficient order) at the positions of
     the table row of the i-th term, as its sign flags say."""
     n, a = u.n, u.degree
+    if s < 0:
+        raise ValueError(f"negative degree s = {s}")
     if a + s > n:
         raise ValueError("degree overflow")
     rows = _term_positions(u)
@@ -653,15 +667,59 @@ def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     return DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
 
 
+def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
+    """Over F_p, (k, S) with rank(t |-> u ^ t on wedge^s(V)) = k + rank(S).
+
+    Let c_0 e_mu0 be u's first term, at row i0 of ``_wedge_scatter``.  Its
+    C(n - a, s) entries sit at rows R0 = {mu0 | t} and columns C0 = {t}, t
+    disjoint from mu0, and the block A[R0, C0] is diagonal with entries
+    +-c_0 (the table's sign flags): an entry at row mu0 | t, column t' in C0
+    needs t' inside mu0 | t, and as t' misses mu0 that means t' = t.  So k =
+    |C0| and S is the Schur complement A[R', C'] - A[R', C0] D^-1 A[R0, C'],
+    R' and C' the other rows and columns (rank additivity, Guttman 1946).
+    When u is zero, k = 0 and S is the zero matrix itself.
+    """
+    p = u.field.p
+    A = _wedge_array(u, s, *_residue_column(u), 0)
+    if u.is_zero:
+        return 0, A
+    mu0 = next(iter(u._coeffs))
+    flat, neg = _wedge_scatter(u.n, u.degree, s)
+    i0 = _lex_position(u.n, u.degree)[mu0]
+    rows0, cols0 = np.divmod(flat[i0], A.shape[1])
+    inv = pow(u._coeffs[mu0], -1, p)
+    d_inv = np.full(len(cols0), inv, dtype=A.dtype)
+    d_inv[neg[i0]] = p - inv
+    rest_rows = np.delete(np.arange(A.shape[0]), rows0)
+    rest_cols = np.delete(np.arange(A.shape[1]), cols0)
+    # ``np.ix_`` keeps S row-major, as the row updates of the product and
+    # the elimination need (``A[rows][:, cols]`` would not), and makes no
+    # intermediate copy; A goes before the product, which bounds peak memory.
+    S = A[np.ix_(rest_rows, rest_cols)]
+    X, Y = A[np.ix_(rest_rows, cols0)] * d_inv % p, A[np.ix_(rows0, rest_cols)]
+    del A
+    submul_mod_p(S, X, Y, p)
+    return len(cols0), S
+
+
 def wedge_rank(u: ExteriorVector, s: int) -> int:
     """Rank of t |-> u ^ t on wedge^s(V): ``mat_rank(wedge_matrix(u, s))``.
 
     Over F_p the matrix is never boxed: each coefficient of u is unboxed
     once, and one fancy-index assignment writes c or p - c from the scatter
-    table into a zeroed residue array, which
-    :func:`pluckerlab.scalars.rank_mod_p` eliminates.  Over Q it is Bareiss
-    elimination on ``wedge_matrix(u, s)``.
+    table into a zeroed residue array.  Its first term's diagonal block
+    gives C(n - a, s) pivots at once (:func:`_wedge_schur`), and only the
+    Schur complement S, formed by :func:`pluckerlab.scalars.submul_mod_p`,
+    is left to :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as it
+    is for a decomposable u (the Plucker relations in the chart of that
+    term), nothing is eliminated.  Over Q it is Bareiss elimination on
+    ``wedge_matrix(u, s)``.  A negative s is refused.
     """
     if not isinstance(u.field, PrimeField):
         return mat_rank(wedge_matrix(u, s))
-    return rank_mod_p(_wedge_array(u, s, *_residue_column(u), 0), u.field.p)
+    k, S = _wedge_schur(u, s)
+    rows = S.any(axis=1)
+    if not rows.any():
+        return k
+    # Zero rows and columns add nothing to the rank; a sparse u leaves many.
+    return k + rank_mod_p(S[rows].compress(S.any(axis=0), axis=1), u.field.p)

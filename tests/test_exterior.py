@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from pluckerlab.exterior import (
     wedge_matrix,
     wedge_rank,
 )
-from pluckerlab.scalars import QQ, Fp, PrimeField, mat_rank, mat_vec, sample_scalar
+from pluckerlab.grassmann import random_grass_point
+from pluckerlab.scalars import QQ, Fp, PrimeField, mat_rank, mat_vec, rank_mod_p, sample_scalar
 
 F = PrimeField()
 
@@ -426,6 +428,83 @@ def test_wedge_rank_of_zero_and_degree_overflow():
         assert wedge_rank(ExteriorVector.zero(6, 2, field), 3) == 0
         with pytest.raises(ValueError, match="overflow"):
             wedge_rank(ExteriorVector.basis(6, (1, 2, 3), field), 4)
+        for kernel in (wedge_rank, wedge_matrix):
+            with pytest.raises(ValueError, match="negative"):
+                kernel(ExteriorVector.basis(5, (1, 2), field), -1)
+
+
+# -- the Schur complement route of wedge_rank ------------------------------------
+
+
+def full_rank_mod_p(u, s):
+    """rank_mod_p of the whole residue matrix of t |-> u ^ t."""
+    p = u.field.p
+    return rank_mod_p(exterior._wedge_array(u, s, *exterior._residue_column(u), 0), p)
+
+
+KERNEL_PRIMES = [f for f in KERNEL_FIELDS if f is not QQ]
+
+
+@given(rank_inputs(KERNEL_PRIMES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_wedge_rank_matches_rank_of_the_whole_array(case, data):
+    u, s = case
+    assert wedge_rank(u, s) == full_rank_mod_p(u, s)
+    if not u.is_zero:
+        # Another term as the pivot: the rank must not depend on the choice.
+        first = data.draw(st.sampled_from(sorted(u._coeffs)))
+        moved = {first: u._coeffs[first], **u._coeffs}
+        v = ExteriorVector._trusted(u.n, u.degree, moved, u.field)
+        assert next(iter(v._coeffs)) == first
+        assert wedge_rank(v, s) == wedge_rank(u, s)
+
+
+# (4, 3) over 2^61 - 1 is left out: its 425 x 70 x 425 product of Python ints
+# takes about 0.6 s.
+@pytest.mark.parametrize(
+    "r, field",
+    [(r, f) for r in (2, 3, 4) for f in (F, PrimeField(2), PrimeField(3037000493), PrimeField(2**61 - 1))
+     if r < 4 or f.p != 2**61 - 1],
+)
+def test_members_have_zero_schur_complement(r, field):
+    w = random_grass_point(r, 3 * r, field, random.Random(r)).plucker
+    k, S = exterior._wedge_schur(w, r)
+    assert k == math.comb(2 * r, r) and S.shape == (
+        math.comb(3 * r, 2 * r) - k, math.comb(3 * r, r) - k
+    )
+    assert not S.any()
+    assert wedge_rank(w, r) == math.comb(2 * r, r)
+
+
+def test_sparse_wedge_rank_skips_zero_row_blocks(monkeypatch):
+    # e_123 + e_145 = e_1 ^ (e_23 + e_45) is not decomposable.  Pivoting on
+    # e_123, the 175 rows of X beyond the diagonal block are nonzero only at
+    # e_145 | t with t inside {6, ..., 10}: 10 rows, so some 64-row blocks of
+    # X are all zero.
+    blocks = []
+    submul = exterior.submul_mod_p
+
+    def recording(S, X, Y, p):
+        blocks.extend(X[i : i + 64].any() for i in range(0, len(X), 64))
+        submul(S, X, Y, p)
+
+    monkeypatch.setattr(exterior, "submul_mod_p", recording)
+    for field in KERNEL_PRIMES:
+        u = ev(10, (1, 2, 3), (1, 4, 5), field=field)
+        assert wedge_rank(u, 3) == full_rank_mod_p(u, 3) > math.comb(7, 3)
+    assert True in blocks and False in blocks
+
+
+def test_wedge_rank_with_an_inner_dimension_of_several_chunks():
+    # p = 3037000493 chunks the product's inner dimension by 90; the diagonal
+    # block of a degree-2 term in wedge^4 of an 11-dimensional space is
+    # C(9, 4) = 126 wide.
+    field = PrimeField(3037000493)
+    u = random_exterior(11, 2, field, random.Random(7))
+    u = ExteriorVector._trusted(11, 2, dict(list(u._coeffs.items())[::9]), field)
+    k, S = exterior._wedge_schur(u, 4)
+    assert k == math.comb(9, 4) and S.any()
+    assert wedge_rank(u, 4) == full_rank_mod_p(u, 4)
 
 
 # -- contraction and the decomposability oracle -------------------------------

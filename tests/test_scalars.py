@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,14 @@ from pluckerlab.scalars import (
     Fp,
     PrimeField,
     QQ,
+    _residue_dtype,
     mat_det,
     mat_rank,
     mat_vec,
     poly_interpolate,
     random_matrix,
     sample_scalar,
+    submul_mod_p,
 )
 
 F = PrimeField()
@@ -128,6 +131,70 @@ def test_rank_above_int64_safe_primes():
             for i in range(6)
         ]
         assert mat_rank(DenseMatrix.from_rows(prod)) == 4
+
+
+def reference_submul(S, X, Y, p):
+    """(S - X Y) mod p on lists of Python ints."""
+    k = len(Y)
+    return [
+        [(S[i][j] - sum(X[i][l] * Y[l][j] for l in range(k))) % p for j in range(len(S[0]))]
+        for i in range(len(S))
+    ]
+
+
+def check_submul(S, X, Y, p):
+    dtype = _residue_dtype(p)
+    out = np.array(S, dtype=dtype)
+    submul_mod_p(out, np.array(X, dtype=dtype), np.array(Y, dtype=dtype), p)
+    assert out.tolist() == reference_submul(S, X, Y, p)
+
+
+# The float64 product is exact only while its inner chunks stay below 2^53:
+# 2^53 // ((p // 2 + 1) 2^16) is 90 for 3037000493 (the largest prime with an
+# int64 residue array) and 128 for 2^31 - 1, so k = 1000 spans several chunks.
+SUBMUL_PRIMES = [2, 3, 2**31 - 1, 3037000493, 2**61 - 1]
+
+
+def odd_limbs_below(p):
+    """The largest residue below p whose 16-bit limbs are both odd."""
+    y = p - 1 - (p - 1) % 2**16 + 2**16 - 1
+    while y >= p or not y >> 16 & 1:
+        y -= 2**16
+    return y
+
+
+@pytest.mark.parametrize("p", SUBMUL_PRIMES)
+def test_submul_at_the_largest_balanced_and_limb_values(p):
+    k = 1000
+    # X at p // 2 has the largest balanced magnitude, and p - 1 balances to
+    # -1; Y at p - 1 fills both limbs.  Odd products sum to odd integers,
+    # which float64 rounds once they pass 2^53, so an X near p // 2 or p - 2
+    # (which would not fit unbalanced) and a Y with odd limbs catch a chunk
+    # that is too long.
+    cases = [(p // 2, p - 1, 0), (p - 1, p - 1, p - 1), (p // 2, p // 2, 1)]
+    if p > 2**17:
+        y = odd_limbs_below(p)
+        cases += [(p // 2 - 1 + p // 2 % 2, y, 0), (p - 2, y, 1)]
+    for x_val, y_val, s_val in cases:
+        check_submul([[s_val] * 3 for _ in range(2)], [[x_val] * k for _ in range(2)], [[y_val] * 3 for _ in range(k)], p)
+    # Entries just below p, where an unbalanced X would be about p.
+    rng = random.Random(p)
+
+    def near_top(rows, cols):
+        return [[p - 1 - rng.randrange(min(p, 2**12)) for _ in range(cols)] for _ in range(rows)]
+
+    check_submul([[0] * 3] * 2, near_top(2, k), near_top(k, 3), p)
+
+
+@pytest.mark.parametrize("p", SUBMUL_PRIMES)
+def test_submul_matches_python_ints_across_row_blocks_and_chunks(p):
+    rng = random.Random(p)
+    m, k, n = 150, 300, 5
+    S = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    X = [[rng.choice((0, 1, p // 2, p - 1, rng.randrange(p))) for _ in range(k)] for _ in range(m)]
+    X[64:128] = [[0] * k for _ in range(64)]  # one all-zero block of 64 rows
+    Y = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(n)] for _ in range(k)]
+    check_submul(S, X, Y, p)
 
 
 def test_prime_field_rejects_non_primes():
