@@ -601,6 +601,10 @@ def run(config: ExperimentConfig) -> Report:
 def _validate(config: ExperimentConfig):
     if config.r < 1 or config.m < 2:
         raise ValueError("need r >= 1 and m >= 2")
+    if config.r * config.m > 64:
+        raise ValueError("ambient dimension r * m must be at most 64")
+    if config.trials < 1:
+        raise ValueError("need trials >= 1")
     if config.command in ("reconstruction", "codim-threshold") and config.m < 3:
         raise ValueError("unsupported hypothesis: membership tests need m >= 3")
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:

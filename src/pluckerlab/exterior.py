@@ -47,21 +47,25 @@ lists for each degree-a mask (in lex order) the flat row-major positions of
 the nonzero entries of the matrix of t |-> e_mu ^ t on wedge^s(V), with one
 sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
 row.  ``_wedge_array`` fills a matrix from it with one fancy-index
-assignment: ``wedge_matrix`` and the blocks of
-``plucker_form.build_tangent_system`` with the boxed coefficients, and over
-F_p ``wedge_rank`` with the residues c or p - c, so no boxed matrix is
-built on the classifier's path.  The residue ``wedge`` reads the same table
-through ``_wedge_gather``, so every wedge kernel over F_p shares one index
-table.
+assignment: ``wedge_matrix`` with the boxed coefficients, and the blocks
+of ``plucker_form.build_tangent_system`` boxed or as residues.  The
+residue ``wedge`` reads the same table through ``_wedge_gather``, and
+``wedge_rank`` through ``_schur_scatter`` (below), so every wedge kernel
+over F_p shares one index table.
 
-Rank over F_p.  The table row of u's first term c_0 e_mu0 is also a
+Rank over F_p.  The table row i0 of u's first term c_0 e_mu0 is also a
 diagonal block of the wedge matrix: rows mu0 | t and columns t for the
 C(n - a, s) masks t disjoint from mu0, entries +-c_0.  So ``wedge_rank``
 counts those pivots at once and hands only the Schur complement S of that
-block (``_wedge_schur``, formed by :func:`pluckerlab.scalars.submul_mod_p`)
-to :func:`pluckerlab.scalars.rank_mod_p`.  A decomposable u has rank
-C(n - a, s), so its S is zero (the Plucker relations in the chart c_0 != 0)
-and Grassmannian members get their rank with no elimination at all.
+block (``_wedge_schur``) to :func:`pluckerlab.scalars.rank_mod_p`.  The
+wedge matrix itself is never built: ``_schur_scatter(n, a, s, i0)``, cached
+per pivot row in a bounded cache, maps every scatter-table entry to its
+place in S, in X (the pivot columns) or in Y (the pivot rows), so one
+fancy-index assignment of c or p - c fills all three, and
+:func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  A decomposable
+u has rank C(n - a, s), so its S is zero (the Plucker relations in the
+chart c_0 != 0) and Grassmannian members get their rank with no
+elimination at all.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -85,6 +89,7 @@ from .scalars import (
     Field,
     PrimeField,
     Scalar,
+    _mod_p,
     _modulus,
     _residue_dtype,
     mat_rank,
@@ -619,6 +624,8 @@ def random_exterior(
     n: int, degree: int, field: Field, rng: random.Random
 ) -> ExteriorVector:
     """Dense random vector with all coefficients sampled; retried if zero."""
+    if not 0 < n <= 64:
+        raise ValueError("ambient dimension must be in 1..64")
     if degree > n:
         raise ValueError(f"degree {degree} exceeds ambient dimension {n}")
     while True:
@@ -628,16 +635,22 @@ def random_exterior(
             return vec
 
 
+def _check_wedge_degree(n: int, a: int, s: int) -> None:
+    """Refuse a map t |-> u ^ t from wedge^s(V) for a negative s, or for a
+    degree-a u with a + s > n."""
+    if s < 0:
+        raise ValueError(f"negative degree s = {s}")
+    if a + s > n:
+        raise ValueError("degree overflow")
+
+
 def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
     """The matrix of t |-> u ^ t on wedge^s(V) as an array filled with
     ``fill``, scattered from ``_wedge_scatter``: c[i] or minus_c[i] (column
     vectors, one row per term of u in coefficient order) at the positions of
     the table row of the i-th term, as its sign flags say."""
     n, a = u.n, u.degree
-    if s < 0:
-        raise ValueError(f"negative degree s = {s}")
-    if a + s > n:
-        raise ValueError("degree overflow")
+    _check_wedge_degree(n, a, s)
     rows = _term_positions(u)
     flat, neg = _wedge_scatter(n, a, s)
     nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
@@ -667,59 +680,103 @@ def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     return DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
 
 
-def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
-    """Over F_p, (k, S) with rank(t |-> u ^ t on wedge^s(V)) = k + rank(S).
+@lru_cache(maxsize=16)
+def _schur_scatter(n: int, a: int, s: int, i0: int) -> np.ndarray:
+    """Where each entry of ``_wedge_scatter(n, a, s)`` lands when the pivot is
+    the block of table row i0 (see :func:`_wedge_schur`): its position in one
+    flat buffer laid out S | X | Y, with S = A[R', C'] (mr x mc), X =
+    A[R', C0] (mr x k) and Y = A[R0, C'] (k x mc), all row-major.
 
-    Let c_0 e_mu0 be u's first term, at row i0 of ``_wedge_scatter``.  Its
-    C(n - a, s) entries sit at rows R0 = {mu0 | t} and columns C0 = {t}, t
-    disjoint from mu0, and the block A[R0, C0] is diagonal with entries
-    +-c_0 (the table's sign flags): an entry at row mu0 | t, column t' in C0
-    needs t' inside mu0 | t, and as t' misses mu0 that means t' = t.  So k =
-    |C0| and S is the Schur complement A[R', C'] - A[R', C0] D^-1 A[R0, C'],
-    R' and C' the other rows and columns (rank additivity, Guttman 1946).
-    When u is zero, k = 0 and S is the zero matrix itself.
+    R' and C' keep their ascending order; the columns of X and the rows of Y
+    follow ``flat[i0]``, so pivot j sits at row ``rows0[j]``, column
+    ``cols0[j]``.  Row i0's own entries form the diagonal block itself, and
+    their positions are never used.  The cache is bounded: one table costs
+    277 KB at (12, 4, 4) and about 6 MB at (15, 5, 5).
     """
-    p = u.field.p
-    A = _wedge_array(u, s, *_residue_column(u), 0)
-    if u.is_zero:
-        return 0, A
-    mu0 = next(iter(u._coeffs))
-    flat, neg = _wedge_scatter(u.n, u.degree, s)
-    i0 = _lex_position(u.n, u.degree)[mu0]
-    rows0, cols0 = np.divmod(flat[i0], A.shape[1])
-    inv = pow(u._coeffs[mu0], -1, p)
-    d_inv = np.full(len(cols0), inv, dtype=A.dtype)
+    flat, _ = _wedge_scatter(n, a, s)
+    nrows, ncols, k = math.comb(n, a + s), math.comb(n, s), flat.shape[1]
+    mr, mc = nrows - k, ncols - k
+    rows0, cols0 = np.divmod(flat[i0], ncols)
+    maps = []
+    for size, pivots in ((nrows, rows0), (ncols, cols0)):
+        # Each row (column) -> its index among the non-pivot ones, or, for
+        # a pivot, its index j in ``flat[i0]``.
+        is_pivot = np.zeros(size, dtype=bool)
+        is_pivot[pivots] = True
+        at = np.cumsum(~is_pivot) - 1
+        at[pivots] = np.arange(k)
+        maps.append((is_pivot, at))
+    (row_piv, row_at), (col_piv, col_at) = maps
+    row, col = np.divmod(flat, ncols)
+    i, j = row_at[row], col_at[col]
+    return np.where(
+        row_piv[row],
+        mr * (mc + k) + i * mc + j,
+        np.where(col_piv[col], mr * mc + i * k + j, i * mc + j),
+    )
+
+
+def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
+    """Over F_p and for nonzero u, (k, S) with rank(t |-> u ^ t on
+    wedge^s(V)) = k + rank(S).
+
+    Let c_0 e_mu0 be u's first term, at row i0 of ``_wedge_scatter``, and A
+    the matrix of the map.  The term's C(n - a, s) entries sit at rows R0 =
+    {mu0 | t} and columns C0 = {t}, t disjoint from mu0, and the block
+    A[R0, C0] is diagonal with entries +-c_0 (the table's sign flags): an
+    entry at row mu0 | t, column t' in C0 needs t' inside mu0 | t, and as t'
+    misses mu0 that means t' = t.  So k = |C0| and S is the Schur complement
+    A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the other rows and
+    columns (rank additivity, Guttman 1946).  A itself is never built: the
+    other terms' entries are scattered straight into S, X = A[R', C0] and
+    Y = A[R0, C'] through the cached ``_schur_scatter(n, a, s, i0)``, X is
+    scaled by D^-1, and :func:`pluckerlab.scalars.submul_mod_p` forms S.
+    """
+    n, a, p = u.n, u.degree, u.field.p
+    rows = _term_positions(u)
+    i0 = int(rows[0])
+    _, neg = _wedge_scatter(n, a, s)
+    k = neg.shape[1]
+    mr, mc = math.comb(n, a + s) - k, math.comb(n, s) - k
+    c, minus_c = _residue_column(u)
+    buf = np.zeros(mr * mc + (mr + mc) * k, dtype=c.dtype)
+    rest = rows[1:]
+    buf[_schur_scatter(n, a, s, i0)[rest]] = np.where(neg[rest], minus_c[1:], c[1:])
+    S = buf[: mr * mc].reshape(mr, mc)
+    X = buf[mr * mc : mr * (mc + k)].reshape(mr, k)
+    Y = buf[mr * (mc + k) :].reshape(k, mc)
+    inv = pow(int(c[0, 0]), -1, p)
+    d_inv = np.full(k, inv, dtype=buf.dtype)
     d_inv[neg[i0]] = p - inv
-    rest_rows = np.delete(np.arange(A.shape[0]), rows0)
-    rest_cols = np.delete(np.arange(A.shape[1]), cols0)
-    # ``np.ix_`` keeps S row-major, as the row updates of the product and
-    # the elimination need (``A[rows][:, cols]`` would not), and makes no
-    # intermediate copy; A goes before the product, which bounds peak memory.
-    S = A[np.ix_(rest_rows, rest_cols)]
-    X, Y = A[np.ix_(rest_rows, cols0)] * d_inv % p, A[np.ix_(rows0, rest_cols)]
-    del A
+    X *= d_inv  # products of two residues, which the dtype holds
+    _mod_p(X, p)
     submul_mod_p(S, X, Y, p)
-    return len(cols0), S
+    return k, S
 
 
 def wedge_rank(u: ExteriorVector, s: int) -> int:
     """Rank of t |-> u ^ t on wedge^s(V): ``mat_rank(wedge_matrix(u, s))``.
 
-    Over F_p the matrix is never boxed: each coefficient of u is unboxed
-    once, and one fancy-index assignment writes c or p - c from the scatter
-    table into a zeroed residue array.  Its first term's diagonal block
-    gives C(n - a, s) pivots at once (:func:`_wedge_schur`), and only the
-    Schur complement S, formed by :func:`pluckerlab.scalars.submul_mod_p`,
-    is left to :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as it
-    is for a decomposable u (the Plucker relations in the chart of that
+    Over F_p the matrix is neither boxed nor built.  A zero u has rank 0,
+    returned before anything is allocated.  Otherwise u's first term's
+    diagonal block gives C(n - a, s) pivots at once, and the Schur complement
+    S of that block, scattered straight from u's residues and formed by
+    :func:`pluckerlab.scalars.submul_mod_p` (:func:`_wedge_schur`), is all
+    that is left to :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as
+    it is for a decomposable u (the Plucker relations in the chart of that
     term), nothing is eliminated.  Over Q it is Bareiss elimination on
     ``wedge_matrix(u, s)``.  A negative s is refused.
     """
     if not isinstance(u.field, PrimeField):
         return mat_rank(wedge_matrix(u, s))
+    _check_wedge_degree(u.n, u.degree, s)
+    if u.is_zero:
+        return 0
     k, S = _wedge_schur(u, s)
     rows = S.any(axis=1)
     if not rows.any():
         return k
     # Zero rows and columns add nothing to the rank; a sparse u leaves many.
-    return k + rank_mod_p(S[rows].compress(S.any(axis=0), axis=1), u.field.p)
+    # Rebinding S frees the scatter buffer (S, X and Y) before elimination.
+    S = S[rows].compress(S.any(axis=0), axis=1)
+    return k + rank_mod_p(S, u.field.p)

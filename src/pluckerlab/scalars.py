@@ -4,23 +4,25 @@ Two exact coefficient fields are supported: the rationals (``fractions.Fraction`
 and a prime field Z/p with a fixed large prime, default p = 2^31 - 1.  All
 arithmetic is exact.  The one use of floating point, the float64 matrix
 product of :func:`submul_mod_p`, keeps every partial sum an integer below
-2^53, so it returns exact integers (proved in its docstring).
+2^53, so it returns exact integers, and its int64 matmul keeps every
+partial sum below 2^63, so it never wraps (both proved in its docstring).
 
 Rank computations dispatch on the field: fraction-free (Bareiss) elimination
 over the rationals, plain Gaussian elimination on numpy arrays over the prime
 field.  The prime-field elimination, :func:`rank_mod_p`, is the one kernel
 for every rank mod p: ``mat_rank`` feeds it the residues of a boxed matrix,
-and ``exterior.wedge_rank`` the Schur complement of an array it scatters
-without boxing.  The
-elimination update forms products of two residues, so the arrays are int64
+and ``exterior.wedge_rank`` a Schur complement it scatters straight from
+a vector's residues.  The elimination update forms products of two residues, so the arrays are int64
 only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
 elimination runs on an object array of Python ints, which cannot overflow.
 ``_residue_dtype`` holds that rule for both callers.  ``submul_mod_p``
-forms S - X Y mod p on the same arrays, for that Schur complement: over
-int64 residues as float64 GEMMs on a balanced X and a Y split into 16-bit
-limbs, chunked along the inner dimension so every sum stays exact (the
-technique of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008),
-and over object arrays in Python ints.
+forms S - X Y mod p on the same arrays, for that Schur complement.  Over
+int64 residues X is balanced into (-p/2, p/2]; a short inner dimension k,
+with k (p // 2)^2 + p < 2^63, takes one int64 matmul against a balanced Y,
+and a longer one float64 GEMMs against Y split into 16-bit limbs, chunked
+along the inner dimension so every sum stays exact (the technique of
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Over object
+arrays it works in Python ints.
 
 Determinants come from one elimination loop, ``_det``, on unboxed rows
 (ints kept reduced mod p, or Fractions), boxing only the result; ``mat_det``
@@ -418,33 +420,53 @@ def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
     """S <- (S - X Y) mod p in place, for residue arrays in [0, p) of dtype
     ``_residue_dtype(p)``: S is m x n, X is m x k and Y is k x n.
 
-    Over int64 residues the product runs on float64 BLAS and is exact.  X is
-    balanced into (-p/2, p/2], so |x| <= p // 2, and Y is split at 2^16 into
-    limbs Y = 2^16 Y_hi + Y_lo, both in [0, 2^16) because p < 2^32 here.  A
-    product of an X entry and a limb is then below (p // 2 + 1) 2^16 in
-    magnitude, so a chunk of at most ``2^53 // ((p // 2 + 1) 2^16)`` inner
-    indices sums to below 2^53 in magnitude, and so does every partial sum,
-    in whatever order and grouping BLAS adds: each is an integer that float64
-    holds exactly, so each of the two GEMMs of a chunk returns its exact
-    integer result, hi or lo.  Cast to int64, hi is reduced mod p, so
-    2^16 hi < 2^48, and an entry s of S becomes s - 2^16 hi - lo, of
-    magnitude below 2^54, before it is reduced mod p again (by
-    :func:`_mod_p`).  S is updated 64 rows at a time, which bounds the
-    float64 temporaries, and a row block of X that is all zero is skipped.
-    Object arrays (p above 2^31.5) take the product in Python ints, which
-    cannot overflow.
+    Over int64 residues X is balanced into (-p/2, p/2], so |x| <= h =
+    p // 2, and the product is exact on one of two routes.
+
+    Short products, k h^2 + p < 2^63 (k <= 8 at p = 2^31 - 1), run as one
+    int64 matmul on X and Y both balanced.  Each product of two entries is
+    at most h^2 in magnitude, so every partial sum of a dot product, in
+    whatever order it is added, is at most k h^2 < 2^63, and an entry s of
+    S in [0, p) becomes s - (X Y)_ij of magnitude below k h^2 + p < 2^63,
+    before :func:`_mod_p` reduces it.  Numpy's integer matmul wraps around
+    without a warning, so this bound is the only guard.
+
+    Longer products run on float64 BLAS.  Y is split at 2^16 into limbs Y =
+    2^16 Y_hi + Y_lo, both in [0, 2^16) because p < 2^32 here.  A product of
+    an X entry and a limb is then below (h + 1) 2^16 in magnitude, so a
+    chunk of at most ``2^53 // ((h + 1) 2^16)`` inner indices sums to below
+    2^53 in magnitude, and so does every partial sum, in whatever order and
+    grouping BLAS adds: each is an integer that float64 holds exactly, so
+    each of the two GEMMs of a chunk returns its exact integer result, hi or
+    lo.  Cast to int64, hi is reduced mod p, so 2^16 hi < 2^48, and an entry
+    s of S becomes s - 2^16 hi - lo, of magnitude below 2^54, before it is
+    reduced mod p again.
+
+    Both routes update S 64 rows at a time, which bounds the temporaries,
+    and skip a row block of X that is all zero.  Object arrays (p above
+    2^31.5) take the product in Python ints, which cannot overflow.
     """
     if S.dtype == object:
         S[...] = (S - (X @ Y) % p) % p
         return
-    chunk = 2**53 // ((p // 2 + 1) << 16)
-    Xb = np.where(X > p // 2, X - p, X).astype(np.float64)
-    Y_hi, Y_lo = (Y >> 16).astype(np.float64), (Y & 0xFFFF).astype(np.float64)
+    h, k = p // 2, X.shape[1]
+    Xb = np.where(X > h, X - p, X)
+    short = k * h * h + p < 2**63
+    if short:
+        Yb = np.where(Y > h, Y - p, Y)
+    else:
+        chunk = 2**53 // ((h + 1) << 16)
+        Xb = Xb.astype(np.float64)
+        Y_hi, Y_lo = (Y >> 16).astype(np.float64), (Y & 0xFFFF).astype(np.float64)
     for i in range(0, S.shape[0], 64):
         x, block = Xb[i : i + 64], S[i : i + 64]
         if not x.any():
             continue
-        for j in range(0, X.shape[1], chunk):
+        if short:
+            block -= x @ Yb
+            _mod_p(block, p)
+            continue
+        for j in range(0, k, chunk):
             xj = x[:, j : j + chunk]
             hi = _mod_p((xj @ Y_hi[j : j + chunk]).astype(np.int64), p)
             block -= (hi << 16) + (xj @ Y_lo[j : j + chunk]).astype(np.int64)

@@ -73,6 +73,26 @@ def test_composite_prime_exits_two(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_exit_two(trials, capsys):
+    assert main(["rank-bound", "--trials", trials]) == 2
+    assert "trials >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank-bound", "--r", "5", "--m", "13"],
+        ["reconstruction", "--r", "1", "--m", "65"],
+        ["p1-divisor", "--splitting", "12,12,12,12,12", "--m", "13"],
+    ],
+)
+def test_ambient_dimension_above_64_exits_two_before_any_trial(argv, capsys):
+    assert main(argv + ["--trials", "1"]) == 2
+    assert "at most 64" in capsys.readouterr().err
+
+
 def test_codim_threshold_above_int64_safe_primes(tmp_path):
     out = tmp_path / "r.json"
     code = main(

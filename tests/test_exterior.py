@@ -4,8 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pluckerlab import exterior
@@ -24,7 +25,9 @@ from pluckerlab.exterior import (
     wedge_rank,
 )
 from pluckerlab.grassmann import random_grass_point
-from pluckerlab.scalars import QQ, Fp, PrimeField, mat_rank, mat_vec, rank_mod_p, sample_scalar
+from pluckerlab.scalars import (
+    QQ, Fp, PrimeField, mat_rank, mat_vec, rank_mod_p, sample_scalar, submul_mod_p,
+)
 
 F = PrimeField()
 
@@ -507,6 +510,88 @@ def test_wedge_rank_with_an_inner_dimension_of_several_chunks():
     assert wedge_rank(u, 4) == full_rank_mod_p(u, 4)
 
 
+
+# -- the Schur complement scattered from the pivot table -------------------------
+
+
+def reference_schur(u, s):
+    """(k, S) as :func:`exterior._wedge_schur` defines them, cut out of the
+    whole residue matrix: ``_wedge_array``, then S, X and Y by ``np.ix_``,
+    then ``submul_mod_p``."""
+    p = u.field.p
+    A = exterior._wedge_array(u, s, *exterior._residue_column(u), 0)
+    mu0, c0 = next(iter(u._coeffs.items()))
+    flat, neg = exterior._wedge_scatter(u.n, u.degree, s)
+    i0 = exterior._lex_position(u.n, u.degree)[mu0]
+    rows0, cols0 = np.divmod(flat[i0], A.shape[1])
+    inv = pow(c0, -1, p)
+    d_inv = np.full(len(cols0), inv, dtype=A.dtype)
+    d_inv[neg[i0]] = p - inv
+    rest_rows = np.delete(np.arange(A.shape[0]), rows0)
+    rest_cols = np.delete(np.arange(A.shape[1]), cols0)
+    S = A[np.ix_(rest_rows, rest_cols)]
+    X, Y = A[np.ix_(rest_rows, cols0)] * d_inv % p, A[np.ix_(rows0, rest_cols)]
+    submul_mod_p(S, X, Y, p)
+    return len(cols0), S
+
+
+def with_pivot(u, mu, c=1):
+    """u with the term at mu moved to the front of its coefficients, so that
+    it is the pivot of ``_wedge_schur``; coefficient c if u has no such term."""
+    coeffs = {mu: u._coeffs.get(mu, c), **u._coeffs}
+    return ExteriorVector._trusted(u.n, u.degree, coeffs, u.field)
+
+
+def assert_schur_matches_reference(u, s):
+    k, S = exterior._wedge_schur(u, s)
+    k_ref, S_ref = reference_schur(u, s)
+    assert k == k_ref and S.dtype == S_ref.dtype and S.shape == S_ref.shape
+    assert S.tolist() == S_ref.tolist()
+
+
+@st.composite
+def schur_inputs(draw):
+    """A nonzero vector, dense or sparse, over a kernel prime, with a drawn
+    term as the pivot (so i0 varies), and s, drawn often at 0 and n - a."""
+    field = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(1, 9))
+    a = draw(st.integers(0, n))
+    s = draw(st.sampled_from([0, n - a]) | st.integers(0, n - a))
+    u = draw_vector(draw, field, n, a)
+    assume(not u.is_zero)
+    return with_pivot(u, draw(st.sampled_from(sorted(u._coeffs)))), s
+
+
+@given(schur_inputs())
+@settings(max_examples=120, deadline=None)
+def test_schur_scatter_matches_the_whole_array_construction(case):
+    assert_schur_matches_reference(*case)
+
+
+@pytest.mark.parametrize("field", KERNEL_PRIMES)
+def test_schur_scatter_for_every_pivot_and_at_the_edge_degrees(field):
+    u = random_exterior(6, 2, field, random.Random(5))
+    for mu in lex_masks(6, 2):  # all 15 pivots of a dense (2, 3) vector
+        assert_schur_matches_reference(with_pivot(u, mu), 2)
+    info = exterior._schur_scatter.cache_info()
+    assert info.maxsize == 16 and info.currsize <= info.maxsize
+    # s = 0 (one column), a + s = n (one row), and degrees 0 and n.
+    for a, s in [(2, 0), (2, 4), (0, 3), (6, 0)]:
+        v = random_exterior(6, a, field, random.Random(a))
+        for mu in (lex_masks(6, a)[0], lex_masks(6, a)[-1]):
+            assert_schur_matches_reference(with_pivot(v, mu), s)
+
+
+def test_wedge_rank_of_zero_builds_no_schur_complement(monkeypatch):
+    monkeypatch.setattr(exterior, "_wedge_schur", None)  # any call raises
+    for field in KERNEL_PRIMES:
+        zero = ExteriorVector.zero(6, 2, field)
+        assert wedge_rank(zero, 3) == 0
+        for s, message in [(-1, "negative"), (5, "overflow")]:
+            with pytest.raises(ValueError, match=message):
+                wedge_rank(zero, s)
+
+
 # -- contraction and the decomposability oracle -------------------------------
 
 
@@ -560,6 +645,19 @@ def test_random_exterior_shape_and_determinism():
 def test_random_exterior_degree_error():
     with pytest.raises(ValueError):
         random_exterior(4, 5, QQ, random.Random(0))
+
+
+class NoDraws(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("sampled a coefficient before refusing the input")
+
+
+@pytest.mark.parametrize("n", [0, 65])
+def test_random_exterior_refuses_ambient_dimension_before_sampling(n):
+    # C(65, 4) is about 680000 coefficients: the refusal comes first.
+    for field in (F, QQ):
+        with pytest.raises(ValueError, match="1..64"):
+            random_exterior(n, 4, field, NoDraws(0))
 
 
 def test_json_roundtrip_exact():

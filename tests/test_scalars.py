@@ -197,6 +197,35 @@ def test_submul_matches_python_ints_across_row_blocks_and_chunks(p):
     check_submul(S, X, Y, p)
 
 
+
+def largest_short_k(p):
+    """The largest inner dimension k with k (p // 2)^2 + p < 2^63, the bound
+    under which submul_mod_p takes one int64 matmul: 8 at 2^31 - 1 and 4 at
+    3037000493.  At p = 2 and 3 it is about 2^63, beyond any array."""
+    h = p // 2
+    return (2**63 - p - 1) // (h * h)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 3037000493])
+def test_submul_int64_route_at_its_bound_and_one_past_it(p):
+    # p // 2 and p // 2 + 1 balance to +-p // 2, so every product has the
+    # largest magnitude (p // 2)^2, all of one sign along a dot product: the
+    # row of p // 2 against the column of p // 2 + 1 sums to -k (p // 2)^2,
+    # and an S entry of p - 1 then reaches k (p // 2)^2 + p - 1.  One k past
+    # the bound, that sum no longer fits in int64 (it goes to the float
+    # route); at p = 2 and 3 both k take the int64 route.  Entries p - 1
+    # balance to -1, but near p unbalanced, they would overflow at the bound.
+    values = [p // 2, (p // 2 + 1) % p, p - 1]
+    k_max = largest_short_k(p)
+    for k in (min(k_max, 1000), min(k_max, 1000) + 1):
+        X = [[x] * k for x in values]
+        Y = [values] * k
+        for parity in (0, 1):
+            S = [[p - 1 if (i + j) % 2 == parity else 0 for j in range(3)] for i in range(3)]
+            check_submul(S, X, Y, p)
+    assert largest_short_k(2**31 - 1) == 8
+
+
 def test_prime_field_rejects_non_primes():
     for bad in (0, 1, 4, 15, 561, 3215031751, 2**64 + 13, 7.0):
         with pytest.raises(ValueError):
