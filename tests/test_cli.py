@@ -136,6 +136,9 @@ GOLDEN_BODIES = {
     ("p1-lambda", 3, 3): "17e1ff5ecc4d90b6334ad016e94f3654086eb253edaeb12d2bd974e9ff9a33ab",
     ("p1-no-form", 2, 3): "1774e7ec1927c5256e62b735e8f62a832bcbc08bf0bbd97b517a19a536eff837",
     ("p1-no-form", 3, 3): "6e08d58c042bd3db8c6a45998af42863434060ebdbff8361a6046d24ce203b92",
+    # Recorded with the wedge map's rank through its Schur complement.
+    ("rank-bound", 2, 3): "4e92544df0df3c30be11fbd62645fa5f1cf80151145c3377bcaaaab660e6c1e2",
+    ("rank-bound", 3, 3): "766daf378c3f8cdb3107960206de7cde2f09db6ec7cf22b32cd267ac204e47a2",
 }
 
 
@@ -146,8 +149,8 @@ def test_report_bodies_match_golden_digests(command, r, m):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES[command, r, m]
 
 
-# The same digests for the P^1 suites over Q, recorded with the boxed
-# section evaluation, determinant and classifying-map wedges.
+# The same digests for suites over Q.  The P^1 ones were recorded with the
+# boxed section evaluation, determinant and classifying-map wedges.
 GOLDEN_BODIES_Q = {
     ("p1-detmap", 2, 3): "5d88f10d06721ffd48e86b7ccfb64b2e56a57c06e48d12638b7c5d6559d4f9bb",
     ("p1-detmap", 3, 3): "d09ccc696b9c87bcbd77acd6863c2c391539c12ffa9b2b84a10d3b344617f6fc",
@@ -157,6 +160,11 @@ GOLDEN_BODIES_Q = {
     ("p1-lambda", 3, 3): "2d66fb1bdb4014bae60054b36284d7aa788c7074b40dbcdc42005610c0951497",
     ("p1-no-form", 2, 3): "4cfbd4dc1788c3894bc25ef046be2dfecfc2ee3dea97cdca2c0e366b7572d384",
     ("p1-no-form", 3, 3): "ec2612b9a5c0593bf88e8811906ff8666ab9f082e94f9e21f4710ca911514724",
+    # Recorded with Bareiss elimination on the boxed wedge matrix and the
+    # boxed tangent system.
+    ("rank-bound", 2, 3): "29cfa83f0b9efe8aa2030e73e7a0ae7713ef225f994bfffc6a0c5c67d18be866",
+    ("reconstruction", 2, 3): "fd3df8e5fdef04c603034a3d66d43201c4a1f3df062e005b1a36cda819b9eca6",
+    ("codim-threshold", 2, 3): "f9a2f3b78e5ec4a7a823a8257ea803676d9ef8714ce9e9e7f05687f65eb625a8",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -25,7 +26,7 @@ from pluckerlab.plucker_form import (
     polar,
     tangent_codim,
 )
-from pluckerlab.scalars import QQ, PrimeField, mat_rank, poly_interpolate
+from pluckerlab.scalars import QQ, PrimeField, mat_rank, mat_vec, poly_interpolate
 
 F = PrimeField()
 
@@ -272,6 +273,62 @@ def test_tangent_codim_ranks_the_boxed_system(field):
             if multiplicity_at(p) < k:
                 continue
             assert tangent_codim(p, k) == mat_rank(build_tangent_system(p, k).matrix)
+
+
+def _shared_line_point(r, m, field, rng):
+    """m decomposable slots c ^ x_2 ^ ... ^ x_r with one common vector c, so
+    every two slots wedge to zero: the point lies on every stratum."""
+    n = r * m
+    c = random_exterior(n, 1, field, rng)
+    slots = []
+    while len(slots) < m:
+        w = c
+        for _ in range(r - 1):
+            w = wedge(w, random_exterior(n, 1, field, rng))
+        if not w.is_zero:
+            slots.append(w)
+    return PointTuple.of(slots)
+
+
+def _small_direction(n, r, field, rng):
+    coeffs = [field.from_int(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(math.comb(n, r))]
+    return ExteriorVector.from_coefficients(n, r, coeffs, field)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), QQ], ids=["fp", "f7", "q"])
+def test_tangent_system_is_the_eps_coefficient_of_the_subset_wedges(field):
+    # M t, block S, is the sum over i in S of the ordered wedge over S with
+    # t_i in slot i: the definition of build_tangent_system, through wedge.
+    rng = random.Random(71)
+    checks = 0
+    for r, m in [(2, 3), (3, 3), (2, 4)]:
+        n = r * m
+        w = random_grass_point(r, n, field, rng).plucker
+        v = random_exterior(n, r, field, rng)
+        points = [
+            PointTuple.diagonal(w, m),
+            PointTuple.of([v] * (m - 1) + [w]),
+            _shared_line_point(r, m, field, rng),
+        ]
+        for p in points:
+            for k in range(1, multiplicity_at(p) + 1):
+                M = build_tangent_system(p, k).matrix
+                # Dense directions of small nonzero integers keep Q cheap.
+                t = [_small_direction(n, r, field, rng) for _ in range(m)]
+                got = mat_vec(M, [c for ti in t for c in ti.coefficient_vector()])
+                subsets = list(itertools.combinations(range(m), m - k + 1))
+                size = math.comb(n, r * (m - k + 1))
+                assert (M.rows, M.cols) == (len(subsets) * size, m * math.comb(n, r))
+                for b, S in enumerate(subsets):
+                    total = ExteriorVector.zero(n, r * len(S), field)
+                    for i in S:
+                        term = t[i] if S[0] == i else p.slots[S[0]]
+                        for j in S[1:]:
+                            term = wedge(term, t[j] if j == i else p.slots[j])
+                        total = total + term
+                    assert got[b * size : (b + 1) * size] == total.coefficient_vector()
+                checks += 1
+    assert checks >= 12
 
 
 # -- the two routes to the diagonal tangent codimension -----------------------------
