@@ -36,8 +36,10 @@ from .scalars import (
     Field,
     PrimeField,
     Scalar,
+    _boxed,
     _det,
     _modulus,
+    _rank,
     field_from_name,
     field_of,
     mat_rank,
@@ -133,17 +135,18 @@ class BundlePairP1:
         if len(self.sections) != rm:
             raise ValueError(f"need {rm} sections, got {len(self.sections)}")
         unbox = self.field.unbox
-        terms = []
+        terms, rows = [], []
         for section in self.sections:
             if len(section) != r:
                 raise ValueError(f"each section needs {r} components")
             if any(len(f) != d + 1 for f, d in zip(section, splitting)):
                 raise ValueError("component length must be its splitting degree plus one")
-            nonzero = ((j, a, c) for j, f in enumerate(section) for a, c in enumerate(f) if c)
-            terms.append(tuple((j, a, unbox(c)) for j, a, c in nonzero))
+            forms = [[unbox(c) for c in f] for f in section]
+            nonzero = ((j, a, c) for j, f in enumerate(forms) for a, c in enumerate(f) if c)
+            terms.append(tuple(nonzero))
+            rows.append([c for f in forms for c in f])
         object.__setattr__(self, "terms", tuple(terms))
-        rows = [[c for form in s for c in form] for s in self.sections]
-        if mat_rank(DenseMatrix.from_rows(rows)) != rm:
+        if _rank(rows, self.field) != rm:
             raise ValueError("sections are linearly dependent")
 
     @property
@@ -199,11 +202,6 @@ def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]
                 row[base + j] += c * at[j][a]
         rows.append(row if p is None else [x % p for x in row])
     return rows
-
-
-def _boxed(rows: list[list], field: Field) -> DenseMatrix:
-    box = field.box
-    return DenseMatrix.from_rows([[box(x) for x in row] for row in rows])
 
 
 def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:
@@ -389,9 +387,9 @@ def evaluation_functional(pair: BundlePairP1, x: P1Point) -> list[Scalar]:
 
 def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
     """Rank of the matrix of classifying-map images at random points."""
-    nmasks = len(lex_masks(pair.r * pair.m, pair.r))
-    if samples < nmasks:
-        raise ValueError(f"need at least {nmasks} samples")
+    masks = lex_masks(pair.r * pair.m, pair.r)
+    if samples < len(masks):
+        raise ValueError(f"need at least {len(masks)} samples")
     rng = random.Random(seed)
     rows = []
     seen = set()
@@ -404,8 +402,8 @@ def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
             vec = classify_point(pair, x)
         except ValueError:
             continue
-        rows.append(vec.coefficient_vector())
-    return mat_rank(DenseMatrix.from_rows(rows))
+        rows.append([vec._coeffs.get(m, 0) for m in masks])
+    return _rank(rows, pair.field)
 
 
 def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:
@@ -413,7 +411,7 @@ def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:
     if x == y:
         raise ValueError("points must be distinct")
     rows = _section_values(pair, (x, y))
-    return mat_rank(_boxed(rows, pair.field)) == 2 * pair.r
+    return _rank(rows, pair.field) == 2 * pair.r
 
 
 def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:

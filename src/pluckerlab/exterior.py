@@ -46,12 +46,14 @@ Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``_disjoint``,
 lists for each degree-a mask (in lex order) the flat row-major positions of
 the nonzero entries of the matrix of t |-> e_mu ^ t on wedge^s(V), with one
 sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
-row.  ``_wedge_array`` fills a matrix from it with one fancy-index
-assignment: ``wedge_matrix`` with the boxed coefficients, and the blocks
-of ``plucker_form.build_tangent_system`` boxed or as residues.  The
-residue ``wedge`` reads the same table through ``_wedge_gather``, and
-``wedge_rank`` through ``_schur_scatter`` (below), so every wedge kernel
-over F_p shares one index table.
+row.  ``_wedge_array`` fills an array of unboxed entries from it with one
+fancy-index assignment of u's coefficient column (``_column``: residues
+over F_p, Fractions over Q): ``wedge_matrix`` boxes that array for the API,
+``wedge_rank`` over Q ranks it unboxed, and the blocks of
+``plucker_form.build_tangent_system`` are such arrays, each with its sign.
+The residue ``wedge`` reads the same table through ``_wedge_gather``, and
+``wedge_rank`` over F_p through ``_schur_scatter`` (below), so every wedge
+kernel shares one index table.
 
 Rank over F_p.  The table row i0 of u's first term c_0 e_mu0 is also a
 diagonal block of the wedge matrix: rows mu0 | t and columns t for the
@@ -89,10 +91,12 @@ from .scalars import (
     Field,
     PrimeField,
     Scalar,
+    _boxed,
+    _dtype,
     _mod_p,
     _modulus,
+    _rank,
     _residue_dtype,
-    mat_rank,
     rank_mod_p,
     sample_scalar,
     submul_mod_p,
@@ -644,40 +648,35 @@ def _check_wedge_degree(n: int, a: int, s: int) -> None:
         raise ValueError("degree overflow")
 
 
-def _wedge_array(u: ExteriorVector, s: int, c, minus_c, fill) -> np.ndarray:
-    """The matrix of t |-> u ^ t on wedge^s(V) as an array filled with
-    ``fill``, scattered from ``_wedge_scatter``: c[i] or minus_c[i] (column
-    vectors, one row per term of u in coefficient order) at the positions of
-    the table row of the i-th term, as its sign flags say."""
+def _column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
+    """u's unboxed coefficients in coefficient order as a column c of dtype
+    ``_dtype(u.field)``, and the column of -c (p - c over F_p)."""
+    p = _modulus(u.field)
+    c = np.array(list(u._coeffs.values()), dtype=_dtype(u.field)).reshape(-1, 1)
+    return c, -c if p is None else p - c
+
+
+def _wedge_array(u: ExteriorVector, s: int, sign: int = 1) -> np.ndarray:
+    """The matrix of t |-> sign * u ^ t on wedge^s(V) as an array of unboxed
+    entries, zero where empty (``Fraction(0)`` over Q), scattered from
+    ``_wedge_scatter``: the i-th term's coefficient, or its negative, at the
+    positions of its table row, as its sign flags say."""
     n, a = u.n, u.degree
     _check_wedge_degree(n, a, s)
+    c, minus_c = _column(u)
+    if sign < 0:
+        c, minus_c = minus_c, c
     rows = _term_positions(u)
     flat, neg = _wedge_scatter(n, a, s)
     nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
-    A = np.full(nrows * ncols, fill, dtype=c.dtype)
+    A = np.full(nrows * ncols, u.field.unbox(u.field.zero()), dtype=c.dtype)
     A[flat[rows]] = np.where(neg[rows], minus_c, c)
     return A.reshape(nrows, ncols)
 
 
-def _boxed_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
-    """u's boxed coefficients in coefficient order as an object column c,
-    and -c."""
-    c = np.array(list(u.terms.values()), dtype=object).reshape(-1, 1)
-    return c, -c
-
-
-def _residue_column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
-    """Over F_p, the residues of u's coefficients in coefficient order as a
-    column c of dtype ``_residue_dtype(p)``, and p - c: the residues of -c."""
-    p = u.field.p
-    c = np.array(list(u._coeffs.values()), dtype=_residue_dtype(p)).reshape(-1, 1)
-    return c, p - c
-
-
 def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
     """Matrix of t |-> u ^ t on wedge^s(V), in lex bases on both sides."""
-    A = _wedge_array(u, s, *_boxed_column(u), u.field.zero())
-    return DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist()))
+    return _boxed(_wedge_array(u, s), u.field)
 
 
 @lru_cache(maxsize=16)
@@ -738,7 +737,7 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
     _, neg = _wedge_scatter(n, a, s)
     k = neg.shape[1]
     mr, mc = math.comb(n, a + s) - k, math.comb(n, s) - k
-    c, minus_c = _residue_column(u)
+    c, minus_c = _column(u)
     buf = np.zeros(mr * mc + (mr + mc) * k, dtype=c.dtype)
     rest = rows[1:]
     buf[_schur_scatter(n, a, s, i0)[rest]] = np.where(neg[rest], minus_c[1:], c[1:])
@@ -757,21 +756,22 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
 def wedge_rank(u: ExteriorVector, s: int) -> int:
     """Rank of t |-> u ^ t on wedge^s(V): ``mat_rank(wedge_matrix(u, s))``.
 
-    Over F_p the matrix is neither boxed nor built.  A zero u has rank 0,
-    returned before anything is allocated.  Otherwise u's first term's
-    diagonal block gives C(n - a, s) pivots at once, and the Schur complement
-    S of that block, scattered straight from u's residues and formed by
-    :func:`pluckerlab.scalars.submul_mod_p` (:func:`_wedge_schur`), is all
-    that is left to :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as
-    it is for a decomposable u (the Plucker relations in the chart of that
-    term), nothing is eliminated.  Over Q it is Bareiss elimination on
-    ``wedge_matrix(u, s)``.  A negative s is refused.
+    The matrix is never boxed.  A zero u has rank 0, returned before
+    anything is allocated.  Over Q it is Bareiss elimination on the unboxed
+    array of ``_wedge_array``.  Over F_p the matrix is not even built: u's
+    first term's diagonal block gives C(n - a, s) pivots at once, and the
+    Schur complement S of that block, scattered straight from u's residues
+    and formed by :func:`pluckerlab.scalars.submul_mod_p`
+    (:func:`_wedge_schur`), is all that is left to
+    :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as it is for a
+    decomposable u (the Plucker relations in the chart of that term),
+    nothing is eliminated.  A negative s is refused.
     """
-    if not isinstance(u.field, PrimeField):
-        return mat_rank(wedge_matrix(u, s))
     _check_wedge_degree(u.n, u.degree, s)
     if u.is_zero:
         return 0
+    if not isinstance(u.field, PrimeField):
+        return _rank(_wedge_array(u, s), u.field)
     k, S = _wedge_schur(u, s)
     rows = S.any(axis=1)
     if not rows.any():

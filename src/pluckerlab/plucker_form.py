@@ -8,6 +8,12 @@ its lexicographically smallest nonzero coordinate is one.  Every sign is
 obtained by evaluating wedges in natural slot order, never from a separate
 permutation-parity formula; the Taylor-coefficient identity (checked by the
 test suite) pins the convention.
+
+Tangent systems are built once, as one array of unboxed entries (residues
+over F_p, Fractions over Q) filled block by block from
+``exterior._wedge_array``.  ``tangent_codim`` ranks that array through
+``scalars._rank`` over either field; only ``build_tangent_system``, which
+returns the matrix, boxes it.
 """
 
 from __future__ import annotations
@@ -23,25 +29,15 @@ import numpy as np
 from .exterior import (
     ExteriorVector,
     MultiIndex,
-    _boxed_column,
     _indices_from_mask,
     _odd_above,
-    _residue_column,
     _wedge_array,
     lex_masks,
     top_wedge_coefficient,
     wedge,
     wedge_rank,
 )
-from .scalars import (
-    DenseMatrix,
-    Field,
-    PrimeField,
-    Scalar,
-    _residue_dtype,
-    mat_rank,
-    rank_mod_p,
-)
+from .scalars import DenseMatrix, Field, Scalar, _boxed, _dtype, _rank
 
 
 @dataclass(frozen=True)
@@ -237,19 +233,18 @@ def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
     t |-> t ^ w_{S - i}, the sign coming from moving t_i to the front across
     blocks of degree r.
     """
-    A = _tangent_array(p, k, _boxed_column, p.field.zero(), object)
-    return TangentSystem(k, p, DenseMatrix(A.shape[0], A.shape[1], tuple(A.ravel().tolist())))
+    return TangentSystem(k, p, _boxed(_tangent_array(p, k), p.field))
 
 
-def _tangent_array(p: PointTuple, k: int, column, fill, dtype) -> np.ndarray:
-    """The matrix of :func:`build_tangent_system` as a ``dtype`` array over
-    ``fill``; ``column(u)`` gives u's coefficients and their negatives, boxed
-    or as residues, as ``exterior._wedge_array`` takes them."""
-    r, m, n = p.r, p.m, p.n
+def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
+    """The matrix of :func:`build_tangent_system` as an array of unboxed
+    entries of dtype ``_dtype(p.field)``, zero where empty."""
+    r, m, n, field = p.r, p.m, p.n, p.field
     ncols_slot = len(lex_masks(n, r))
     cols_total = m * ncols_slot
+    zero, dtype = field.unbox(field.zero()), _dtype(field)
     if k == 0:
-        return np.full((0, cols_total), fill, dtype=dtype)
+        return np.full((0, cols_total), zero, dtype=dtype)
     if not 1 <= k <= m - 1:
         raise ValueError("singularity order must be in 0..m-1")
     ssize = m - k + 1
@@ -260,29 +255,23 @@ def _tangent_array(p: PointTuple, k: int, column, fill, dtype) -> np.ndarray:
         raise ValueError("point does not lie on the k-th singular stratum")
     rows_per_block = len(lex_masks(n, r * ssize))
     subsets = list(itertools.combinations(range(m), ssize))
-    A = np.full((len(subsets) * rows_per_block, cols_total), fill, dtype=dtype)
+    A = np.full((len(subsets) * rows_per_block, cols_total), zero, dtype=dtype)
     for b, S in enumerate(subsets):
         rows = slice(b * rows_per_block, (b + 1) * rows_per_block)
         smask = sum(1 << i for i in S)
         for pos, i in enumerate(S):
-            u = memo[smask ^ (1 << i)]
-            c, minus_c = column(u)
             # Substituting t_i in place inside the ordered wedge over S equals
             # (-1)^(r*(pos + |S| - 1)) times u ^ t_i with u = w_{S - i}.
-            plus, minus = (minus_c, c) if (r * (pos + ssize - 1)) & 1 else (c, minus_c)
+            sign = -1 if (r * (pos + ssize - 1)) & 1 else 1
             cols = slice(i * ncols_slot, (i + 1) * ncols_slot)
-            A[rows, cols] = _wedge_array(u, r, plus, minus, fill)
+            A[rows, cols] = _wedge_array(memo[smask ^ (1 << i)], r, sign)
     return A
 
 
 def tangent_codim(p: PointTuple, k: int) -> int:
     """Codimension of the tangent space to the k-th singular stratum at p,
-    i.e. the rank of its defining linear system (never boxed over F_p)."""
-    field = p.field
-    if not isinstance(field, PrimeField):
-        return mat_rank(build_tangent_system(p, k).matrix)
-    A = _tangent_array(p, k, _residue_column, 0, _residue_dtype(field.p))
-    return rank_mod_p(A, field.p)
+    i.e. the rank of its defining linear system (never boxed)."""
+    return _rank(_tangent_array(p, k), p.field)
 
 
 def diagonal_multiplicity(w: ExteriorVector) -> int:
@@ -351,10 +340,10 @@ def _diagonal_kronecker_codim(w: ExteriorVector, m: int) -> int:
 def _slot_pair_rank(r_parity: int, m: int, field: Field) -> int:
     """Rank of the signed slot-pair/slot incidence matrix B of
     :func:`diagonal_tangent_codim`."""
-    z, one, lead = field.zero(), field.one(), field.from_int(-1 if r_parity else 1)
+    one, lead = field.unbox(field.one()), field.unbox(field.from_int(-1 if r_parity else 1))
     rows = []
     for i, j in itertools.combinations(range(m), 2):
-        row = [z] * m
+        row = [0] * m
         row[i], row[j] = lead, one
         rows.append(row)
-    return mat_rank(DenseMatrix.from_rows(rows))
+    return _rank(rows, field)

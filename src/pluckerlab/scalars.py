@@ -7,15 +7,22 @@ product of :func:`submul_mod_p`, keeps every partial sum an integer below
 2^53, so it returns exact integers, and its int64 matmul keeps every
 partial sum below 2^63, so it never wraps (both proved in its docstring).
 
-Rank computations dispatch on the field: fraction-free (Bareiss) elimination
-over the rationals, plain Gaussian elimination on numpy arrays over the prime
-field.  The prime-field elimination, :func:`rank_mod_p`, is the one kernel
-for every rank mod p: ``mat_rank`` feeds it the residues of a boxed matrix,
-and ``exterior.wedge_rank`` a Schur complement it scatters straight from
-a vector's residues.  The elimination update forms products of two residues, so the arrays are int64
-only when (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
+Matrices inside the library are unboxed: rows or 2-D arrays of residues in
+[0, p) over F_p, of Fractions over Q (``_dtype`` gives the array dtype).
+Every rank goes through one entry, ``_rank(A, field)``: over F_p it is
+:func:`rank_mod_p`, Gaussian elimination on a numpy array, and over Q
+fraction-free (Bareiss) elimination on the rows with their denominators
+cleared.  ``_boxed`` is the one way out to a ``DenseMatrix``, for the API
+functions that return one; ``mat_rank`` and ``mat_det`` unbox a
+``DenseMatrix`` once (``_unboxed_rows``, which refuses mixed-field
+entries).  ``exterior.wedge_rank`` hands :func:`rank_mod_p` a Schur
+complement it scatters straight from a vector's residues.  The elimination
+update forms products of two residues, so the arrays are int64 only when
+(p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
 elimination runs on an object array of Python ints, which cannot overflow.
-``_residue_dtype`` holds that rule for both callers.  ``submul_mod_p``
+``_residue_dtype`` holds that rule, and :func:`rank_mod_p` refuses any
+other dtype and any entry outside [0, p), since int64 array arithmetic
+wraps around without a warning.  ``submul_mod_p``
 forms S - X Y mod p on the same arrays, for that Schur complement.  Over
 int64 residues X is balanced into (-p/2, p/2]; a short inner dimension k,
 with k (p // 2)^2 + p < 2^63, takes one int64 matmul against a balanced Y,
@@ -308,31 +315,25 @@ class DenseMatrix:
         return DenseMatrix(self.cols, self.rows, tuple(ent))
 
 
-def _matrix_field(M: DenseMatrix) -> Field:
-    """Field of a nonempty matrix; raises on mixed-field entries."""
-    first = M.entries[0]
-    field = field_of(first)
-    if isinstance(first, Fraction):
-        for e in M.entries:
-            if not isinstance(e, Fraction):
-                raise ValueError("mixed-field entries")
-    else:
-        p = first.p
-        for e in M.entries:
-            if not isinstance(e, Fp) or e.p != p:
-                raise ValueError("mixed-field entries")
-    return field
+def _unboxed_rows(M: DenseMatrix) -> tuple[Field, list[list]]:
+    """The field of a nonempty matrix and its entries unboxed, as rows;
+    raises on mixed-field entries."""
+    field = field_of(M.entries[0])
+    unbox = field.unbox
+    try:
+        flat = [unbox(e) for e in M.entries]
+    except ValueError:
+        raise ValueError("mixed-field entries") from None
+    c = M.cols
+    return field, [flat[i : i + c] for i in range(0, len(flat), c)]
 
 
-def _rows_as_integers(M: DenseMatrix) -> list[list[int]]:
+def _rows_as_integers(rows) -> list[list[int]]:
     # Clearing denominators row by row leaves the rank unchanged.
     out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        l = 1
-        for e in row:
-            l = l * e.denominator // math.gcd(l, e.denominator)
-        out.append([int(e * l) for e in row])
+    for row in rows:
+        l = math.lcm(*(e.denominator for e in row))
+        out.append([e.numerator * (l // e.denominator) for e in row])
     return out
 
 
@@ -373,9 +374,11 @@ def _residue_dtype(p: int):
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
-def _to_residue_array(M: DenseMatrix, p: int) -> np.ndarray:
-    a = np.fromiter((e.v for e in M.entries), dtype=_residue_dtype(p), count=M.rows * M.cols)
-    return a.reshape(M.rows, M.cols)
+def _dtype(field: Field):
+    """Array dtype of unboxed entries: ``_residue_dtype(p)`` over F_p,
+    object (Fractions) over Q."""
+    p = _modulus(field)
+    return object if p is None else _residue_dtype(p)
 
 
 def _mod_p(a: np.ndarray, p: int) -> np.ndarray:
@@ -393,7 +396,17 @@ def _mod_p(a: np.ndarray, p: int) -> np.ndarray:
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:
     """Rank over F_p of an array of residues in [0, p) with dtype
-    ``_residue_dtype(p)``, by Gaussian elimination that overwrites A."""
+    ``_residue_dtype(p)``, by Gaussian elimination that overwrites A.
+
+    Any other dtype, or an entry outside [0, p), is refused: int64
+    arithmetic on arrays wraps around without a warning, so the dtype and
+    the range are what keep every product of two residues exact.
+    """
+    dtype = np.dtype(_residue_dtype(p))
+    if A.dtype != dtype:
+        raise ValueError(f"residues mod {p} need dtype {dtype}, not {A.dtype}")
+    if A.size and (A.min() < 0 or A.max() >= p):
+        raise ValueError(f"entries must be residues in [0, {p})")
     m, n = A.shape
     r = 0
     for c in range(n):
@@ -473,14 +486,33 @@ def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
             _mod_p(block, p)
 
 
+def _rank(A, field: Field) -> int:
+    """Rank over ``field`` of unboxed entries, given as rows or as a 2-D
+    array: residues in [0, p) over F_p, Fractions or ints over Q.
+
+    Over F_p it is :func:`rank_mod_p`, which overwrites A when A already is
+    an array of dtype ``_residue_dtype(p)`` (no copy is made); over Q it is
+    Bareiss elimination on the rows with their denominators cleared."""
+    p = _modulus(field)
+    if p is not None:
+        return rank_mod_p(np.asarray(A, dtype=_residue_dtype(p)), p)
+    return _rank_bareiss(_rows_as_integers(A.tolist() if isinstance(A, np.ndarray) else A))
+
+
+def _boxed(A, field: Field) -> DenseMatrix:
+    """The ``DenseMatrix`` of unboxed entries, given as rows or as a 2-D
+    array.  Entries are boxed from ``tolist``, never as numpy scalars; over Q
+    they must already be Fractions."""
+    A = np.asarray(A, dtype=object)
+    return DenseMatrix(*A.shape, tuple(map(field.box, A.ravel().tolist())))
+
+
 def mat_rank(M: DenseMatrix) -> int:
     """Exact rank of a dense matrix over its coefficient field."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    field = _matrix_field(M)
-    if isinstance(field, RationalField):
-        return _rank_bareiss(_rows_as_integers(M))
-    return rank_mod_p(_to_residue_array(M, field.p), field.p)
+    field, rows = _unboxed_rows(M)
+    return _rank(rows, field)
 
 
 def mat_det(M: DenseMatrix) -> Scalar:
@@ -492,9 +524,8 @@ def mat_det(M: DenseMatrix) -> Scalar:
         raise ValueError("determinant of a non-square matrix")
     if M.rows == 0:
         return 1
-    field = _matrix_field(M)
-    unbox = field.unbox
-    return _det([[unbox(e) for e in M.row(i)] for i in range(M.rows)], field)
+    field, rows = _unboxed_rows(M)
+    return _det(rows, field)
 
 
 def _modulus(field: Field):
@@ -563,6 +594,8 @@ def poly_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Scalar]
     """
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equally many points and values")
+    if len(set(xs)) != len(xs):
+        raise ValueError("evaluation points must be pairwise distinct")
     field = field_of(xs[0])
     n = len(xs)
     coeffs = [field.zero()] * n

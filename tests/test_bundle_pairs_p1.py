@@ -111,6 +111,21 @@ def test_evaluation_matrix_vandermonde():
     assert divisor_value(pair, pts) == Fraction(2)  # Vandermonde 1*2*1
 
 
+def _holds_field_elements(M, field):
+    """Every entry is a field element, and over F_p its value a Python int:
+    a numpy int64 inside ``Fp.v`` would make later products wrap."""
+    if field is QQ:
+        return all(type(e) is Fraction for e in M.entries)
+    return all(field.is_element(e) and type(e.v) is int for e in M.entries)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_evaluation_matrix_holds_field_elements(field):
+    pair = make_pair((3, 1), 3, field)
+    pts = [P1Point.infinity(field)] + [affine(x, field) for x in (0, 5)]
+    assert _holds_field_elements(evaluation_matrix(pair, pts), field)
+
+
 def test_evaluation_repeated_point_drops_rank():
     pair = make_pair((2, 2), 3, F)
     x = affine(5)

@@ -442,7 +442,7 @@ def test_wedge_rank_of_zero_and_degree_overflow():
 def full_rank_mod_p(u, s):
     """rank_mod_p of the whole residue matrix of t |-> u ^ t."""
     p = u.field.p
-    return rank_mod_p(exterior._wedge_array(u, s, *exterior._residue_column(u), 0), p)
+    return rank_mod_p(exterior._wedge_array(u, s), p)
 
 
 KERNEL_PRIMES = [f for f in KERNEL_FIELDS if f is not QQ]
@@ -519,7 +519,7 @@ def reference_schur(u, s):
     whole residue matrix: ``_wedge_array``, then S, X and Y by ``np.ix_``,
     then ``submul_mod_p``."""
     p = u.field.p
-    A = exterior._wedge_array(u, s, *exterior._residue_column(u), 0)
+    A = exterior._wedge_array(u, s)
     mu0, c0 = next(iter(u._coeffs.items()))
     flat, neg = exterior._wedge_scatter(u.n, u.degree, s)
     i0 = exterior._lex_position(u.n, u.degree)[mu0]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from pluckerlab.exterior import (
     random_exterior,
     top_wedge_coefficient,
     wedge,
+    wedge_matrix,
 )
 from pluckerlab.grassmann import random_grass_point
 from pluckerlab.plucker_form import (
@@ -273,6 +275,23 @@ def test_tangent_codim_ranks_the_boxed_system(field):
             if multiplicity_at(p) < k:
                 continue
             assert tangent_codim(p, k) == mat_rank(build_tangent_system(p, k).matrix)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_boxed_matrices_hold_field_elements(field):
+    # Every entry, the zeros too, is a field element, and over F_p its value
+    # is a Python int: a numpy int64 inside ``Fp.v`` makes later products wrap.
+    def holds(M):
+        if field is QQ:
+            return all(type(e) is Fraction for e in M.entries)
+        return all(field.is_element(e) and type(e.v) is int for e in M.entries)
+
+    rng = random.Random(73)
+    w = random_grass_point(2, 6, field, rng).plucker
+    assert holds(wedge_matrix(random_exterior(6, 2, field, rng), 2))
+    assert holds(wedge_matrix(basis(6, (1, 2), field), 1))
+    assert holds(build_tangent_system(PointTuple.diagonal(w, 3), 2).matrix)
+    assert holds(build_tangent_system(PointTuple.diagonal(w, 3), 1).matrix)
 
 
 def _shared_line_point(r, m, field, rng):

@@ -18,6 +18,7 @@ from pluckerlab.scalars import (
     mat_vec,
     poly_interpolate,
     random_matrix,
+    rank_mod_p,
     sample_scalar,
     submul_mod_p,
 )
@@ -131,6 +132,30 @@ def test_rank_above_int64_safe_primes():
             for i in range(6)
         ]
         assert mat_rank(DenseMatrix.from_rows(prod)) == 4
+
+
+def test_rank_mod_p_refuses_a_dtype_other_than_the_residue_dtype():
+    # Products of these int64 entries wrap around silently: unchecked, this
+    # rank-1 matrix is ranked 2 over 2^61 - 1, with no warning.
+    p = 2**61 - 1
+    A = np.array([[2**40 + 1, 2**41 + 2], [1, 2]])
+    with pytest.raises(ValueError, match="dtype"):
+        rank_mod_p(A, p)
+    assert rank_mod_p(A.astype(object), p) == 1
+    with pytest.raises(ValueError, match="dtype"):
+        rank_mod_p(A.astype(object), 7)
+    with pytest.raises(ValueError, match="dtype"):
+        rank_mod_p(np.eye(2), 7)
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+def test_rank_mod_p_refuses_entries_outside_the_residues(p, at):
+    for bad in (p, p + 1, -1):
+        A = np.array([[1, 2], [3, 4]], dtype=_residue_dtype(p))
+        A[at] = bad
+        with pytest.raises(ValueError, match=r"residues in \[0, "):
+            rank_mod_p(A, p)
 
 
 def reference_submul(S, X, Y, p):
@@ -311,6 +336,18 @@ def test_poly_interpolate_roundtrip():
                 acc = acc * x + c
             ys.append(acc)
         assert poly_interpolate(xs, ys) == coeffs
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp"])
+def test_poly_interpolate_refuses_repeated_points(field):
+    xs = [field.from_int(i) for i in (0, 1, 0)]
+    with pytest.raises(ValueError, match="distinct"):
+        poly_interpolate(xs, [field.one()] * 3)
+    if field is F:
+        # Distinct as ints, equal as residues.
+        xs = [F.from_int(1), F.from_int(1 + F.p)]
+        with pytest.raises(ValueError, match="distinct"):
+            poly_interpolate(xs, [F.one(), F.zero()])
 
 
 def test_mat_vec():
