@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
+
+from pluckerlab import cli
 
 from pluckerlab.cli import ExperimentConfig, build_parser, main, run
 
@@ -139,6 +142,10 @@ GOLDEN_BODIES = {
     # Recorded with the wedge map's rank through its Schur complement.
     ("rank-bound", 2, 3): "4e92544df0df3c30be11fbd62645fa5f1cf80151145c3377bcaaaab660e6c1e2",
     ("rank-bound", 3, 3): "766daf378c3f8cdb3107960206de7cde2f09db6ec7cf22b32cd267ac204e47a2",
+    ("taylor-check", 2, 3): "74dac5d0fbfae95d78feaa099176fe13b35965f3f4f958c089c9a9614b786ce5",
+    ("taylor-check", 3, 3): "6b7ba31f0d9395388635ff0438863078acd279621757e2a69caf61d83424e759",
+    ("expand-check", 2, 3): "3a9bb72ed4ec662e856528960bea97e2222cc55be3aa5941675671e87524b163",
+    ("expand-check", 3, 3): "b3f1a8b5c7abdbc6c9a7830697a9f6a85de58a220413b2d6c39a8b0f792391f1",
 }
 
 
@@ -165,6 +172,8 @@ GOLDEN_BODIES_Q = {
     ("rank-bound", 2, 3): "29cfa83f0b9efe8aa2030e73e7a0ae7713ef225f994bfffc6a0c5c67d18be866",
     ("reconstruction", 2, 3): "fd3df8e5fdef04c603034a3d66d43201c4a1f3df062e005b1a36cda819b9eca6",
     ("codim-threshold", 2, 3): "f9a2f3b78e5ec4a7a823a8257ea803676d9ef8714ce9e9e7f05687f65eb625a8",
+    ("taylor-check", 2, 3): "d43e52c3384e62bfa40a349f88619dd01a711e7e48e7b84469b03380e8900f23",
+    ("expand-check", 2, 3): "da36c2b8e1d2b546cc763bb0d88585781bc1e1ec50214b11a9c47b3f64931911",
 }
 
 
@@ -173,6 +182,87 @@ def test_report_bodies_over_q_match_golden_digests(command, r, m):
     cfg = ExperimentConfig(command=command, r=r, m=m, field="q", seed=0, trials=10)
     text = json.dumps(run(cfg).body(), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES_Q[command, r, m]
+
+
+def _none(*args):
+    return None
+
+
+def _minus_one(*args):
+    return -1
+
+
+def _negated(real):
+    """`real` with its zero test inverted: 1 where it returns zero, 0
+    elsewhere."""
+    return lambda *args: 0 if real(*args) else 1
+
+
+# Report bodies of runs in which every case that can fail does, so that each
+# suite's counterexample path is pinned.  A run patches library names that
+# `cli` imports and the suite checks; `codim-threshold`'s closed-form case
+# cannot fail.  Each entry gives the patches, the number of counterexamples
+# and the digest.
+FAILING_BODIES = {
+    "taylor-check": ({"poly_interpolate": _none}, 5, "ff46b0aaed602216bb4891c781d6ef914f2995c3323e0672fb557650dead29e8"),
+    "expand-check": (
+        {"expand_form_term_count": _minus_one, "eval_form": _none},
+        5,
+        "f1b4daa20b24043257f52a42b24d5e01796fe726685ca09665014753517ac49e",
+    ),
+    "multiplicity-bound": ({"multiplicity_at": _minus_one}, 5, "87c5a3f11d5d5491e2e4010c360b25659f208aef10dee547bf97ca20c9859157"),
+    "rank-bound": ({"mu_rank": _minus_one}, 10, "92bbf43c149c19cb5fecf2893fc539175bf62704118e4129288cbfe31f8b6460"),
+    "reconstruction": (
+        {
+            "classify_membership": lambda w, m: SimpleNamespace(
+                tag=SimpleNamespace(value="patched"), observed_codim=None, threshold=None
+            )
+        },
+        10,
+        "39d7999e556699687e13e3a8165700aaa9ac5a97a5ff77c19d491b320c6539dd",
+    ),
+    "codim-threshold": ({"tangent_codim": _minus_one}, 5, "59042068b1b5875290f6dd96ec1d6a6c0d637d15788baadc257a7326795724f6"),
+    "degeneracy-det": ({"ev_m_det": _none}, 6, "37e2d817d1cae3ba0b6bcaccb1bcc87f09b66dc3d25e97072d08799b3a40877b"),
+    "p1-divisor": ({"has_plucker_form": _none}, 1, "0ca9d0fc385197b2910e47afbfed595ec6303fa129130c82ce708343409d63c9"),
+    # A divisor exists, but neither the factorization nor the symbolic
+    # witness holds: these cases record no counterexample.
+    "p1-divisor/mismatch": (
+        {
+            "diagonal_factor_check": lambda pair, trials, seed: SimpleNamespace(
+                trials=trials, all_matched=False, constant_c=pair.field.one()
+            ),
+            "symbolic_diagonal_witness": lambda pair: (False, None),
+        },
+        0,
+        "e6d0abd5a56774a38cea6cec1a44ab09052691b31c50689cf2b24994151228fa",
+    ),
+    "p1-detmap": (
+        {"det_map_rank": _minus_one, "two_point_surjectivity": _none},
+        5,
+        "df5a3b1aedad162d032b3df12edc36578a8d2bb3eacd75c0b206351d7714f892",
+    ),
+    "p1-lambda": (
+        {
+            "lambda_image": lambda pair, f: SimpleNamespace(normalized=_none),
+            "divisor_value": _negated(cli.divisor_value),
+        },
+        10,
+        "c782193a0f6ea0030c97148ec87881a9d6e9e58ff597e9475469a833b855840b",
+    ),
+    "p1-no-form": ({"is_balanced": _none}, 1, "2b5e6223abc218b4ff375fccced02e764d09cdaec34a4c374c9a142c210571a0"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FAILING_BODIES))
+def test_failing_report_bodies_match_golden_digests(key, monkeypatch):
+    patches, n_counter, digest = FAILING_BODIES[key]
+    for name, fake in patches.items():
+        monkeypatch.setattr(cli, name, fake)
+    report = run(ExperimentConfig(command=key.split("/")[0], r=2, m=3, seed=0, trials=5))
+    assert report.passes == (1 if key == "codim-threshold" else 0)
+    assert len(report.counterexamples) == n_counter
+    text = json.dumps(report.body(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
