@@ -230,6 +230,10 @@ def sample_points(pair_m: int, field: Field, rng: random.Random) -> list[P1Point
 def sample_distinct_points(
     count: int, field: Field, rng: random.Random
 ) -> list[P1Point]:
+    """`count` distinct affine points; refused when the field has fewer."""
+    p = _modulus(field)
+    if p is not None and count > p:
+        raise ValueError(f"F_{p} has fewer than {count} affine points")
     pts: list[P1Point] = []
     seen = set()
     while len(pts) < count:
@@ -386,7 +390,8 @@ def evaluation_functional(pair: BundlePairP1, x: P1Point) -> list[Scalar]:
 
 
 def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
-    """Rank of the matrix of classifying-map images at random points."""
+    """Rank of the matrix of classifying-map images at `samples` distinct
+    random points; refused once every affine point has been tried."""
     masks = lex_masks(pair.r * pair.m, pair.r)
     if samples < len(masks):
         raise ValueError(f"need at least {len(masks)} samples")
@@ -394,6 +399,8 @@ def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
     rows = []
     seen = set()
     while len(rows) < samples:
+        if len(seen) == _modulus(pair.field):
+            raise ValueError(f"F_{pair.field.p} has fewer than {samples} usable points")
         x = sample_affine_point(pair.field, rng)
         if x.u in seen:
             continue

@@ -4,6 +4,14 @@ Every verification suite is exposed as a subcommand producing a JSON (or CSV)
 report.  Identical configuration yields a byte-identical report body; the
 only nondeterministic field is ``wall_time_s``, which sits outside the body
 contract.  Exit status is 0 exactly when the suite recorded zero failures.
+
+A suite is a generator registered in ``SUITES`` under its subcommand name,
+with its description.  It yields ``(case, counterexample)`` pairs: ``case`` is
+a dict with an ``"ok"`` key, and ``counterexample`` is None for a
+summary-level check that has no sampled input, or else a function of no
+arguments that serializes the input which re-runs the case.  ``run`` records
+every case, and calls ``counterexample`` only for a failing case, before the
+suite resumes, so that passing cases serialize nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bundle_pairs_p1 import (
@@ -49,8 +57,8 @@ from .grassmann import (
     ev_m_det,
     field_codim_threshold,
     mu_rank,
-    plucker_embed,
     random_grass_point,
+    random_hyperplane_point,
 )
 from .plucker_form import (
     PointTuple,
@@ -65,39 +73,13 @@ from .plucker_form import (
 )
 from .scalars import (
     DEFAULT_PRIME,
-    DenseMatrix,
+    Field,
     PrimeField,
     field_from_name,
     poly_interpolate,
-    random_matrix,
 )
 
 SCHEMA_VERSION = 1
-
-DESCRIPTIONS = {
-    "taylor-check": "polar coefficients agree with the exact epsilon-expansion "
-    "of the slotwise-perturbed wedge form",
-    "expand-check": "shuffle expansion has the predicted term count and "
-    "re-sums to the wedge form on random tuples",
-    "multiplicity-bound": "no point of the wedge-form divisor has multiplicity "
-    "m or more; diagonal multiplicity is consistent",
-    "rank-bound": "wedge-multiplication rank is bounded below by the binomial "
-    "count, with equality exactly on decomposable vectors",
-    "reconstruction": "diagonal multiplicity plus maximal tangent-space "
-    "dimension recovers Grassmannian cone membership",
-    "codim-threshold": "tangent codimension at decomposable diagonal points "
-    "equals the closed-form minimum",
-    "degeneracy-det": "stacked-basis determinant vanishes exactly when the "
-    "wedge form vanishes on subspace tuples",
-    "p1-divisor": "evaluation determinant factors as a constant times the "
-    "r-th power of the pairwise-difference product",
-    "p1-detmap": "determinant map is surjective for balanced pairs; sampled "
-    "span of the classifying curve matches its rank",
-    "p1-lambda": "dual determinant map restricted to the curve equals the "
-    "classifying map; divisor pulls back from the wedge form",
-    "p1-no-form": "degenerate splittings have identically zero evaluation "
-    "determinant, balanced ones do not",
-}
 
 
 @dataclass
@@ -110,24 +92,13 @@ class ExperimentConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     trials: int = 100
-    out: Optional[str] = None
-    format: str = "json"
-    verbosity: int = 0
 
     def field_obj(self):
         return field_from_name(self.field, self.prime)
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "r": self.r,
-            "m": self.m,
-            "splitting": list(self.splitting) if self.splitting else None,
-            "field": self.field,
-            "prime": self.prime,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        splitting = list(self.splitting) if self.splitting else None
+        return {**asdict(self), "splitting": splitting}
 
 
 @dataclass
@@ -176,65 +147,68 @@ class Report:
 
 # -- suites -------------------------------------------------------------------
 
+SUITES = {}
 
-def _suite_taylor(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
-    cases = []
-    counter = []
+
+def _suite(name: str, description: str):
+    """Register a suite under its subcommand name with its description."""
+
+    def register(fn):
+        SUITES[name] = (description, fn)
+        return fn
+
+    return register
+
+
+@_suite(
+    "taylor-check",
+    "polar coefficients agree with the exact epsilon-expansion "
+    "of the slotwise-perturbed wedge form",
+)
+def _suite_taylor(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
     for trial in range(cfg.trials):
         w = PointTuple.of([random_exterior(n, r, field, rng) for _ in range(m)])
         t = [random_exterior(n, r, field, rng) for _ in range(m)]
         coeffs = [polar(k, w, t) for k in range(m + 1)]
         xs = [field.from_int(i) for i in range(m + 1)]
-        ys = []
-        for x in xs:
-            slots = [w.slots[i] + t[i].scale(x) for i in range(m)]
-            ys.append(top_wedge_coefficient(slots))
-        ok = poly_interpolate(xs, ys) == coeffs
-        cases.append({"trial": trial, "ok": ok})
-        if not ok:
-            counter.append(
-                {
-                    "trial": trial,
-                    "w": [s.to_json() for s in w.slots],
-                    "t": [s.to_json() for s in t],
-                }
-            )
-    return cases, counter
+        ys = [top_wedge_coefficient([w.slots[i] + t[i].scale(x) for i in range(m)]) for x in xs]
+        yield {"trial": trial, "ok": poly_interpolate(xs, ys) == coeffs}, lambda: {
+            "trial": trial,
+            "w": [s.to_json() for s in w.slots],
+            "t": [s.to_json() for s in t],
+        }
 
 
-def _suite_expand(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
+@_suite(
+    "expand-check",
+    "shuffle expansion has the predicted term count and "
+    "re-sums to the wedge form on random tuples",
+)
+def _suite_expand(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
     expansion = expand_form(r, m)
     expected = expand_form_term_count(r, m)
-    cases = [
-        {
-            "check": "term_count",
-            "count": len(expansion),
-            "expected": expected,
-            "ok": len(expansion) == expected,
-        }
-    ]
-    counter = []
+    yield {
+        "check": "term_count",
+        "count": len(expansion),
+        "expected": expected,
+        "ok": len(expansion) == expected,
+    }, None
     for trial in range(cfg.trials):
         p = PointTuple.of([random_exterior(n, r, field, rng) for _ in range(m)])
         ok = evaluate_expansion(expansion, p) == eval_form(p)
-        cases.append({"check": "agreement", "trial": trial, "ok": ok})
-        if not ok:
-            counter.append({"trial": trial, "tuple": [s.to_json() for s in p.slots]})
-    return cases, counter
+        case = {"check": "agreement", "trial": trial, "ok": ok}
+        yield case, lambda: {"trial": trial, "tuple": [s.to_json() for s in p.slots]}
 
 
-def _suite_multiplicity(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
-    cases = []
-    counter = []
+@_suite(
+    "multiplicity-bound",
+    "no point of the wedge-form divisor has multiplicity "
+    "m or more; diagonal multiplicity is consistent",
+)
+def _suite_multiplicity(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
     for trial in range(cfg.trials):
         slots = [random_exterior(n, r, field, rng) for _ in range(m)]
         kind = "random"
@@ -251,20 +225,18 @@ def _suite_multiplicity(cfg: ExperimentConfig, rng: random.Random):
         ok = 0 <= mult <= m - 1
         if kind == "diagonal":
             ok = ok and mult == diagonal_multiplicity(p.slots[0])
-        cases.append({"trial": trial, "kind": kind, "multiplicity": mult, "ok": ok})
-        if not ok:
-            counter.append({"trial": trial, "tuple": [s.to_json() for s in slots]})
-    return cases, counter
+        case = {"trial": trial, "kind": kind, "multiplicity": mult, "ok": ok}
+        yield case, lambda: {"trial": trial, "tuple": [s.to_json() for s in slots]}
 
 
-def _suite_rank_bound(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    d = r * m
-    s_max = min(r, d - 2 * r)
-    cases = []
-    counter = []
-    for s in range(1, s_max + 1):
+@_suite(
+    "rank-bound",
+    "wedge-multiplication rank is bounded below by the binomial "
+    "count, with equality exactly on decomposable vectors",
+)
+def _suite_rank_bound(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, d = cfg.r, cfg.r * cfg.m
+    for s in range(1, min(r, d - 2 * r) + 1):
         bound = math.comb(d - r, s)
         for trial in range(cfg.trials):
             if trial % 2 == 0:
@@ -275,31 +247,22 @@ def _suite_rank_bound(cfg: ExperimentConfig, rng: random.Random):
                 kind = "decomposable"
             rank = mu_rank(w, s)
             oracle = plucker_relations_hold(w)
-            ok = rank >= bound and (rank == bound) == oracle
-            cases.append(
-                {
-                    "s": s,
-                    "trial": trial,
-                    "kind": kind,
-                    "rank": rank,
-                    "bound": bound,
-                    "oracle_decomposable": oracle,
-                    "ok": ok,
-                }
-            )
-            if not ok:
-                counter.append({"s": s, "trial": trial, "w": w.to_json()})
-    return cases, counter
+            yield {
+                "s": s,
+                "trial": trial,
+                "kind": kind,
+                "rank": rank,
+                "bound": bound,
+                "oracle_decomposable": oracle,
+                "ok": rank >= bound and (rank == bound) == oracle,
+            }, lambda: {"s": s, "trial": trial, "w": w.to_json()}
 
 
-def _sample_rejection(cfg: ExperimentConfig, rng: random.Random):
+def _sample_rejection(r: int, n: int, field: Field, rng: random.Random):
     """A vector expected to fail membership: one with nonzero square fails
     the multiplicity test, and one with zero square failing the contraction
     oracle fails the tangent bound.  The square vanishes for every w when r
     is odd or the characteristic is 2."""
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
     while True:
         w = random_exterior(n, r, field, rng)
         if not wedge(w, w).is_zero:
@@ -308,207 +271,161 @@ def _sample_rejection(cfg: ExperimentConfig, rng: random.Random):
             return w, Verdict.FAILS_TANGENT_BOUND
 
 
-def _suite_reconstruction(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
+@_suite(
+    "reconstruction",
+    "diagonal multiplicity plus maximal tangent-space "
+    "dimension recovers Grassmannian cone membership",
+)
+def _suite_reconstruction(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
     threshold = field_codim_threshold(r, m, field)
-    cases = []
-    counter = []
-    for trial in range(cfg.trials):
-        w = random_grass_point(r, n, field, rng).plucker
-        v = classify_membership(w, m)
-        ok = v.tag is Verdict.IN_GRASSMANNIAN and v.observed_codim == threshold
-        cases.append(
-            {
+    for kind in ("member", "reject"):
+        for trial in range(cfg.trials):
+            if kind == "member":
+                w = random_grass_point(r, n, field, rng).plucker
+                expected = Verdict.IN_GRASSMANNIAN
+            else:
+                w, expected = _sample_rejection(r, n, field, rng)
+            v = classify_membership(w, m)
+            ok = v.tag is expected
+            if expected is Verdict.IN_GRASSMANNIAN:
+                ok = ok and v.observed_codim == threshold
+            elif expected is Verdict.FAILS_TANGENT_BOUND:
+                ok = ok and v.observed_codim is not None and v.observed_codim > threshold
+            yield {
                 "trial": trial,
-                "kind": "member",
+                "kind": kind,
                 "verdict": v.tag.value,
                 "observed_codim": v.observed_codim,
                 "threshold": v.threshold,
                 "ok": ok,
-            }
-        )
-        if not ok:
-            counter.append({"trial": trial, "kind": "member", "w": w.to_json()})
-    for trial in range(cfg.trials):
-        w, expected = _sample_rejection(cfg, rng)
-        v = classify_membership(w, m)
-        ok = v.tag is expected
-        if expected is Verdict.FAILS_TANGENT_BOUND:
-            ok = ok and v.observed_codim is not None and v.observed_codim > threshold
-        cases.append(
-            {
-                "trial": trial,
-                "kind": "reject",
-                "verdict": v.tag.value,
-                "observed_codim": v.observed_codim,
-                "threshold": v.threshold,
-                "ok": ok,
-            }
-        )
-        if not ok:
-            counter.append({"trial": trial, "kind": "reject", "w": w.to_json()})
-    return cases, counter
+            }, lambda: {"trial": trial, "kind": kind, "w": w.to_json()}
 
 
-def _suite_codim_threshold(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
+@_suite(
+    "codim-threshold",
+    "tangent codimension at decomposable diagonal points "
+    "equals the closed-form minimum",
+)
+def _suite_codim_threshold(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
     threshold = field_codim_threshold(r, m, field)
-    cases = [
-        {
-            "check": "closed_form",
-            "threshold": threshold,
-            "binomial": math.comb((m - 1) * r, r),
-            "ok": True,
-        }
-    ]
-    counter = []
+    yield {
+        "check": "closed_form",
+        "threshold": threshold,
+        "binomial": math.comb((m - 1) * r, r),
+        "ok": True,
+    }, None
     for trial in range(cfg.trials):
         w = random_grass_point(r, n, field, rng).plucker
         c_o = tangent_codim(PointTuple.diagonal(w, m), m - 1)
-        ok = c_o == threshold
-        cases.append({"check": "equality", "trial": trial, "codim": c_o, "ok": ok})
-        if not ok:
-            counter.append({"trial": trial, "w": w.to_json()})
-    return cases, counter
+        case = {"check": "equality", "trial": trial, "codim": c_o, "ok": c_o == threshold}
+        yield case, lambda: {"trial": trial, "w": w.to_json()}
 
 
-def _suite_degeneracy_det(cfg: ExperimentConfig, rng: random.Random):
-    field = cfg.field_obj()
-    r, m = cfg.r, cfg.m
-    n = r * m
-    cases = []
-    counter = []
-    n_hyper = max(1, cfg.trials // 10)
-    for trial in range(cfg.trials + n_hyper):
+@_suite(
+    "degeneracy-det",
+    "stacked-basis determinant vanishes exactly when the "
+    "wedge form vanishes on subspace tuples",
+)
+def _suite_degeneracy_det(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    r, m, n = cfg.r, cfg.m, cfg.r * cfg.m
+    for trial in range(cfg.trials + max(1, cfg.trials // 10)):
         engineered = trial >= cfg.trials
-        points = []
-        for _ in range(m):
-            if engineered:
-                # Last coordinate zero confines every subspace to a hyperplane.
-                while True:
-                    A = random_matrix(r, n - 1, field, rng)
-                    rows = [list(A.row(i)) + [field.zero()] for i in range(r)]
-                    try:
-                        points.append(plucker_embed(DenseMatrix.from_rows(rows)))
-                        break
-                    except ValueError:
-                        continue
-            else:
-                points.append(random_grass_point(r, n, field, rng))
+        sample = random_hyperplane_point if engineered else random_grass_point
+        points = [sample(r, n, field, rng) for _ in range(m)]
         det = ev_m_det(points)
         raw = top_wedge_coefficient([pt.plucker for pt in points])
         form = eval_form(PointTuple.of([pt.plucker for pt in points]))
         ok = (not det) == (not form) and raw == det
         if engineered:
             ok = ok and not det
-        cases.append(
-            {
-                "trial": trial,
-                "kind": "hyperplane" if engineered else "random",
-                "det_zero": not det,
-                "form_zero": not form,
-                "ok": ok,
-            }
-        )
-        if not ok:
-            counter.append(
-                {"trial": trial, "pluckers": [pt.plucker.to_json() for pt in points]}
-            )
-    return cases, counter
+        yield {
+            "trial": trial,
+            "kind": "hyperplane" if engineered else "random",
+            "det_zero": not det,
+            "form_zero": not form,
+            "ok": ok,
+        }, lambda: {"trial": trial, "pluckers": [pt.plucker.to_json() for pt in points]}
 
 
-def _require_pair(cfg: ExperimentConfig):
-    splitting = cfg.splitting
-    if splitting is None:
-        splitting = tuple([cfg.m - 1] * cfg.r)
-    return make_pair(splitting, cfg.m, cfg.field_obj())
+def _require_pair(cfg: ExperimentConfig, field: Field):
+    return make_pair(cfg.splitting or (cfg.m - 1,) * cfg.r, cfg.m, field)
 
 
-def _suite_p1_divisor(cfg: ExperimentConfig, rng: random.Random):
-    pair = _require_pair(cfg)
-    cases = []
-    counter = []
+@_suite(
+    "p1-divisor",
+    "evaluation determinant factors as a constant times the "
+    "r-th power of the pairwise-difference product",
+)
+def _suite_p1_divisor(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    pair = _require_pair(cfg, field)
     if not has_plucker_form(pair, 20, rng.randrange(2**32)):
-        cases.append(
-            {
-                "check": "factorization",
-                "identically_zero": True,
-                "ok": False,
-            }
-        )
-        counter.append({"splitting": list(pair.splitting), "reason": "no divisor"})
-        return cases, counter
-    report = diagonal_factor_check(pair, cfg.trials, rng.randrange(2**32))
-    cases.append(
-        {
+        yield {
             "check": "factorization",
-            "trials": report.trials,
-            "all_matched": report.all_matched,
-            "constant_c": pair.field.element_to_str(report.constant_c),
-            "identically_zero": False,
-            "ok": report.all_matched,
-        }
-    )
+            "identically_zero": True,
+            "ok": False,
+        }, lambda: {"splitting": list(pair.splitting), "reason": "no divisor"}
+        return
+    report = diagonal_factor_check(pair, cfg.trials, rng.randrange(2**32))
+    yield {
+        "check": "factorization",
+        "trials": report.trials,
+        "all_matched": report.all_matched,
+        "constant_c": field.element_to_str(report.constant_c),
+        "identically_zero": False,
+        "ok": report.all_matched,
+    }, None
     if pair.r * pair.m <= 7:
         holds, c = symbolic_diagonal_witness(pair)
-        cases.append(
-            {
-                "check": "symbolic_witness",
-                "ok": holds,
-                "constant_c": None if c is None else pair.field.element_to_str(c),
-            }
-        )
-    return cases, counter
+        yield {
+            "check": "symbolic_witness",
+            "ok": holds,
+            "constant_c": None if c is None else field.element_to_str(c),
+        }, None
 
 
-def _suite_p1_detmap(cfg: ExperimentConfig, rng: random.Random):
-    pair = _require_pair(cfg)
-    cases = []
-    counter = []
+@_suite(
+    "p1-detmap",
+    "determinant map is surjective for balanced pairs; sampled "
+    "span of the classifying curve matches its rank",
+)
+def _suite_p1_detmap(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    pair = _require_pair(cfg, field)
     rank = det_map_rank(pair)
     expected = pair.r * (pair.m - 1) + 1
     balanced = is_balanced(pair)
-    cases.append(
-        {
-            "check": "det_map_rank",
-            "rank": rank,
-            "expected_if_balanced": expected,
-            "balanced": balanced,
-            "ok": rank == expected if balanced else True,
-        }
-    )
+    yield {
+        "check": "det_map_rank",
+        "rank": rank,
+        "expected_if_balanced": expected,
+        "balanced": balanced,
+        "ok": rank == expected if balanced else True,
+    }, None
     nmasks = len(lex_masks(pair.r * pair.m, pair.r))
     span = span_dimension(pair, nmasks + 15, rng.randrange(2**32))
-    cases.append({"check": "span_equals_rank", "span": span, "ok": span == rank})
+    yield {"check": "span_equals_rank", "span": span, "ok": span == rank}, None
     expect_two_point = min(pair.splitting) >= 1
     for trial in range(min(cfg.trials, 50)):
-        x, y = sample_distinct_points(2, pair.field, rng)
+        x, y = sample_distinct_points(2, field, rng)
         ok = two_point_surjectivity(pair, x, y) == expect_two_point
-        cases.append(
-            {"check": "two_point", "trial": trial, "expected": expect_two_point, "ok": ok}
-        )
-        if not ok:
-            counter.append({"trial": trial, "splitting": list(pair.splitting)})
-    return cases, counter
+        case = {"check": "two_point", "trial": trial, "expected": expect_two_point, "ok": ok}
+        yield case, lambda: {"trial": trial, "splitting": list(pair.splitting)}
 
 
-def _suite_p1_lambda(cfg: ExperimentConfig, rng: random.Random):
-    pair = _require_pair(cfg)
-    field = pair.field
-    cases = []
-    counter = []
+@_suite(
+    "p1-lambda",
+    "dual determinant map restricted to the curve equals the "
+    "classifying map; divisor pulls back from the wedge form",
+)
+def _suite_p1_lambda(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    pair = _require_pair(cfg, field)
     for trial in range(min(cfg.trials, 50)):
         x = sample_points(1, field, rng)[0]
         lam = lambda_image(pair, evaluation_functional(pair, x)).normalized()
-        cls = classify_point(pair, x).normalized()
-        ok = lam == cls
-        cases.append({"check": "lambda_restriction", "trial": trial, "ok": ok})
-        if not ok:
-            counter.append({"trial": trial, "x": field.element_to_str(x.u)})
+        ok = lam == classify_point(pair, x).normalized()
+        case = {"check": "lambda_restriction", "trial": trial, "ok": ok}
+        yield case, lambda: {"trial": trial, "x": field.element_to_str(x.u)}
     ratio = None
     for trial in range(cfg.trials):
         if trial % 10 == 9:
@@ -524,60 +441,39 @@ def _suite_p1_lambda(cfg: ExperimentConfig, rng: random.Random):
                 ratio = dv / pull
             else:
                 ok = dv == ratio * pull
-        cases.append({"check": "pullback", "trial": trial, "ok": ok})
-        if not ok:
-            counter.append(
-                {"trial": trial, "points": [field.element_to_str(p.u) for p in pts]}
-            )
-    return cases, counter
+        case = {"check": "pullback", "trial": trial, "ok": ok}
+        yield case, lambda: {"trial": trial, "points": [field.element_to_str(p.u) for p in pts]}
 
 
-def _suite_p1_no_form(cfg: ExperimentConfig, rng: random.Random):
-    pair = _require_pair(cfg)
+@_suite(
+    "p1-no-form",
+    "degenerate splittings have identically zero evaluation "
+    "determinant, balanced ones do not",
+)
+def _suite_p1_no_form(cfg: ExperimentConfig, field: Field, rng: random.Random):
+    pair = _require_pair(cfg, field)
     predicted_degenerate = not is_balanced(pair)
-    all_zero = True
     witness = None
     for trial in range(cfg.trials):
-        pts = sample_points(pair.m, pair.field, rng)
-        if divisor_value(pair, pts):
-            all_zero = False
+        if divisor_value(pair, sample_points(pair.m, field, rng)):
             witness = trial
             break
+    all_zero = witness is None
     hp = has_plucker_form(pair, min(cfg.trials, 50), rng.randrange(2**32))
-    ok = all_zero == predicted_degenerate and hp == (not predicted_degenerate)
     degree = pair.m * pair.r * (pair.m - 1)
     bound = None
-    if isinstance(pair.field, PrimeField):
-        bound = (degree / pair.field.p) ** min(cfg.trials, 50)
-    cases = [
-        {
-            "check": "degenerate_branch",
-            "splitting": list(pair.splitting),
-            "predicted_degenerate": predicted_degenerate,
-            "sampled_all_zero": all_zero,
-            "has_plucker_form": hp,
-            "first_nonzero_trial": witness,
-            "schwartz_zippel_failure_bound": bound,
-            "ok": ok,
-        }
-    ]
-    counter = [] if ok else [{"splitting": list(pair.splitting)}]
-    return cases, counter
-
-
-SUITES = {
-    "taylor-check": _suite_taylor,
-    "expand-check": _suite_expand,
-    "multiplicity-bound": _suite_multiplicity,
-    "rank-bound": _suite_rank_bound,
-    "reconstruction": _suite_reconstruction,
-    "codim-threshold": _suite_codim_threshold,
-    "degeneracy-det": _suite_degeneracy_det,
-    "p1-divisor": _suite_p1_divisor,
-    "p1-detmap": _suite_p1_detmap,
-    "p1-lambda": _suite_p1_lambda,
-    "p1-no-form": _suite_p1_no_form,
-}
+    if isinstance(field, PrimeField):
+        bound = (degree / field.p) ** min(cfg.trials, 50)
+    yield {
+        "check": "degenerate_branch",
+        "splitting": list(pair.splitting),
+        "predicted_degenerate": predicted_degenerate,
+        "sampled_all_zero": all_zero,
+        "has_plucker_form": hp,
+        "first_nonzero_trial": witness,
+        "schwartz_zippel_failure_bound": bound,
+        "ok": all_zero == predicted_degenerate and hp == (not predicted_degenerate),
+    }, lambda: {"splitting": list(pair.splitting)}
 
 
 def run(config: ExperimentConfig) -> Report:
@@ -585,17 +481,15 @@ def run(config: ExperimentConfig) -> Report:
     if config.command not in SUITES:
         raise ValueError(f"unknown command {config.command!r}")
     _validate(config)
+    description, suite = SUITES[config.command]
     rng = random.Random(config.seed)
     start = time.perf_counter()
-    cases, counter = SUITES[config.command](config, rng)
-    report = Report(
-        config=config,
-        description=DESCRIPTIONS[config.command],
-        cases=cases,
-        counterexamples=counter,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return report
+    cases, counter = [], []
+    for case, counterexample in suite(config, config.field_obj(), rng):
+        cases.append(case)
+        if not case["ok"] and counterexample is not None:
+            counter.append(counterexample())
+    return Report(config, description, cases, counter, time.perf_counter() - start)
 
 
 def _validate(config: ExperimentConfig):
@@ -607,6 +501,8 @@ def _validate(config: ExperimentConfig):
         raise ValueError("need trials >= 1")
     if config.command in ("reconstruction", "codim-threshold") and config.m < 3:
         raise ValueError("unsupported hypothesis: membership tests need m >= 3")
+    if config.command == "reconstruction" and config.r < 2:
+        raise ValueError("reconstruction needs r >= 2: every degree-1 vector is decomposable")
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:
         raise ValueError("rank bound needs ambient dimension at least 2r + 1")
     if config.splitting is not None:
@@ -628,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Grassmannian membership, and determinant divisors on the line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUITES:
-        p = sub.add_parser(name, help=DESCRIPTIONS[name])
+    for name, (description, _) in SUITES.items():
+        p = sub.add_parser(name, help=description)
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--m", type=int, default=3)
         p.add_argument("--splitting", type=_parse_splitting, default=None)
@@ -650,29 +546,24 @@ def main(argv=None) -> int:
         seed = int(os.environ.get("PLUECKERLAB_SEED", "0"))
     config = ExperimentConfig(
         command=args.command,
-        r=args.r,
+        r=args.r if args.splitting is None else len(args.splitting),
         m=args.m,
         splitting=args.splitting,
         field=args.field,
         prime=args.prime,
         seed=seed,
         trials=args.trials,
-        out=args.out,
-        format=args.format,
-        verbosity=args.verbose,
     )
-    if config.splitting is not None:
-        config.r = len(config.splitting)
     try:
         report = run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if config.format == "json" else report.to_csv()
-    if config.out:
-        with open(config.out, "w") as fh:
+    text = report.to_json() if args.format == "json" else report.to_csv()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-    if config.verbosity:
+    if args.verbose:
         for case in report.cases:
             print(json.dumps(case, sort_keys=True))
     status = "PASS" if report.failures == 0 else "FAIL"
@@ -681,7 +572,7 @@ def main(argv=None) -> int:
         f"({report.passes} passed, {report.failures} failed, "
         f"{report.wall_time_s:.2f}s)"
     )
-    if not config.out and config.verbosity == 0 and report.failures:
+    if not args.out and not args.verbose and report.failures:
         print(text)
     return 0 if report.failures == 0 else 1
 

@@ -219,3 +219,18 @@ def random_grass_point(
             return plucker_embed(A)
         except ValueError:
             continue
+
+
+def random_hyperplane_point(
+    r: int, n: int, field: Field, rng: random.Random
+) -> GrassPoint:
+    """Plucker point of a random full-rank r x n matrix whose last column is
+    zero, so that the subspace lies in the hyperplane x_n = 0 (resampled if
+    degenerate)."""
+    while True:
+        A = random_matrix(r, n - 1, field, rng)
+        rows = [list(A.row(i)) + [field.zero()] for i in range(r)]
+        try:
+            return plucker_embed(DenseMatrix.from_rows(rows))
+        except ValueError:
+            continue

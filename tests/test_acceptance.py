@@ -38,8 +38,8 @@ from pluckerlab.grassmann import (
     codim_threshold,
     ev_m_det,
     mu_rank,
-    plucker_embed,
     random_grass_point,
+    random_hyperplane_point,
 )
 from pluckerlab.plucker_form import (
     PointTuple,
@@ -51,7 +51,6 @@ from pluckerlab.plucker_form import (
     polar,
 )
 from pluckerlab.scalars import (
-    DenseMatrix,
     PrimeField,
     QQ,
     mat_det,
@@ -207,16 +206,7 @@ def test_criterion_06_degeneracy_determinant():
         if (not det) != (not form) or raw != det:
             failures.append(("random", trial))
     for trial in range(50):
-        pts = []
-        for _ in range(3):
-            while True:
-                A = random_matrix(2, 5, F, rng)
-                rows = [list(A.row(i)) + [F.zero()] for i in range(2)]
-                try:
-                    pts.append(plucker_embed(DenseMatrix.from_rows(rows)))
-                    break
-                except ValueError:
-                    continue
+        pts = [random_hyperplane_point(2, 6, F, rng) for _ in range(3)]
         det = ev_m_det(pts)
         form = eval_form(PointTuple.of([p.plucker for p in pts]))
         if det or form:

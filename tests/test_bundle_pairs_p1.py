@@ -236,6 +236,23 @@ def test_span_dimension_requires_enough_samples():
         span_dimension(make_pair((2, 2), 3, F), 10, 7)
 
 
+def test_distinct_points_refused_beyond_the_field_size():
+    assert {p.u for p in sample_distinct_points(2, PrimeField(2), random.Random(0))} == {
+        PrimeField(2).from_int(0),
+        PrimeField(2).from_int(1),
+    }
+    with pytest.raises(ValueError, match="F_2 has fewer than 3 affine points"):
+        sample_distinct_points(3, PrimeField(2), random.Random(0))
+
+
+def test_span_dimension_refused_once_every_point_is_tried():
+    pair = make_pair((2, 2), 3, PrimeField(3))
+    with pytest.raises(ValueError, match="F_3 has fewer than 30 usable points"):
+        span_dimension(pair, 30, 7)
+    pair = make_pair((2, 2), 3, PrimeField(101))
+    assert span_dimension(pair, 30, 7) == det_map_rank(pair)
+
+
 # -- classifying map and its dual ------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import pytest
 
 from pluckerlab import cli
-
 from pluckerlab.cli import ExperimentConfig, build_parser, main, run
 
 
@@ -70,11 +69,30 @@ def test_membership_commands_require_m_three(capsys):
     assert "m >= 3" in err
 
 
+def test_reconstruction_refuses_degree_one(capsys):
+    # No degree-1 vector fails membership, so no rejection could be sampled.
+    assert main(["reconstruction", "--r", "1", "--m", "4", "--trials", "1"]) == 2
+    assert "r >= 2" in capsys.readouterr().err
+
+
 def test_composite_prime_exits_two(capsys):
     code = main(["reconstruction", "--prime", "15", "--trials", "1"])
     assert code == 2
     assert "not prime" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # three distinct points of F_2 for the pullback check
+        ["p1-lambda", "--prime", "2"],
+        # C(6, 2) + 15 = 30 distinct points of F_3 for the sampled span
+        ["p1-detmap", "--prime", "3"],
+    ],
+)
+def test_too_few_points_in_a_small_field_exit_two(argv, capsys):
+    assert main(argv + ["--trials", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: F_")
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -204,14 +222,26 @@ def _negated(real):
 # cannot fail.  Each entry gives the patches, the number of counterexamples
 # and the digest.
 FAILING_BODIES = {
-    "taylor-check": ({"poly_interpolate": _none}, 5, "ff46b0aaed602216bb4891c781d6ef914f2995c3323e0672fb557650dead29e8"),
+    "taylor-check": (
+        {"poly_interpolate": _none},
+        5,
+        "ff46b0aaed602216bb4891c781d6ef914f2995c3323e0672fb557650dead29e8",
+    ),
     "expand-check": (
         {"expand_form_term_count": _minus_one, "eval_form": _none},
         5,
         "f1b4daa20b24043257f52a42b24d5e01796fe726685ca09665014753517ac49e",
     ),
-    "multiplicity-bound": ({"multiplicity_at": _minus_one}, 5, "87c5a3f11d5d5491e2e4010c360b25659f208aef10dee547bf97ca20c9859157"),
-    "rank-bound": ({"mu_rank": _minus_one}, 10, "92bbf43c149c19cb5fecf2893fc539175bf62704118e4129288cbfe31f8b6460"),
+    "multiplicity-bound": (
+        {"multiplicity_at": _minus_one},
+        5,
+        "87c5a3f11d5d5491e2e4010c360b25659f208aef10dee547bf97ca20c9859157",
+    ),
+    "rank-bound": (
+        {"mu_rank": _minus_one},
+        10,
+        "92bbf43c149c19cb5fecf2893fc539175bf62704118e4129288cbfe31f8b6460",
+    ),
     "reconstruction": (
         {
             "classify_membership": lambda w, m: SimpleNamespace(
@@ -221,9 +251,21 @@ FAILING_BODIES = {
         10,
         "39d7999e556699687e13e3a8165700aaa9ac5a97a5ff77c19d491b320c6539dd",
     ),
-    "codim-threshold": ({"tangent_codim": _minus_one}, 5, "59042068b1b5875290f6dd96ec1d6a6c0d637d15788baadc257a7326795724f6"),
-    "degeneracy-det": ({"ev_m_det": _none}, 6, "37e2d817d1cae3ba0b6bcaccb1bcc87f09b66dc3d25e97072d08799b3a40877b"),
-    "p1-divisor": ({"has_plucker_form": _none}, 1, "0ca9d0fc385197b2910e47afbfed595ec6303fa129130c82ce708343409d63c9"),
+    "codim-threshold": (
+        {"tangent_codim": _minus_one},
+        5,
+        "59042068b1b5875290f6dd96ec1d6a6c0d637d15788baadc257a7326795724f6",
+    ),
+    "degeneracy-det": (
+        {"ev_m_det": _none},
+        6,
+        "37e2d817d1cae3ba0b6bcaccb1bcc87f09b66dc3d25e97072d08799b3a40877b",
+    ),
+    "p1-divisor": (
+        {"has_plucker_form": _none},
+        1,
+        "0ca9d0fc385197b2910e47afbfed595ec6303fa129130c82ce708343409d63c9",
+    ),
     # A divisor exists, but neither the factorization nor the symbolic
     # witness holds: these cases record no counterexample.
     "p1-divisor/mismatch": (
@@ -249,7 +291,11 @@ FAILING_BODIES = {
         10,
         "c782193a0f6ea0030c97148ec87881a9d6e9e58ff597e9475469a833b855840b",
     ),
-    "p1-no-form": ({"is_balanced": _none}, 1, "2b5e6223abc218b4ff375fccced02e764d09cdaec34a4c374c9a142c210571a0"),
+    "p1-no-form": (
+        {"is_balanced": _none},
+        1,
+        "2b5e6223abc218b4ff375fccced02e764d09cdaec34a4c374c9a142c210571a0",
+    ),
 }
 
 

@@ -23,6 +23,7 @@ from pluckerlab.grassmann import (
     mu_rank,
     plucker_embed,
     random_grass_point,
+    random_hyperplane_point,
 )
 from pluckerlab.plucker_form import PointTuple, eval_form
 from pluckerlab.scalars import DenseMatrix, QQ, PrimeField, mat_rank
@@ -58,6 +59,16 @@ def test_embed_outputs_satisfy_relations():
         assert plucker_relations_hold(gp.plucker)
     for _ in range(5):
         gp = random_grass_point(3, 9, F, rng)
+        assert plucker_relations_hold(gp.plucker)
+
+
+def test_hyperplane_points_have_a_zero_last_column():
+    rng = random.Random(45)
+    for field in (F, PrimeField(2), QQ):
+        gp = random_hyperplane_point(2, 6, field, rng)
+        assert gp.basis_matrix.cols == 6
+        assert not any(gp.basis_matrix.at(i, 5) for i in range(2))
+        assert all(m < 1 << 5 for m in gp.plucker.terms)
         assert plucker_relations_hold(gp.plucker)
 
 
