@@ -164,6 +164,14 @@ GOLDEN_BODIES = {
     ("taylor-check", 3, 3): "6b7ba31f0d9395388635ff0438863078acd279621757e2a69caf61d83424e759",
     ("expand-check", 2, 3): "3a9bb72ed4ec662e856528960bea97e2222cc55be3aa5941675671e87524b163",
     ("expand-check", 3, 3): "b3f1a8b5c7abdbc6c9a7830697a9f6a85de58a220413b2d6c39a8b0f792391f1",
+    # Recorded with the boxed-form Leibniz loops of det_map_matrix and
+    # divisor_coefficient_tensor; (1, 4) and (3, 2) reach the symbolic witness.
+    ("p1-detmap", 1, 4): "a10808f0090a72f20863b4025cf390263c2aa1a75bff941ccc41539ea2462fc5",
+    ("p1-detmap", 3, 2): "d7c9040c78ba5071741136ffe356d66b8788855a1034c62071a6c6266019abc0",
+    ("p1-divisor", 1, 4): "8a415666d30ecfc0df3e60d67525e15c0d15ae7714a2182e0997724df555cdfb",
+    ("p1-divisor", 3, 2): "11994cb330e2f7b48acca786a5c84c49471e53f37f084f7248e6fc5427a0ebbc",
+    ("p1-lambda", 1, 4): "319d7a82f68fe57fd8ccf05b3c587792d138ad6e82c38f58316ccc2fa4e837db",
+    ("p1-lambda", 3, 2): "ce10e5dc0a070d63ee9b898459167a9ceba186a2c2ac77e19cfb777974a1455a",
 }
 
 
@@ -192,6 +200,13 @@ GOLDEN_BODIES_Q = {
     ("codim-threshold", 2, 3): "f9a2f3b78e5ec4a7a823a8257ea803676d9ef8714ce9e9e7f05687f65eb625a8",
     ("taylor-check", 2, 3): "d43e52c3384e62bfa40a349f88619dd01a711e7e48e7b84469b03380e8900f23",
     ("expand-check", 2, 3): "da36c2b8e1d2b546cc763bb0d88585781bc1e1ec50214b11a9c47b3f64931911",
+    # Recorded with the boxed-form Leibniz loops, as in GOLDEN_BODIES.
+    ("p1-detmap", 1, 4): "7e39730986f00b6a5b9de2e5b10c2ffb8bf0c62124b2b5f13500c4a786bf94c2",
+    ("p1-detmap", 3, 2): "05dc97e6aced08261fc33770ff3b1629573fd6d4cdd4a9bc7d2a02e086992f5d",
+    ("p1-divisor", 1, 4): "4f5b2172bbe70e873fecd537e58a7083cb96770a3b5459b88cbeb8b3cedbf506",
+    ("p1-divisor", 3, 2): "debb530b8f25a1eb446264dc708cd21910b0fd460717f1ec1a11b66b4d1c559e",
+    ("p1-lambda", 1, 4): "b011eeb1936f729b4fa6c260839f665b56ae68150a26ab13d05f5193cdcb0c7a",
+    ("p1-lambda", 3, 2): "139d92705ab2a34fb976367c379d6d815284951562dd266f91c6a4b1d5119719",
 }
 
 
