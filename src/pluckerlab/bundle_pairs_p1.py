@@ -13,6 +13,12 @@ determinant loop, ``scalars._det``, and ``classify_point`` folds them through
 ``exterior._wedge_walk`` into an unboxed ``ExteriorVector``.  Only returned
 scalars are boxed.
 
+The determinant of binary forms is expanded symbolically by one Leibniz fold,
+:func:`_leibniz`, on the same unboxed terms: at one point it gives the
+determinant map d_E (``det_map_matrix``), at m points the coefficient tensor
+of the symbolic witness.  It never evaluates a section, so both stay checks
+independent of ``_section_values``.
+
 The determinant divisor is the vanishing of the determinant of the m-point
 evaluation matrix.  On the line it factors as a constant times the r-th power
 of the pairwise-difference product; both the sampled and the fully symbolic
@@ -23,13 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exterior import ExteriorVector, _odd_above, _wedge_walk, lex_masks
+from .exterior import ExteriorVector, _wedge_walk, lex_masks
 from .scalars import (
     DEFAULT_PRIME,
     DenseMatrix,
@@ -46,9 +51,6 @@ from .scalars import (
     mat_vec,
     sample_scalar,
 )
-
-Form = tuple  # coefficients, entry a multiplies u^a v^(deg-a)
-
 
 @dataclass(frozen=True)
 class P1Point:
@@ -73,35 +75,6 @@ class P1Point:
     @classmethod
     def infinity(cls, field: Field) -> "P1Point":
         return cls(field.one(), field.zero())
-
-
-def _zero_form(degree: int, field: Field) -> Form:
-    return (field.zero(),) * (degree + 1)
-
-
-def _monomial_form(degree: int, a: int, field: Field) -> Form:
-    coeffs = [field.zero()] * (degree + 1)
-    coeffs[a] = field.one()
-    return tuple(coeffs)
-
-
-def _form_add(a: Form, b: Form) -> Form:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _form_scale(c: Scalar, a: Form) -> Form:
-    return tuple(c * x for x in a)
-
-
-def _form_mul(a: Form, b: Form, field: Field) -> Form:
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return tuple(out)
 
 
 def _monomials(pt: P1Point, d: int, field: Field) -> list:
@@ -170,15 +143,16 @@ def make_pair(
     splitting = tuple(splitting)
     if m < 2:
         raise ValueError("need m >= 2")
-    sections = []
-    for i, d in enumerate(splitting):
-        for a in range(d + 1):
-            comp = tuple(
-                _monomial_form(dj, a, field) if j == i else _zero_form(dj, field)
-                for j, dj in enumerate(splitting)
-            )
-            sections.append(comp)
-    return BundlePairP1(len(splitting), m, splitting, tuple(sections), field)
+    zero, one = field.zero(), field.one()
+    sections = tuple(
+        tuple(
+            tuple(one if (j, b) == (i, a) else zero for b in range(dj + 1))
+            for j, dj in enumerate(splitting)
+        )
+        for i, d in enumerate(splitting)
+        for a in range(d + 1)
+    )
+    return BundlePairP1(len(splitting), m, splitting, sections, field)
 
 
 def is_balanced(pair: BundlePairP1) -> bool:
@@ -308,19 +282,32 @@ def diagonal_factor_check(pair: BundlePairP1, trials: int, seed: int) -> Divisor
     return DivisorReport(c, trials, all_matched)
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
-    """Each permutation of range(k), in ``itertools.permutations`` order, with
-    whether it is odd: the sign of e_perm[0] ^ e_perm[1] ^ ... against
-    e_0 ^ ... ^ e_(k-1), wedged mask by mask through ``_odd_above``."""
-    out = []
-    for perm in itertools.permutations(range(k)):
-        mask = odd = 0
-        for i in perm:
-            odd ^= (_odd_above(mask) >> i) & 1
-            mask |= 1 << i
-        out.append((perm, bool(odd)))
-    return tuple(out)
+def _leibniz(rows: Sequence[tuple], r: int, points: int, p) -> dict:
+    """Leibniz expansion of the determinant whose row k is the section with
+    unboxed terms ``rows[k]`` at `points` symbolic points, column i*r + j
+    holding component j at point i.
+
+    The rows are placed one at a time; the state maps (mask of used columns,
+    u-exponent per point) to a coefficient, and a term placed in a column
+    with an odd number of used columns above it is negated.  Returns the
+    nonzero coefficients of the full placement by u-exponent tuple: reduced
+    mod p, or Fractions when p is None."""
+    acc = {(0, (0,) * points): 1}
+    for terms in rows:
+        nxt: dict = {}
+        for (mask, exps), x in acc.items():
+            for j, a, c in terms:
+                for i in range(points):
+                    col = i * r + j
+                    if mask >> col & 1:
+                        continue
+                    key = (mask | 1 << col, exps[:i] + (exps[i] + a,) + exps[i + 1 :])
+                    y = -x * c if (mask >> col).bit_count() & 1 else x * c
+                    nxt[key] = nxt.get(key, 0) + y
+        if p is not None:
+            nxt = {k: x % p for k, x in nxt.items()}
+        acc = {k: x for k, x in nxt.items() if x}
+    return {exps: x for (_, exps), x in acc.items()}
 
 
 # lambda_image needs this matrix for every functional it maps, so it is
@@ -332,24 +319,14 @@ def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
     Columns follow the lex wedge basis on section indices; rows are the
     monomial basis u^a v^(D-a) of degree D = r(m-1) forms, a ascending.
     """
-    field = pair.field
-    r = pair.r
-    D = r * (pair.m - 1)
-    combos = list(itertools.combinations(range(len(pair.sections)), r))
-    entries = [field.zero()] * ((D + 1) * len(combos))
-    ncols = len(combos)
+    field, r, p = pair.field, pair.r, _modulus(pair.field)
+    combos = list(itertools.combinations(pair.terms, r))
+    zero = field.unbox(field.zero())
+    rows = [[zero] * len(combos) for _ in range(r * (pair.m - 1) + 1)]
     for cidx, comb in enumerate(combos):
-        col = _zero_form(D, field)
-        for perm, odd in _signed_permutations(r):
-            f: Form = (field.one(),)
-            for a in range(r):
-                f = _form_mul(f, pair.sections[comb[a]][perm[a]], field)
-            if odd:
-                f = tuple(-x for x in f)
-            col = _form_add(col, f)
-        for a in range(D + 1):
-            entries[a * ncols + cidx] = col[a]
-    return DenseMatrix(D + 1, ncols, tuple(entries))
+        for (a,), c in _leibniz(comb, r, 1, p).items():
+            rows[a][cidx] = c
+    return _boxed(rows, field)
 
 
 def det_map_rank(pair: BundlePairP1) -> int:
@@ -427,19 +404,13 @@ def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:
     rm = pair.r * pair.m
     if G.rows != rm or G.cols != rm:
         raise ValueError(f"basis change must be {rm} x {rm}")
+    flat = [[c for f in section for c in f] for section in pair.sections]
+    columns = DenseMatrix.from_rows(flat).transpose()
+    ends = list(itertools.accumulate(d + 1 for d in pair.splitting))
     new_sections = []
     for i in range(rm):
-        comps = [_zero_form(d, pair.field) for d in pair.splitting]
-        for k in range(rm):
-            g = G.at(i, k)
-            if not g:
-                continue
-            old = pair.sections[k]
-            comps = [
-                _form_add(comp, _form_scale(g, form))
-                for comp, form in zip(comps, old)
-            ]
-        new_sections.append(tuple(comps))
+        row = mat_vec(columns, G.row(i))
+        new_sections.append(tuple(tuple(row[e - d - 1 : e]) for d, e in zip(pair.splitting, ends)))
     return BundlePairP1(pair.r, pair.m, pair.splitting, tuple(new_sections), pair.field)
 
 
@@ -450,34 +421,14 @@ def divisor_coefficient_tensor(pair: BundlePairP1) -> dict:
     """Full symbolic expansion of the evaluation determinant.
 
     Keys are tuples (a_1, ..., a_m) of u-exponents, one per point; the
-    v-exponent at point i is r(m-1) - a_i by multihomogeneity.  Only usable
-    at desk scale (rm <= 7)."""
+    v-exponent at point i is r(m-1) - a_i by multihomogeneity.  Refused for
+    rm > 7: the p1-divisor suite runs the witness exactly when rm <= 7, and
+    that limit is its contract rather than a bound on the cost."""
     rm = pair.r * pair.m
-    if math.factorial(rm) > 5040:
+    if rm > 7:
         raise ValueError("symbolic expansion is limited to rm <= 7")
-    field = pair.field
-    out: dict = {}
-    for perm, odd in _signed_permutations(rm):
-        point_forms = []
-        for i in range(pair.m):
-            f: Form = (field.one(),)
-            for j in range(pair.r):
-                f = _form_mul(f, pair.sections[perm[i * pair.r + j]][j], field)
-            point_forms.append([(a, c) for a, c in enumerate(f) if c])
-        for combo in itertools.product(*point_forms):
-            key = tuple(a for a, _ in combo)
-            coeff = combo[0][1]
-            for _, c in combo[1:]:
-                coeff = coeff * c
-            if odd:
-                coeff = -coeff
-            acc = out.get(key)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[key] = total
-            elif acc is not None:
-                del out[key]
-    return out
+    tensor = _leibniz(pair.terms, pair.r, pair.m, _modulus(pair.field))
+    return {key: pair.field.box(c) for key, c in tensor.items()}
 
 
 def diagonal_power_tensor(r: int, m: int, field: Field) -> dict:

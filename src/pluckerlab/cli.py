@@ -505,6 +505,13 @@ def _validate(config: ExperimentConfig):
         raise ValueError("reconstruction needs r >= 2: every degree-1 vector is decomposable")
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:
         raise ValueError("rank bound needs ambient dimension at least 2r + 1")
+    # Distinct affine points a suite needs: taylor-check interpolates at the
+    # nodes 0..m, and a determinant read at m points that repeat is zero.
+    need = {"taylor-check": config.m + 1, "p1-divisor": config.m, "p1-no-form": config.m}
+    if config.command in need and config.field == "fp":
+        p = config.field_obj().p  # a composite modulus is refused as such first
+        if p < need[config.command]:
+            raise ValueError(f"F_{p} has fewer than {need[config.command]} affine points")
     if config.splitting is not None:
         if len(config.splitting) != config.r:
             raise ValueError("splitting length must equal r")

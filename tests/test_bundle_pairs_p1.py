@@ -12,6 +12,7 @@ from pluckerlab.bundle_pairs_p1 import (
     det_map_matrix,
     det_map_rank,
     diagonal_factor_check,
+    divisor_coefficient_tensor,
     divisor_value,
     evaluation_functional,
     evaluation_matrix,
@@ -290,17 +291,18 @@ def test_lambda_restriction_equals_classifying_map():
             assert lam.normalized() == cls.normalized()
 
 
-def test_lambda_equals_classifying_map_after_a_basis_change():
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_lambda_equals_classifying_map_after_a_basis_change(field):
     # The monomial basis puts each section in one component, so only the
     # identity permutation contributes to a column of the determinant map; a
     # generic basis mixes components and makes every permutation sign count.
     rng = random.Random(29)
     for splitting, m in [((2, 2), 3), ((2, 2, 2), 3)]:
         rm = len(splitting) * m
-        G = random_matrix(rm, rm, F, rng)
-        pair = change_basis(make_pair(splitting, m, F), G)
+        G = random_matrix(rm, rm, field, rng)
+        pair = change_basis(make_pair(splitting, m, field), G)
         for _ in range(3):
-            x = sample_points(1, F, rng)[0]
+            x = sample_points(1, field, rng)[0]
             lam = lambda_image(pair, evaluation_functional(pair, x))
             assert lam.normalized() == classify_point(pair, x).normalized()
 
@@ -552,6 +554,42 @@ def test_classify_point_matches_boxed_wedge_fold(field):
             got = classify_point(pair, x)
             assert got == vec and got.degree == pair.r
             assert all(field.is_element(c) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_terms_are_the_nonzero_unboxed_section_entries(field):
+    # The symbolic expansions read only `terms`, the evaluations only rows
+    # built from it; this pins both to the public `sections`.
+    for pair in _kernel_pairs(field, random.Random(53)):
+        assert pair.terms == tuple(
+            tuple((j, a, field.unbox(c)) for j, f in enumerate(s) for a, c in enumerate(f) if c)
+            for s in pair.sections
+        )
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS[1:], ids=KERNEL_IDS[1:])
+def test_coefficient_tensor_evaluates_to_the_divisor_value(field):
+    # A random basis change gives every section terms in several components,
+    # so the expansion's signs and exponents meet every column.
+    rng = random.Random(47)
+    for splitting, m in [((2, 2), 3), ((1, 1, 1), 2), ((3,), 4)]:
+        pair = make_pair(splitting, m, field)
+        rm, D = pair.r * m, pair.r * (m - 1)
+        while True:
+            G = random_matrix(rm, rm, field, rng)
+            if mat_rank(G) == rm:
+                break
+        pair = change_basis(pair, G)
+        tensor = divisor_coefficient_tensor(pair)
+        inf = P1Point.infinity(field)
+        point_sets = [sample_distinct_points(m, field, rng) for _ in range(3)]
+        for pts in point_sets + [[inf] + sample_distinct_points(m - 1, field, rng)]:
+            value = field.zero()
+            for key, c in tensor.items():
+                for a, pt in zip(key, pts):
+                    c = c * pt.u**a * pt.v ** (D - a)
+                value = value + c
+            assert value == divisor_value(pair, pts)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)

@@ -88,6 +88,12 @@ def test_composite_prime_exits_two(capsys):
         ["p1-lambda", "--prime", "2"],
         # C(6, 2) + 15 = 30 distinct points of F_3 for the sampled span
         ["p1-detmap", "--prime", "3"],
+        # the m + 1 = 4 interpolation nodes collide mod 2
+        ["taylor-check", "--prime", "2"],
+        # every 3-tuple of points of F_2 repeats one, so the determinant
+        # always reads zero
+        ["p1-divisor", "--prime", "2", "--r", "2", "--m", "3"],
+        ["p1-no-form", "--prime", "2"],
     ],
 )
 def test_too_few_points_in_a_small_field_exit_two(argv, capsys):
