@@ -221,7 +221,8 @@ def sample_distinct_points(
 def has_plucker_form(pair: BundlePairP1, trials: int, seed: int) -> bool:
     """Randomized test for non-degeneracy of the evaluation determinant.
 
-    True as soon as one sampled point tuple gives a nonzero value; over a
+    True as soon as one sampled tuple of distinct points gives a nonzero
+    value (a repeated point makes every determinant zero); over a
     large prime field the chance that a nonzero form evaluates to zero at
     all `trials` samples is at most (total degree / p)^trials.
     """
@@ -229,8 +230,7 @@ def has_plucker_form(pair: BundlePairP1, trials: int, seed: int) -> bool:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     for _ in range(trials):
-        pts = sample_points(pair.m, pair.field, rng)
-        if divisor_value(pair, pts):
+        if divisor_value(pair, sample_distinct_points(pair.m, pair.field, rng)):
             return True
     return False
 
@@ -337,11 +337,11 @@ def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
     r x r minors."""
-    rm, field = pair.r * pair.m, pair.field
+    rm, field, p = pair.r * pair.m, pair.field, _modulus(pair.field)
     acc = {0: field.unbox(field.one())}  # the empty wedge, degree 0
-    for a, row in enumerate(zip(*_section_values(pair, [x]))):
+    for row in zip(*_section_values(pair, [x])):
         terms = {1 << j: c for j, c in enumerate(row) if c}
-        acc = _wedge_walk(acc, terms, rm, a, 1, _modulus(field))
+        acc = _wedge_walk(acc, terms, p)
     if not acc:
         raise ValueError("evaluation drops rank: not globally generated here")
     return ExteriorVector._trusted(rm, pair.r, acc, field)

@@ -455,7 +455,7 @@ def _suite_p1_no_form(cfg: ExperimentConfig, field: Field, rng: random.Random):
     predicted_degenerate = not is_balanced(pair)
     witness = None
     for trial in range(cfg.trials):
-        if divisor_value(pair, sample_points(pair.m, field, rng)):
+        if divisor_value(pair, sample_distinct_points(pair.m, field, rng)):
             witness = trial
             break
     all_zero = witness is None

@@ -10,8 +10,10 @@ mask -> coefficient dict that its arithmetic and every kernel read.  The
 public constructor unboxes each coefficient through ``field.unbox``, which
 refuses non-elements; ``_trusted`` takes them unboxed and reduced.  ``terms``
 is a read-only boxed view for the API, built on first access and cached.
-Over F_p a vector also keeps its dense int64 lex-order residue vector,
-computed when a residue kernel first needs it and marked read-only.
+A vector also keeps a dense lex-order vector of integers over a denominator
+d, computed when the gather first needs it and marked read-only: over F_p
+its residues in [0, p) with d = 1 (int64 while (p - 1)^2 < 2^63, Python
+ints above), over Q its numerators over the lcm d of its denominators.
 
 Sign kernel.  e_I ^ e_J = (-1)^s e_{I+J} for disjoint I and J, where s counts
 the pairs i in I, j in J with i > j: the inversions of the merge permutation
@@ -22,38 +24,37 @@ the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
 package (``merge_sign``, ``wedge``, ``wedge_matrix``, the tangent systems and
 the shuffle expansion of the wedge form) is read off this one mask.
 
-``wedge`` has three paths, chosen from the field and the pair count.  A
-wedge with fewer term pairs than the C(n, a) * C(n - a, b) disjoint pairs of
-the tables (sparse vectors, or large n) scans its own pairs, signing each
-one off ``_odd_above``, and never builds a table.  A denser wedge over F_p
-with (p - 1)^2 < 2^63 runs on the inputs' cached residue vectors: every
-disjoint pair is read from ``_wedge_gather(n, a, b)`` (the scatter table
-below, grouped by output coordinate), and the signed products, each reduced
-mod p, are summed by output coordinate in int64, exactly while
-C(a + b, a) * p < 2^63 (proved in ``_wedge_residues``); the nonzero outputs
-become the result's coefficients.  Other dense wedges (over Q, or p above
-2^31.5) walk ``_disjoint(n, a, b)``, a cached table from each degree-a mask
-to the degree-b masks disjoint from it, split by sign, on plain ints (or
-Fractions), reduced once per output term.  That dict walk is
-``_wedge_walk``, which ``classify_point`` on P^1 also folds by.
+``wedge`` has two paths, chosen from the pair count.  A wedge with fewer
+term pairs than the C(n, a) * C(n - a, b) disjoint pairs of the tables
+(sparse vectors, or large n) scans its own pairs, signing each one off
+``_odd_above``, and never builds a table; that scan is ``_wedge_walk``,
+which ``classify_point`` on P^1 also folds by.  A denser wedge gathers on
+the inputs' cached dense vectors: every disjoint pair is read from
+``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
+coordinate), and the signed products are summed by output coordinate, over
+the product dx * dy of the inputs' denominators.  On int64 residues each
+product is reduced mod p before the sum, which is exact while C(a + b, a) *
+p < 2^63 (proved in ``_gather``; a wedge past that bound scans its pairs);
+Python ints are signed and summed as they are and reduced once mod p.  The
+nonzero outputs become the result's coefficients.
 ``top_wedge_coefficient`` folds its slots the same way, but keeps the
-running wedge a residue vector across the residue steps and boxes only the
+running wedge a dense vector across the gather steps and boxes only the
 final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
 skips the per-term checks of the public constructor, so nothing on these
 paths is boxed.
 
-Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``_disjoint``,
-lists for each degree-a mask (in lex order) the flat row-major positions of
-the nonzero entries of the matrix of t |-> e_mu ^ t on wedge^s(V), with one
-sign flag each: one 2-D int array and one bool array, C(n - a, s) entries a
-row.  ``_wedge_array`` fills an array of unboxed entries from it with one
-fancy-index assignment of u's coefficient column (``_column``: residues
-over F_p, Fractions over Q): ``wedge_matrix`` boxes that array for the API,
-``wedge_rank`` over Q ranks it unboxed, and the blocks of
-``plucker_form.build_tangent_system`` are such arrays, each with its sign.
-The residue ``wedge`` reads the same table through ``_wedge_gather``, and
-``wedge_rank`` over F_p through ``_schur_scatter`` (below), so every wedge
-kernel shares one index table.
+Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``lex_masks``
+and ``_odd_above``, lists for each degree-a mask (in lex order) the flat
+row-major positions of the nonzero entries of the matrix of t |-> e_mu ^ t
+on wedge^s(V), with one sign flag each: one 2-D int array and one bool
+array, C(n - a, s) entries a row.  ``_wedge_array`` fills an array of
+unboxed entries from it with one fancy-index assignment of u's coefficient
+column (``_column``: residues over F_p, Fractions over Q): ``wedge_matrix``
+boxes that array for the API, ``wedge_rank`` over Q ranks it unboxed, and
+the blocks of ``plucker_form.build_tangent_system`` are such arrays, each
+with its sign.  The gather in ``wedge`` reads the same table through
+``_wedge_gather``, and ``wedge_rank`` over F_p through ``_schur_scatter``
+(below), so every wedge kernel shares one index table.
 
 Rank over F_p.  The table row i0 of u's first term c_0 e_mu0 is also a
 diagonal block of the wedge matrix: rows mu0 | t and columns t for the
@@ -80,6 +81,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -152,27 +154,6 @@ def lex_masks(n: int, k: int) -> tuple[int, ...]:
     )
 
 
-def _signed_disjoint(mu: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks mv disjoint from mu, in their given order, split by the sign
-    of e_mu ^ e_mv: (those with sign +1, those with sign -1)."""
-    odd = _odd_above(mu)
-    plus, minus = [], []
-    for mv in masks:
-        if not mu & mv:
-            (minus if (mv & odd).bit_count() & 1 else plus).append(mv)
-    return tuple(plus), tuple(minus)
-
-
-@lru_cache(maxsize=None)
-def _disjoint(n: int, a: int, b: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each degree-a mask on n letters -> the degree-b masks disjoint from it,
-    split by sign as in :func:`_signed_disjoint`.  The rows hold the int
-    objects of ``lex_masks(n, b)``, not copies, so at (12, 4, 4) the table
-    costs about 300 KB."""
-    masks = lex_masks(n, b)
-    return {mu: _signed_disjoint(mu, masks) for mu in lex_masks(n, a)}
-
-
 @lru_cache(maxsize=None)
 def _lex_position(n: int, k: int) -> dict[int, int]:
     """Position of each degree-k mask in ``lex_masks(n, k)``."""
@@ -192,13 +173,14 @@ def _wedge_scatter(n: int, a: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     i for each term c_mu e_mu of u; no two terms share a position, because
     mu = (mu|t) minus t is fixed by the entry's row and column.
     """
-    row_pos = _lex_position(n, a + s)
-    col_pos = _lex_position(n, s)
-    ncols = len(col_pos)
+    row_pos, col_pos = _lex_position(n, a + s), _lex_position(n, s)
+    ts, ncols = lex_masks(n, s), len(col_pos)
     flat, neg = [], []
-    for mu, (plus, minus) in _disjoint(n, a, s).items():
-        flat.append([row_pos[mu | t] * ncols + col_pos[t] for t in plus + minus])
-        neg.append([False] * len(plus) + [True] * len(minus))
+    for mu in lex_masks(n, a):
+        odd = _odd_above(mu)
+        row = [t for t in ts if not mu & t]
+        flat.append([row_pos[mu | t] * ncols + col_pos[t] for t in row])
+        neg.append([(t & odd).bit_count() & 1 for t in row])
     return np.array(flat, dtype=np.intp), np.array(neg, dtype=bool)
 
 
@@ -263,7 +245,7 @@ def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
 class ExteriorVector:
     """Homogeneous element of wedge^k(V) as a sparse mask -> coefficient map."""
 
-    __slots__ = ("n", "degree", "field", "_coeffs", "_terms", "_res")
+    __slots__ = ("n", "degree", "field", "_coeffs", "_terms", "_dense")
 
     def __init__(self, n: int, degree: int, terms: dict, field: Field):
         if not 0 < n <= 64:
@@ -277,7 +259,7 @@ class ExteriorVector:
             if c := field.unbox(coeff):
                 clean[mask] = c
         self.n, self.degree, self.field = n, degree, field
-        self._coeffs, self._terms, self._res = clean, None, None
+        self._coeffs, self._terms, self._dense = clean, None, None
 
     @classmethod
     def _trusted(cls, n: int, degree: int, coeffs: dict, field: Field) -> "ExteriorVector":
@@ -285,7 +267,7 @@ class ExteriorVector:
         nonzero unboxed coefficients, on masks of this degree within range."""
         self = object.__new__(cls)
         self.n, self.degree, self.field = n, degree, field
-        self._coeffs, self._terms, self._res = coeffs, None, None
+        self._coeffs, self._terms, self._dense = coeffs, None, None
         return self
 
     @property
@@ -434,24 +416,16 @@ class ExteriorVector:
         return ExteriorVector(n, data["degree"], terms, field)
 
 
-def _table_pays(nu: int, nv: int, n: int, a: int, b: int) -> bool:
+def _table_pays(p, nu: int, nv: int, n: int, a: int, b: int) -> bool:
     """Whether a wedge of an nu-term degree-a vector and an nv-term degree-b
-    vector walks the cached tables: its term pairs are at least the table's
-    C(n, a) * C(n - a, b) disjoint pairs.  Sparser wedges (and at n = 64 the
-    table can reach 10^9 masks) scan their own pairs instead."""
+    vector over F_p (over Q when p is None) gathers through the cached
+    tables: its term pairs are at least the table's C(n, a) * C(n - a, b)
+    disjoint pairs, and, on int64 residues, the gather is exact, C(a + b, a)
+    * p < 2^63 (see :func:`_gather`).  Other wedges (sparse ones, and at
+    n = 64 the table can reach 10^9 masks) scan their own pairs instead."""
+    if p is not None and _residue_dtype(p) is np.int64 and math.comb(a + b, a) * p >= 2**63:
+        return False
     return nu * nv >= math.comb(n, a) * math.comb(n - a, b)
-
-
-def _residue_prime(field: Field, a: int, b: int):
-    """p when a degree-a by degree-b wedge over ``field`` runs on int64
-    residue vectors (see :func:`_wedge_residues` for why the bounds make it
-    exact), else None."""
-    if not isinstance(field, PrimeField):
-        return None
-    p = field.p
-    if _residue_dtype(p) is np.int64 and math.comb(a + b, a) * p < 2**63:
-        return p
-    return None
 
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
@@ -460,37 +434,54 @@ def _term_positions(u: ExteriorVector) -> np.ndarray:
     return np.fromiter(map(at.__getitem__, u._coeffs), dtype=np.intp, count=len(u._coeffs))
 
 
-def _residues(u: ExteriorVector) -> np.ndarray:
-    """u over F_p as a dense int64 vector of residues in [0, p), in lex
-    order: computed on first use, then kept on u, read-only."""
-    x = u._res
-    if x is None:
-        x = np.zeros(math.comb(u.n, u.degree), dtype=np.int64)
-        x[_term_positions(u)] = list(u._coeffs.values())
+def _dense_vector(u: ExteriorVector) -> tuple[np.ndarray, int]:
+    """u as (x, d), u = x / d with x a dense lex-order vector of integers:
+    over F_p the residues in [0, p) as ``_residue_dtype(p)`` and d = 1, over
+    Q the numerators over the lcm d of the denominators as Python ints.
+    Computed on first use, then kept on u, with x read-only."""
+    dense = u._dense
+    if dense is None:
+        p, cs, d = _modulus(u.field), list(u._coeffs.values()), 1
+        if p is None:
+            d = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (d // c.denominator) for c in cs]
+        x = np.zeros(math.comb(u.n, u.degree), dtype=_dtype(u.field))
+        x[_term_positions(u)] = cs
         x.flags.writeable = False
-        u._res = x
-    return x
+        u._dense = dense = x, d
+    return dense
 
 
-def _from_residues(z: np.ndarray, n: int, k: int, field: PrimeField) -> ExteriorVector:
-    """The degree-k vector with lex-ordered residues z."""
+def _from_dense(z: np.ndarray, d: int, n: int, k: int, field: Field) -> ExteriorVector:
+    """The degree-k vector z / d, z a dense lex-order vector of integers,
+    reduced mod p over F_p (where d = 1)."""
     nz = np.flatnonzero(z)
     masks = map(lex_masks(n, k).__getitem__, nz.tolist())
-    return ExteriorVector._trusted(n, k, dict(zip(masks, z[nz].tolist())), field)
+    cs = z[nz].tolist()
+    if not isinstance(field, PrimeField):
+        cs = [Fraction(c, d) for c in cs]
+    return ExteriorVector._trusted(n, k, dict(zip(masks, cs)), field)
 
 
-def _wedge_residues(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p: int) -> np.ndarray:
-    """Residue vector of the wedge of the degree-a residue vector x and the
-    degree-b residue vector y, lex order throughout.
+def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarray:
+    """Dense vector of the wedge of the dense degree-a vector x and the dense
+    degree-b vector y, lex order throughout, over the product of their
+    denominators; reduced mod p, or not at all when p is None (over Q).
 
     Output coordinate K sums the C(a + b, a) pairs of row K of
-    ``_wedge_gather(n, a, b)``.  Exactness in int64: x and y hold residues
-    in [0, p), so each product is at most (p - 1)^2 < 2^63, which
-    ``_residue_dtype(p) is np.int64`` guarantees; reduced mod p and signed
-    as p - x, each term lies in [0, p]; so a row's sum is at most
-    C(a + b, a) * p, below 2^63 by the check in :func:`_residue_prime`.
+    ``_wedge_gather(n, a, b)``.  Python ints (p above 2^31.5, or Q) are
+    exact at any size: the products are signed, summed, and reduced once.
+    Exactness in int64: x and y hold residues in [0, p), so each product is
+    at most (p - 1)^2 < 2^63, which ``_residue_dtype(p) is np.int64``
+    guarantees; reduced mod p and signed as p - x, each term lies in [0, p];
+    so a row's sum is at most C(a + b, a) * p, below 2^63 by the check in
+    :func:`_table_pays`.
     """
     u_at, v_at, neg = _wedge_gather(n, a, b)
+    if x.dtype == object:
+        prod = x[u_at] * y[v_at]
+        z = np.where(neg, -prod, prod).sum(axis=1)
+        return z if p is None else z % p
     prod = x[u_at] * y[v_at] % p
     return np.where(neg, p - prod, prod).sum(axis=1) % p
 
@@ -504,39 +495,27 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     n, a, b = u.n, u.degree, v.degree
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
-    field, ut, vt = u.field, u._coeffs, v._coeffs
-    if _table_pays(len(ut), len(vt), n, a, b):
-        p = _residue_prime(field, a, b)
-        if p is not None:
-            z = _wedge_residues(_residues(u), _residues(v), n, a, b, p)
-            return _from_residues(z, n, a + b, field)
-    return ExteriorVector._trusted(n, a + b, _wedge_walk(ut, vt, n, a, b, _modulus(field)), field)
+    field, ut, vt, p = u.field, u._coeffs, v._coeffs, _modulus(u.field)
+    if _table_pays(p, len(ut), len(vt), n, a, b):
+        (x, dx), (y, dy) = _dense_vector(u), _dense_vector(v)
+        return _from_dense(_gather(x, y, n, a, b, p), dx * dy, n, a + b, field)
+    return ExteriorVector._trusted(n, a + b, _wedge_walk(ut, vt, p), field)
 
 
-def _wedge_walk(ut: dict, vt: dict, n: int, a: int, b: int, p) -> dict:
-    """Nonzero terms of the wedge of degree-a terms ut by degree-b terms vt,
-    unboxed: masks to ints reduced mod p, or to Fractions when p is None.
-    Walks ``_disjoint(n, a, b)`` when :func:`_table_pays`, else the pairs of
-    ut and vt, signing each disjoint pair by the mask ``_odd_above(mu)``."""
+def _wedge_walk(ut: dict, vt: dict, p) -> dict:
+    """Nonzero terms of the wedge of the terms ut by the terms vt, unboxed:
+    masks to ints reduced mod p, or to Fractions when p is None.  Scans the
+    pairs of ut and vt, signing each disjoint pair by the mask
+    ``_odd_above(mu)``."""
     acc: dict = {}
     get = acc.get
-    if _table_pays(len(ut), len(vt), n, a, b):
-        rows, coeff = _disjoint(n, a, b), vt.get
-        for mu, cu in ut.items():
-            for c, row in zip((cu, -cu), rows[mu]):
-                for mv in row:
-                    cv = coeff(mv)
-                    if cv is not None:
-                        m = mu | mv
-                        acc[m] = get(m, 0) + c * cv
-    else:
-        for mu, cu in ut.items():
-            odd = _odd_above(mu)
-            for mv, cv in vt.items():
-                if not mu & mv:
-                    m = mu | mv
-                    x = cu * cv
-                    acc[m] = get(m, 0) + (-x if (mv & odd).bit_count() & 1 else x)
+    for mu, cu in ut.items():
+        odd = _odd_above(mu)
+        for mv, cv in vt.items():
+            if not mu & mv:
+                m = mu | mv
+                x = cu * cv
+                acc[m] = get(m, 0) + (-x if (mv & odd).bit_count() & 1 else x)
     if p is None:
         return {m: c for m, c in acc.items() if c}
     return {m: x for m, c in acc.items() if (x := c % p)}
@@ -546,9 +525,9 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     """Coefficient of e_{1..n} in the ordered wedge of the given vectors.
 
     The degrees must add up to the ambient dimension exactly.  Each step of
-    the fold that :func:`wedge` would run on residue vectors runs on them
-    here too, and the running wedge stays a residue vector between such
-    steps: only the final coefficient is boxed.
+    the fold that :func:`wedge` would gather gathers here too, and the
+    running wedge stays a dense vector between such steps: only the final
+    coefficient is boxed.
     """
     if not vectors:
         raise ValueError("empty wedge")
@@ -560,23 +539,26 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
             raise ValueError("ambient dimension mismatch")
         if v.field != field:
             raise ValueError("field mismatch")
-    acc, x, a = vectors[0], None, vectors[0].degree  # x: acc as residues, or None
+    p = _modulus(field)
+    acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
     for v in vectors[1:]:
         b = v.degree
         count = len(acc._coeffs) if x is None else int(np.count_nonzero(x))
         if not count:
             return field.zero()
-        p = _residue_prime(field, a, b)
-        if p is not None and _table_pays(count, len(v._coeffs), n, a, b):
-            x = _wedge_residues(_residues(acc) if x is None else x, _residues(v), n, a, b, p)
+        if _table_pays(p, count, len(v._coeffs), n, a, b):
+            if x is None:
+                x, d = _dense_vector(acc)
+            y, dy = _dense_vector(v)
+            x, d = _gather(x, y, n, a, b, p), d * dy
         else:
             if x is not None:
-                acc, x = _from_residues(x, n, a, field), None
+                acc, x = _from_dense(x, d, n, a, field), None
             acc = wedge(acc, v)
         a += b
-    if x is not None:
-        return field.box(int(x[0]))
-    return acc.coefficient((1 << n) - 1)
+    if x is None:
+        return acc.coefficient((1 << n) - 1)
+    return field.box(int(x[0]) if p is not None else Fraction(x[0], d))
 
 
 def _contract_mask(phi_mask: int, w: ExteriorVector) -> ExteriorVector:

@@ -165,6 +165,17 @@ def test_has_plucker_form():
         has_plucker_form(make_pair((2, 2), 3, F), 0, 1)
 
 
+def test_has_plucker_form_at_p_equal_to_m():
+    # Over F_3 two in nine 3-tuples of affine points are distinct, and a
+    # repeated point makes every determinant zero; at distinct points a
+    # balanced pair's determinant is c * prod (u_i - u_j)^2 with c != 0, so
+    # a single trial of distinct points finds the form.
+    F3 = PrimeField(3)
+    for seed in range(10):
+        assert has_plucker_form(make_pair((2, 2), 3, F3), 1, seed)
+        assert not has_plucker_form(make_pair((3, 1), 3, F3), 5, seed)
+
+
 # -- diagonal factorization ------------------------------------------------------------
 
 

@@ -101,6 +101,15 @@ def test_too_few_points_in_a_small_field_exit_two(argv, capsys):
     assert capsys.readouterr().err.startswith("error: F_")
 
 
+@pytest.mark.parametrize("splitting", ["2,2", "3,1"])
+def test_no_form_at_p_equal_to_m(splitting, capsys):
+    # p = m is allowed; a sampled tuple with a repeated point would read zero
+    # on the balanced (2,2) and report a false counterexample.
+    argv = ["p1-no-form", "--prime", "3", "--splitting", splitting, "--m", "3"]
+    assert main(argv + ["--trials", "3"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_trials_below_one_exit_two(trials, capsys):
     assert main(["rank-bound", "--trials", trials]) == 2

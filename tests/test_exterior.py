@@ -26,7 +26,8 @@ from pluckerlab.exterior import (
 )
 from pluckerlab.grassmann import random_grass_point
 from pluckerlab.scalars import (
-    QQ, Fp, PrimeField, mat_rank, mat_vec, rank_mod_p, sample_scalar, submul_mod_p,
+    QQ, Fp, PrimeField, _residue_dtype, mat_rank, mat_vec, rank_mod_p, sample_scalar,
+    submul_mod_p,
 )
 
 F = PrimeField()
@@ -169,13 +170,23 @@ KERNEL_FIELDS = [
 ]
 
 
+# Over Q the gather sums numerators over the lcm of the denominators, so
+# drawn coefficients need denominators other than 1, small and large primes.
+DENOMINATORS = st.sampled_from([1, 2, 3, 2**31 - 1, 2**61 - 1]) | st.integers(1, 2**31 - 1)
+
+
 def draw_vector(draw, field, n, k):
     """A degree-k vector, dense or with at most four terms."""
     masks = lex_masks(n, k)
     dense = draw(st.booleans())
     keep = masks if dense else draw(st.lists(st.sampled_from(masks), max_size=4))
     coeffs = draw(st.lists(st.integers(-(2**70), 2**70), min_size=len(keep), max_size=len(keep)))
-    return ExteriorVector(n, k, {m: field.from_int(c) for m, c in zip(keep, coeffs)}, field)
+    if isinstance(field, PrimeField):
+        coeffs = [field.from_int(c) for c in coeffs]
+    else:
+        dens = draw(st.lists(DENOMINATORS, min_size=len(keep), max_size=len(keep)))
+        coeffs = [Fraction(c, d) for c, d in zip(coeffs, dens)]
+    return ExteriorVector(n, k, dict(zip(keep, coeffs)), field)
 
 
 @st.composite
@@ -238,6 +249,20 @@ def test_dense_wedge_of_largest_residues_at_the_int64_edge(n, a, b):
     assert wedge(u, v) == reference_wedge(u, v)
     if a + b == n:
         assert top_wedge_coefficient([u, v]) == reference_wedge(u, v).coefficient((1 << n) - 1)
+
+
+def test_int64_gather_guard_at_its_edge():
+    # For the largest int64 residue prime, C(34, 17) * p < 2^63 <= C(35, 17)
+    # * p: however dense, a (17, 17) wedge may gather on int64 residues and a
+    # (17, 18) one must scan its pairs.  Python ints have no such bound.  Only
+    # the bound is evaluated; no table is built.
+    p = 3037000493
+    assert math.comb(34, 17) * p < 2**63 <= math.comb(35, 17) * p
+    dense = math.comb(35, 17)
+    assert exterior._table_pays(p, dense, dense, 34, 17, 17)
+    assert not exterior._table_pays(p, dense, dense, 35, 17, 18)
+    assert exterior._table_pays(2**61 - 1, dense, dense, 35, 17, 18)
+    assert exterior._table_pays(None, dense, dense, 35, 17, 18)
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
@@ -321,18 +346,23 @@ def test_unboxed_arithmetic_matches_the_boxed_view(case):
 @settings(max_examples=100, deadline=None)
 def test_residue_vector_is_cached_read_only_and_current(case):
     u, v, s = case
-    if not isinstance(u.field, PrimeField):
-        return
-    # Operands with residue vectors already cached must not lend them to
-    # the vectors built from them.
-    exterior._residues(u), exterior._residues(v)
+    field = u.field
+    # Operands with dense vectors already cached must not lend them to the
+    # vectors built from them.
+    exterior._dense_vector(u), exterior._dense_vector(v)
     built = [u, v, u + v, u - v, -u, u.scale(s)]
     if 2 * u.degree <= u.n:
         built.append(wedge(u, v))
     for w in built:
-        x = exterior._residues(w)
-        assert x.tolist() == [w.field.unbox(c) for c in w.coefficient_vector()]
-        assert exterior._residues(w) is x and not x.flags.writeable
+        x, d = exterior._dense_vector(w)
+        if isinstance(field, PrimeField):
+            assert d == 1 and x.dtype == np.dtype(_residue_dtype(field.p))
+            assert x.tolist() == [field.unbox(c) for c in w.coefficient_vector()]
+        else:
+            assert d == math.lcm(*(c.denominator for c in w.terms.values()))
+            assert [Fraction(c, d) for c in x.tolist()] == w.coefficient_vector()
+        assert all(type(c) is int for c in x.tolist())
+        assert exterior._dense_vector(w)[0] is x and not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1
 
@@ -355,9 +385,9 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
     # The table for (64, 3, 3) would hold about 1.5e9 masks, so building it
     # is refused here rather than attempted.
     def no_table(*args):
-        raise AssertionError(f"disjoint-mask table {args} built for a sparse wedge")
+        raise AssertionError(f"scatter table {args} built for a sparse wedge")
 
-    monkeypatch.setattr(exterior, "_disjoint", no_table)
+    monkeypatch.setattr(exterior, "_wedge_scatter", no_table)
     u = ExteriorVector.basis(64, (1, 5, 64), F)
     v = ExteriorVector.basis(64, (2, 3, 4), F) + ExteriorVector.basis(64, (5, 6, 7), F)
     # (1, 5, 64, 2, 3, 4) has six inversions; e_{5,6,7} meets u.
