@@ -15,9 +15,15 @@ scalars are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
-determinant map d_E (``det_map_matrix``), at m points the coefficient tensor
-of the symbolic witness.  It never evaluates a section, so both stay checks
-independent of ``_section_values``.
+determinant map d_E, at m points the coefficient tensor of the symbolic
+witness.  It never evaluates a section, so both stay checks independent of
+``_section_values``.  d_E is built once per pair and cached unboxed,
+:func:`_det_map_rows`: ``det_map_rank`` ranks it as it is, ``lambda_image``
+multiplies it by the unboxed functional, and only ``det_map_matrix`` boxes it.
+
+Every search for a sampled point tuple at which the determinant is nonzero
+(``has_plucker_form``, the fit of ``diagonal_factor_check`` and the
+p1-no-form suite) is one loop, :func:`_first_nonzero_sample`.
 
 The determinant divisor is the vanishing of the determinant of the m-point
 evaluation matrix.  On the line it factors as a constant times the r-th power
@@ -47,7 +53,6 @@ from .scalars import (
     _rank,
     field_from_name,
     field_of,
-    mat_rank,
     mat_vec,
     sample_scalar,
 )
@@ -218,21 +223,30 @@ def sample_distinct_points(
     return pts
 
 
+def _first_nonzero_sample(pair: BundlePairP1, trials: int, rng: random.Random):
+    """The first of up to `trials` sampled tuples of m distinct points at
+    which the determinant is nonzero, as (trial, points, value); None when
+    it reads zero at every one.  A repeated point would make every
+    determinant zero, so the points are distinct."""
+    for trial in range(trials):
+        pts = sample_distinct_points(pair.m, pair.field, rng)
+        value = divisor_value(pair, pts)
+        if value:
+            return trial, pts, value
+    return None
+
+
 def has_plucker_form(pair: BundlePairP1, trials: int, seed: int) -> bool:
     """Randomized test for non-degeneracy of the evaluation determinant.
 
     True as soon as one sampled tuple of distinct points gives a nonzero
-    value (a repeated point makes every determinant zero); over a
-    large prime field the chance that a nonzero form evaluates to zero at
-    all `trials` samples is at most (total degree / p)^trials.
+    value; over a large prime field the chance that a nonzero form
+    evaluates to zero at all `trials` samples is at most
+    (total degree / p)^trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        if divisor_value(pair, sample_distinct_points(pair.m, pair.field, rng)):
-            return True
-    return False
+    return _first_nonzero_sample(pair, trials, random.Random(seed)) is not None
 
 
 def pairwise_product(points: Sequence[P1Point], power: int, field: Field) -> Scalar:
@@ -252,16 +266,14 @@ def diagonal_factor_check(pair: BundlePairP1, trials: int, seed: int) -> Divisor
     For a balanced splitting the value is additionally matched against the
     r-th power of the rank-one divisor, up to a second fitted constant.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     field = pair.field
     rng = random.Random(seed)
-    det0 = None
-    for _ in range(32):
-        pts = sample_distinct_points(pair.m, field, rng)
-        det0 = divisor_value(pair, pts)
-        if det0:
-            break
-    if not det0:
+    first = _first_nonzero_sample(pair, 32, rng)
+    if first is None:
         raise ValueError("degenerate pair: the determinant vanishes identically")
+    _, pts, det0 = first
     c = det0 / pairwise_product(pts, pair.r, field)
     balanced = is_balanced(pair)
     base = None
@@ -311,14 +323,12 @@ def _leibniz(rows: Sequence[tuple], r: int, points: int, p) -> dict:
 
 
 # lambda_image needs this matrix for every functional it maps, so it is
-# cached per pair; few pairs are in use at once, hence the small bound.
+# cached per pair; few pairs are in use at once, hence the small bound.  The
+# rows are tuples because every caller shares them.
 @lru_cache(maxsize=8)
-def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
-    """Matrix of the determinant map from wedges of sections to forms.
-
-    Columns follow the lex wedge basis on section indices; rows are the
-    monomial basis u^a v^(D-a) of degree D = r(m-1) forms, a ascending.
-    """
+def _det_map_rows(pair: BundlePairP1) -> tuple[tuple, ...]:
+    """Unboxed rows of the determinant map (residues in [0, p), or
+    Fractions), laid out as in :func:`det_map_matrix`."""
     field, r, p = pair.field, pair.r, _modulus(pair.field)
     combos = list(itertools.combinations(pair.terms, r))
     zero = field.unbox(field.zero())
@@ -326,11 +336,20 @@ def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
     for cidx, comb in enumerate(combos):
         for (a,), c in _leibniz(comb, r, 1, p).items():
             rows[a][cidx] = c
-    return _boxed(rows, field)
+    return tuple(map(tuple, rows))
+
+
+def det_map_matrix(pair: BundlePairP1) -> DenseMatrix:
+    """Matrix of the determinant map from wedges of sections to forms.
+
+    Columns follow the lex wedge basis on section indices; rows are the
+    monomial basis u^a v^(D-a) of degree D = r(m-1) forms, a ascending.
+    """
+    return _boxed(_det_map_rows(pair), pair.field)
 
 
 def det_map_rank(pair: BundlePairP1) -> int:
-    return mat_rank(det_map_matrix(pair))
+    return _rank(_det_map_rows(pair), pair.field)
 
 
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
@@ -350,14 +369,20 @@ def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
 def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVector:
     """Transpose of the determinant map applied to a linear functional on
     degree r(m-1) forms, read in the wedge basis dual to the sections."""
-    D = pair.r * (pair.m - 1)
+    D, field, p = pair.r * (pair.m - 1), pair.field, _modulus(pair.field)
     if len(functional) != D + 1:
         raise ValueError(f"functional must have {D + 1} coefficients")
-    coeffs = mat_vec(det_map_matrix(pair).transpose(), functional)
-    vec = ExteriorVector.from_coefficients(pair.r * pair.m, pair.r, coeffs, pair.field)
-    if vec.is_zero:
+    f = [field.unbox(c) for c in functional]
+    coeffs = {}
+    for mask, col in zip(lex_masks(pair.r * pair.m, pair.r), zip(*_det_map_rows(pair))):
+        c = sum(x * y for x, y in zip(col, f) if x)  # the map is mostly zeros
+        if p is not None:
+            c %= p
+        if c:
+            coeffs[mask] = c
+    if not coeffs:
         raise ValueError("functional annihilates the image: indeterminacy point")
-    return vec
+    return ExteriorVector._trusted(pair.r * pair.m, pair.r, coeffs, field)
 
 
 def evaluation_functional(pair: BundlePairP1, x: P1Point) -> list[Scalar]:

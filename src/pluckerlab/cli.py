@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bundle_pairs_p1 import (
+    _first_nonzero_sample,
     classify_point,
     det_map_rank,
     diagonal_factor_check,
@@ -453,11 +454,8 @@ def _suite_p1_lambda(cfg: ExperimentConfig, field: Field, rng: random.Random):
 def _suite_p1_no_form(cfg: ExperimentConfig, field: Field, rng: random.Random):
     pair = _require_pair(cfg, field)
     predicted_degenerate = not is_balanced(pair)
-    witness = None
-    for trial in range(cfg.trials):
-        if divisor_value(pair, sample_distinct_points(pair.m, field, rng)):
-            witness = trial
-            break
+    first = _first_nonzero_sample(pair, cfg.trials, rng)
+    witness = None if first is None else first[0]
     all_zero = witness is None
     hp = has_plucker_form(pair, min(cfg.trials, 50), rng.randrange(2**32))
     degree = pair.m * pair.r * (pair.m - 1)
@@ -505,6 +503,10 @@ def _validate(config: ExperimentConfig):
         raise ValueError("reconstruction needs r >= 2: every degree-1 vector is decomposable")
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:
         raise ValueError("rank bound needs ambient dimension at least 2r + 1")
+    # expand-check holds every shuffle term at once: (3,4)'s 369,600 peak at
+    # about 170 MB, so (4,4)'s 63,063,000 would exhaust memory.
+    if config.command == "expand-check" and expand_form_term_count(config.r, config.m) > 10**6:
+        raise ValueError("expand-check holds (rm)!/(r!)^m shuffle terms at once; at most 10^6")
     # Distinct affine points a suite needs: taylor-check interpolates at the
     # nodes 0..m, and a determinant read at m points that repeat is zero.
     need = {"taylor-check": config.m + 1, "p1-divisor": config.m, "p1-no-form": config.m}
@@ -533,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (description, _) in SUITES.items():
         p = sub.add_parser(name, help=description)
-        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--r", type=int, default=None)
         p.add_argument("--m", type=int, default=3)
         p.add_argument("--splitting", type=_parse_splitting, default=None)
         p.add_argument("--field", choices=["fp", "q"], default="fp")
@@ -551,9 +553,12 @@ def main(argv=None) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("PLUECKERLAB_SEED", "0"))
+    r = args.r  # without --r: the length of --splitting, or 2
+    if r is None:
+        r = 2 if args.splitting is None else len(args.splitting)
     config = ExperimentConfig(
         command=args.command,
-        r=args.r if args.splitting is None else len(args.splitting),
+        r=r,
         m=args.m,
         splitting=args.splitting,
         field=args.field,

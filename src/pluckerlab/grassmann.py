@@ -11,6 +11,8 @@ preferring one side.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,14 +31,7 @@ from .plucker_form import (  # noqa: F401
     _slot_pair_rank,
     tangent_codim,
 )
-from .scalars import (
-    DenseMatrix,
-    Field,
-    Scalar,
-    field_of,
-    mat_det,
-    random_matrix,
-)
+from .scalars import DenseMatrix, Field, Scalar, _unboxed_rows, mat_det
 
 
 @dataclass(frozen=True)
@@ -54,23 +49,14 @@ class GrassPoint:
 def plucker_embed(A: DenseMatrix) -> GrassPoint:
     """Wedge of the rows of a full-rank r x n matrix."""
     r, n = A.rows, A.cols
-    if r == 0 or r > n:
-        raise ValueError("need 1 <= rows <= cols")
-    field = field_of(A.entries[0])
-    vec = _row_vector(A, 0, field)
-    for i in range(1, r):
-        vec = wedge(vec, _row_vector(A, i, field))
+    if not 0 < r <= n <= 64:
+        raise ValueError("need 1 <= rows <= cols <= 64")
+    field, rows = _unboxed_rows(A)
+    terms = ({1 << j: c for j, c in enumerate(row) if c} for row in rows)
+    vec = functools.reduce(wedge, (ExteriorVector._trusted(n, 1, t, field) for t in terms))
     if vec.is_zero:
         raise ValueError("matrix is rank deficient")
     return GrassPoint(r, n, A, vec)
-
-
-def _row_vector(A: DenseMatrix, i: int, field: Field) -> ExteriorVector:
-    terms = {}
-    for j, c in enumerate(A.row(i)):
-        if c:
-            terms[1 << j] = c
-    return ExteriorVector(A.cols, 1, terms, field)
 
 
 def mu_rank(w: ExteriorVector, s: int) -> int:
@@ -199,13 +185,26 @@ def ev_m_det(points: Sequence[GrassPoint]) -> Scalar:
     r, n = points[0].r, points[0].n
     if n != r * m:
         raise ValueError("need n = r * m for a square evaluation matrix")
-    rows = []
-    for pt in points:
-        if pt.r != r or pt.n != n:
-            raise ValueError("shape mismatch between points")
-        for i in range(pt.basis_matrix.rows):
-            rows.append(pt.basis_matrix.row(i))
-    return mat_det(DenseMatrix.from_rows(rows))
+    if any(pt.r != r or pt.n != n for pt in points):
+        raise ValueError("shape mismatch between points")
+    entries = itertools.chain.from_iterable(pt.basis_matrix.entries for pt in points)
+    return mat_det(DenseMatrix(n, n, tuple(entries)))
+
+
+def _random_point(r: int, n: int, free: int, field: Field, rng: random.Random) -> GrassPoint:
+    """Plucker point of a random full-rank r x n matrix whose columns after
+    the first `free` are zero, drawn row by row and resampled while
+    degenerate.  Refused when no such matrix exists, which would resample
+    forever."""
+    if not 0 < r <= free <= n <= 64:
+        raise ValueError(f"no full-rank {r} x {n} matrix with {free} nonzero columns, n <= 64")
+    zero = field.zero()
+    while True:
+        entries = (field.sample(rng) if j < free else zero for _ in range(r) for j in range(n))
+        try:
+            return plucker_embed(DenseMatrix(r, n, tuple(entries)))
+        except ValueError:
+            continue
 
 
 def random_grass_point(
@@ -213,12 +212,7 @@ def random_grass_point(
 ) -> GrassPoint:
     """Plucker point of a random full-rank r x n matrix (resampled if
     degenerate, which has negligible probability over a large field)."""
-    while True:
-        A = random_matrix(r, n, field, rng)
-        try:
-            return plucker_embed(A)
-        except ValueError:
-            continue
+    return _random_point(r, n, n, field, rng)
 
 
 def random_hyperplane_point(
@@ -227,10 +221,4 @@ def random_hyperplane_point(
     """Plucker point of a random full-rank r x n matrix whose last column is
     zero, so that the subspace lies in the hyperplane x_n = 0 (resampled if
     degenerate)."""
-    while True:
-        A = random_matrix(r, n - 1, field, rng)
-        rows = [list(A.row(i)) + [field.zero()] for i in range(r)]
-        try:
-            return plucker_embed(DenseMatrix.from_rows(rows))
-        except ValueError:
-            continue
+    return _random_point(r, n, n - 1, field, rng)

@@ -6,7 +6,10 @@ import pytest
 
 from pluckerlab.bundle_pairs_p1 import (
     BundlePairP1,
+    DivisorReport,
     P1Point,
+    _det_map_rows,
+    _first_nonzero_sample,
     change_basis,
     classify_point,
     det_map_matrix,
@@ -39,8 +42,10 @@ from pluckerlab.scalars import (
     QQ,
     DenseMatrix,
     PrimeField,
+    _boxed,
     mat_det,
     mat_rank,
+    mat_vec,
     random_matrix,
 )
 
@@ -197,6 +202,60 @@ def test_diagonal_factor_degenerate_pair_raises():
         diagonal_factor_check(make_pair((3, 1), 3, F), 5, 5)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_diagonal_factor_refuses_fewer_than_one_trial(trials):
+    # With no trial the identity would be reported as matched unchecked.
+    with pytest.raises(ValueError, match="at least one trial"):
+        diagonal_factor_check(make_pair((2, 2), 3, F), trials, 5)
+
+
+# The sample-until-nonzero loops as they were written out in each caller
+# before they shared _first_nonzero_sample: the reference for its draws.
+def _reference_first_nonzero(pair, trials, rng):
+    for trial in range(trials):
+        pts = sample_distinct_points(pair.m, pair.field, rng)
+        value = divisor_value(pair, pts)
+        if value:
+            return trial, pts, value
+    return None
+
+
+def _reference_diagonal_factor_check(pair, trials, seed):
+    # Its fit loop and the draws of its trials; the second, balanced-only
+    # comparison draws nothing and is left out.
+    field, rng = pair.field, random.Random(seed)
+    det0 = None
+    for _ in range(32):
+        pts = sample_distinct_points(pair.m, field, rng)
+        det0 = divisor_value(pair, pts)
+        if det0:
+            break
+    c = det0 / pairwise_product(pts, pair.r, field)
+    all_matched = True
+    for _ in range(trials):
+        pts = sample_distinct_points(pair.m, field, rng)
+        if divisor_value(pair, pts) != c * pairwise_product(pts, pair.r, field):
+            all_matched = False
+            break
+    return DivisorReport(c, trials, all_matched)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), PrimeField(3), QQ], ids=["fp", "f7", "f3", "q"])
+def test_nonzero_sample_search_draws_as_the_inline_loops_did(field):
+    # At p = m = 3 the sampler has to reject repeats, which takes extra draws.
+    for splitting in [(2, 2), (3, 1), (2,), (2, 2, 2)]:
+        pair = make_pair(splitting, 3, field)
+        for seed in range(4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _first_nonzero_sample(pair, 6, rng) == _reference_first_nonzero(pair, 6, ref)
+            assert rng.getstate() == ref.getstate()
+            has_form = _reference_first_nonzero(pair, 6, random.Random(seed)) is not None
+            assert has_plucker_form(pair, 6, seed) == has_form
+            if has_form:
+                got = diagonal_factor_check(pair, 4, seed)
+                assert got == _reference_diagonal_factor_check(pair, 4, seed)
+
+
 def test_symbolic_witness():
     holds, c = symbolic_diagonal_witness(make_pair((2,), 3, QQ))
     assert holds and c in (QQ.one(), -QQ.one())
@@ -235,6 +294,31 @@ def test_det_map_ranks():
     assert det_map_rank(make_pair((3, 3), 4, F)) == 7
     assert det_map_rank(make_pair((2, 2, 2), 3, F)) == 7
     assert det_map_rank(make_pair((2,), 3, F)) == 3
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(7), QQ], ids=["fp", "f7", "q"])
+def test_det_map_owners_agree_with_the_boxed_oracles(field):
+    # The boxed matrix, its rank through mat_rank and its transpose through
+    # mat_vec are the references for the cached unboxed rows.
+    rng = random.Random(41)
+    for splitting, m in [((2, 2), 3), ((3, 1), 3), ((2, 2, 2), 3), ((1, 1), 2)]:
+        rm = len(splitting) * m
+        pair = make_pair(splitting, m, field)
+        while True:
+            G = random_matrix(rm, rm, field, rng)
+            if mat_rank(G) == rm:
+                break
+        for p in (pair, change_basis(pair, G)):
+            M = det_map_matrix(p)
+            assert M == _boxed(_det_map_rows(p), field)
+            assert det_map_rank(p) == mat_rank(M)
+            for _ in range(3):
+                functional = [field.sample(rng) for _ in range(M.rows)]
+                coeffs = mat_vec(M.transpose(), functional)
+                expect = ExteriorVector.from_coefficients(rm, p.r, coeffs, field)
+                if expect.is_zero:
+                    continue
+                assert lambda_image(p, functional) == expect
 
 
 def test_span_dimension_matches_det_map_rank():
@@ -343,6 +427,15 @@ def test_lambda_zero_functional_rejected():
         lambda_image(pair, [F.zero()] * 5)
     with pytest.raises(ValueError):
         lambda_image(pair, [F.one()] * 3)
+
+
+@pytest.mark.parametrize(
+    "field,other", [(F, QQ), (F, PrimeField(7)), (QQ, F)], ids=["fp-q", "fp-f7", "q-fp"]
+)
+def test_lambda_refuses_a_functional_from_another_field(field, other):
+    pair = make_pair((2, 2), 3, field)
+    with pytest.raises(ValueError):
+        lambda_image(pair, [other.one()] * 5)
 
 
 # -- two-point surjectivity -------------------------------------------------------------

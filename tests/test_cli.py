@@ -2,12 +2,20 @@ import csv
 import hashlib
 import io
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from pluckerlab import cli
+from pluckerlab.bundle_pairs_p1 import (
+    divisor_value,
+    has_plucker_form,
+    make_pair,
+    sample_distinct_points,
+)
 from pluckerlab.cli import ExperimentConfig, build_parser, main, run
+from pluckerlab.scalars import PrimeField
 
 
 def _body_without_walltime(report):
@@ -414,6 +422,48 @@ def test_splitting_sets_rank(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["config"]["r"] == 3
+
+
+@pytest.mark.parametrize("prime", [3, 2**31 - 1])
+@pytest.mark.parametrize("splitting", [(2, 2), (3, 1)])
+def test_no_form_draws_as_its_inline_loop_did(prime, splitting):
+    # The suite's loop as it was written out before the shared search: the
+    # first trial with a nonzero determinant, then a fresh seed for
+    # has_plucker_form from the same stream.
+    field = PrimeField(prime)
+    pair = make_pair(splitting, 3, field)
+    for seed in range(3):
+        rng = random.Random(seed)
+        witness = None
+        for trial in range(4):
+            if divisor_value(pair, sample_distinct_points(3, field, rng)):
+                witness = trial
+                break
+        hp = has_plucker_form(pair, 4, rng.randrange(2**32))
+        cfg = ExperimentConfig(
+            command="p1-no-form", r=2, m=3, splitting=splitting, prime=prime, seed=seed, trials=4
+        )
+        (case,) = run(cfg).cases
+        assert (case["first_nonzero_trial"], case["has_plucker_form"]) == (witness, hp)
+
+
+def test_splitting_of_another_length_than_r_exits_two(capsys):
+    argv = ["taylor-check", "--r", "3", "--splitting", "1,1", "--trials", "1"]
+    assert main(argv) == 2
+    assert "splitting length must equal r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r,m", [(4, 4), (2, 6)])
+def test_expand_check_beyond_a_million_terms_exits_two(r, m, capsys):
+    # (4,4) has 63,063,000 shuffle terms and (2,6) 7,484,400: both are
+    # refused before the expansion is built.
+    assert main(["expand-check", "--r", str(r), "--m", str(m), "--trials", "1"]) == 2
+    assert "at most 10^6" in capsys.readouterr().err
+
+
+def test_expand_check_at_three_four_is_accepted():
+    # 369,600 terms, under the limit.
+    cli._validate(ExperimentConfig(command="expand-check", r=3, m=4, trials=1))
 
 
 def test_parser_lists_all_suites():

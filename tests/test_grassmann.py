@@ -26,7 +26,7 @@ from pluckerlab.grassmann import (
     random_hyperplane_point,
 )
 from pluckerlab.plucker_form import PointTuple, eval_form
-from pluckerlab.scalars import DenseMatrix, QQ, PrimeField, mat_rank
+from pluckerlab.scalars import DenseMatrix, QQ, PrimeField, mat_rank, random_matrix
 
 F = PrimeField()
 
@@ -70,6 +70,42 @@ def test_hyperplane_points_have_a_zero_last_column():
         assert not any(gp.basis_matrix.at(i, 5) for i in range(2))
         assert all(m < 1 << 5 for m in gp.plucker.terms)
         assert plucker_relations_hold(gp.plucker)
+
+
+def _reference_random_point(r, n, free, field, rng):
+    # The two resampling loops as they were written out before they shared
+    # one: a random r x free matrix, padded with zero columns to n.
+    while True:
+        A = random_matrix(r, free, field, rng)
+        rows = [list(A.row(i)) + [field.zero()] * (n - free) for i in range(r)]
+        try:
+            return plucker_embed(DenseMatrix.from_rows(rows))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2), QQ], ids=["fp", "f2", "q"])
+def test_random_points_draw_as_the_separate_loops_did(field):
+    # Over F_2 a random matrix is often rank deficient, so the loop resamples.
+    for r, n in [(2, 6), (3, 9), (2, 4)]:
+        for sample, free in ((random_grass_point, n), (random_hyperplane_point, n - 1)):
+            rng, ref = random.Random(r * n), random.Random(r * n)
+            for _ in range(5):
+                assert sample(r, n, field, rng) == _reference_random_point(r, n, free, field, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_random_points_refuse_shapes_without_a_full_rank_matrix():
+    # Each of these resampled forever before it was refused.
+    for sample, r, n in [
+        (random_grass_point, 3, 2),
+        (random_grass_point, 1, 65),
+        (random_hyperplane_point, 2, 2),
+    ]:
+        with pytest.raises(ValueError, match="no full-rank"):
+            sample(r, n, F, random.Random(0))
+    with pytest.raises(ValueError, match="<= 64"):
+        plucker_embed(rows_matrix([[1] * 65]))
 
 
 def test_embed_rank_deficient_rejected():
