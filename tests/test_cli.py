@@ -240,6 +240,24 @@ def test_report_bodies_over_q_match_golden_digests(command, r, m):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES_Q[command, r, m]
 
 
+# The membership suites over Q at (3,3), with few trials because Bareiss
+# elimination dominates there (the 252 x 252 tangent system of codim-threshold
+# alone takes about a second): (command, trials) -> digest.  Recorded with
+# Bareiss on the unboxed arrays.
+GOLDEN_BODIES_Q_33 = {
+    ("rank-bound", 2): "c56dd5df34a71ac71f782970ebfc8059e311a4dc11733d87ab0ff928408a59ba",
+    ("reconstruction", 2): "315a83ab98ac768ff4c5df28baea1242dc5c08ae88333d0a0c5c1bee08d714e9",
+    ("codim-threshold", 1): "56262308a23731a40ab7c21e4f3c34bba82f483ef926e6ed6c047337daa14784",
+}
+
+
+@pytest.mark.parametrize("command,trials", sorted(GOLDEN_BODIES_Q_33))
+def test_report_bodies_over_q_at_three_three_match_golden_digests(command, trials):
+    cfg = ExperimentConfig(command=command, r=3, m=3, field="q", seed=0, trials=trials)
+    text = json.dumps(run(cfg).body(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES_Q_33[command, trials]
+
+
 def _none(*args):
     return None
 
