@@ -6,13 +6,11 @@ from .bundle_pairs_p1 import (
     BundlePairP1,
     DivisorReport,
     P1Point,
-    change_basis,
     classify_point,
     det_map_matrix,
     det_map_rank,
     diagonal_factor_check,
     divisor_value,
-    evaluation_matrix,
     has_plucker_form,
     is_balanced,
     lambda_image,
@@ -27,12 +25,10 @@ from .exterior import (
     ExteriorVector,
     MultiIndex,
     contract,
-    merge_sign,
     plucker_relations_hold,
     random_exterior,
     top_wedge_coefficient,
     wedge,
-    wedge_matrix,
     wedge_rank,
 )
 from .grassmann import (
@@ -40,24 +36,19 @@ from .grassmann import (
     GrassPoint,
     Verdict,
     classify_membership,
-    codim_small_m,
     codim_threshold,
     ev_m_det,
     field_codim_threshold,
-    is_decomposable,
     mu_rank,
     plucker_embed,
     random_grass_point,
 )
 from .plucker_form import (
     PointTuple,
-    TangentSystem,
-    build_tangent_system,
     diagonal_multiplicity,
     diagonal_tangent_codim,
     eval_form,
     expand_form,
-    expand_form_json,
     multiplicity_at,
     polar,
     tangent_codim,
@@ -70,9 +61,7 @@ from .scalars import (
     QQ,
     RationalField,
     mat_det,
-    mat_rank,
     rank_mod_p,
-    sample_scalar,
 )
 
 __version__ = "0.1.0"

@@ -53,8 +53,6 @@ from .scalars import (
     _rank,
     field_from_name,
     field_of,
-    mat_vec,
-    sample_scalar,
 )
 
 @dataclass(frozen=True)
@@ -127,10 +125,6 @@ class BundlePairP1:
         if _rank(rows, self.field) != rm:
             raise ValueError("sections are linearly dependent")
 
-    @property
-    def section_count(self) -> int:
-        return len(self.sections)
-
 
 @dataclass(frozen=True)
 class DivisorReport:
@@ -183,13 +177,6 @@ def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]
     return rows
 
 
-def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:
-    """rm x rm matrix: one row per section, an r-column block per point."""
-    if len(points) != pair.m:
-        raise ValueError(f"need {pair.m} points")
-    return _boxed(_section_values(pair, points), pair.field)
-
-
 def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:
     """Value at the chosen representatives of the multihomogeneous form
     cutting the determinant divisor."""
@@ -199,7 +186,7 @@ def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:
 
 
 def sample_affine_point(field: Field, rng: random.Random) -> P1Point:
-    return P1Point.affine(sample_scalar(field, rng))
+    return P1Point.affine(field.sample(rng))
 
 
 def sample_points(pair_m: int, field: Field, rng: random.Random) -> list[P1Point]:
@@ -421,22 +408,6 @@ def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:
         raise ValueError("points must be distinct")
     rows = _section_values(pair, (x, y))
     return _rank(rows, pair.field) == 2 * pair.r
-
-
-def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:
-    """Replace the section basis by G applied to it (rows of G give the new
-    sections as combinations of the old)."""
-    rm = pair.r * pair.m
-    if G.rows != rm or G.cols != rm:
-        raise ValueError(f"basis change must be {rm} x {rm}")
-    flat = [[c for f in section for c in f] for section in pair.sections]
-    columns = DenseMatrix.from_rows(flat).transpose()
-    ends = list(itertools.accumulate(d + 1 for d in pair.splitting))
-    new_sections = []
-    for i in range(rm):
-        row = mat_vec(columns, G.row(i))
-        new_sections.append(tuple(tuple(row[e - d - 1 : e]) for d, e in zip(pair.splitting, ends)))
-    return BundlePairP1(pair.r, pair.m, pair.splitting, tuple(new_sections), pair.field)
 
 
 # -- symbolic second witness -------------------------------------------------

@@ -21,7 +21,7 @@ interleaving the two sorted index sets.  Counted from the side of J, s is the
 number of bits of J that have an odd number of bits of I above them, so with
 ``_odd_above(I)``, the mask of those bit positions cached once per basis mask,
 the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
-package (``merge_sign``, ``wedge``, ``wedge_matrix``, the tangent systems and
+package (``wedge``, the wedge-multiplication maps, the tangent systems and
 the shuffle expansion of the wedge form) is read off this one mask.
 
 ``wedge`` has two paths, chosen from the pair count.  A wedge with fewer
@@ -49,10 +49,10 @@ row-major positions of the nonzero entries of the matrix of t |-> e_mu ^ t
 on wedge^s(V), with one sign flag each: one 2-D int array and one bool
 array, C(n - a, s) entries a row.  ``_wedge_array`` fills an array of
 unboxed entries from it with one fancy-index assignment of u's coefficient
-column (``_column``: residues over F_p, Fractions over Q): ``wedge_matrix``
-boxes that array for the API, ``wedge_rank`` over Q ranks it unboxed, and
-the blocks of ``plucker_form.build_tangent_system`` are such arrays, each
-with its sign.  The gather in ``wedge`` reads the same table through
+column (``_column``: residues over F_p, Fractions over Q): ``wedge_rank``
+over Q ranks that array unboxed, and the blocks of the tangent systems of
+``plucker_form.tangent_codim`` are such arrays, each with its sign.  The
+gather in ``wedge`` reads the same table through
 ``_wedge_gather``, and ``wedge_rank`` over F_p through ``_schur_scatter``
 (below), so every wedge kernel shares one index table.
 
@@ -89,18 +89,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .scalars import (
-    DenseMatrix,
     Field,
     PrimeField,
     Scalar,
-    _boxed,
     _dtype,
     _mod_p,
     _modulus,
     _rank,
     _residue_dtype,
     rank_mod_p,
-    sample_scalar,
     submul_mod_p,
 )
 
@@ -233,15 +230,6 @@ class MultiIndex:
         return _indices_from_mask(self.mask)
 
 
-def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
-    """Sign of e_I ^ e_J relative to e_{I+J}: 0 on overlap, else +-1."""
-    if I.n != J.n:
-        raise ValueError("ambient dimension mismatch")
-    if I.mask & J.mask:
-        return 0
-    return -1 if (J.mask & _odd_above(I.mask)).bit_count() & 1 else 1
-
-
 class ExteriorVector:
     """Homogeneous element of wedge^k(V) as a sparse mask -> coefficient map."""
 
@@ -289,15 +277,6 @@ class ExteriorVector:
         mask = _mask_from_indices(indices, n)
         return ExteriorVector(n, mask.bit_count(), {mask: field.one()}, field)
 
-    @staticmethod
-    def from_coefficients(
-        n: int, degree: int, coeffs: Sequence[Scalar], field: Field
-    ) -> "ExteriorVector":
-        masks = lex_masks(n, degree)
-        if len(coeffs) != len(masks):
-            raise ValueError("coefficient count mismatch")
-        return ExteriorVector(n, degree, dict(zip(masks, coeffs)), field)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -307,17 +286,6 @@ class ExteriorVector:
     def coefficient(self, index) -> Scalar:
         mask = index.mask if isinstance(index, MultiIndex) else index
         return self.field.box(self._coeffs[mask]) if mask in self._coeffs else self.field.zero()
-
-    def coefficient_vector(self) -> list[Scalar]:
-        """Dense coefficients in the lex basis order of this degree."""
-        z, box, get = self.field.zero(), self.field.box, self._coeffs.get
-        return [z if (c := get(m)) is None else box(c) for m in lex_masks(self.n, self.degree)]
-
-    def support(self) -> list[MultiIndex]:
-        return [
-            MultiIndex(m, self.n)
-            for m in sorted(self._coeffs, key=_indices_from_mask)
-        ]
 
     # -- algebra -----------------------------------------------------------
 
@@ -615,7 +583,7 @@ def random_exterior(
     if degree > n:
         raise ValueError(f"degree {degree} exceeds ambient dimension {n}")
     while True:
-        terms = {m: sample_scalar(field, rng) for m in lex_masks(n, degree)}
+        terms = {m: field.sample(rng) for m in lex_masks(n, degree)}
         vec = ExteriorVector(n, degree, terms, field)
         if not vec.is_zero:
             return vec
@@ -654,11 +622,6 @@ def _wedge_array(u: ExteriorVector, s: int, sign: int = 1) -> np.ndarray:
     A = np.full(nrows * ncols, u.field.unbox(u.field.zero()), dtype=c.dtype)
     A[flat[rows]] = np.where(neg[rows], minus_c, c)
     return A.reshape(nrows, ncols)
-
-
-def wedge_matrix(u: ExteriorVector, s: int) -> DenseMatrix:
-    """Matrix of t |-> u ^ t on wedge^s(V), in lex bases on both sides."""
-    return _boxed(_wedge_array(u, s), u.field)
 
 
 @lru_cache(maxsize=16)
@@ -736,7 +699,8 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
 
 
 def wedge_rank(u: ExteriorVector, s: int) -> int:
-    """Rank of t |-> u ^ t on wedge^s(V): ``mat_rank(wedge_matrix(u, s))``.
+    """Rank of the matrix of t |-> u ^ t on wedge^s(V), lex bases on both
+    sides.
 
     The matrix is never boxed.  A zero u has rank 0, returned before
     anything is allocated.  Over Q it is Bareiss elimination on the unboxed

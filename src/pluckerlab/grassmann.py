@@ -18,12 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exterior import (
-    ExteriorVector,
-    plucker_relations_hold,
-    wedge,
-    wedge_rank,
-)
+from .exterior import ExteriorVector, wedge, wedge_rank
 # tangent_codim stays importable from here: bench/tests reaches it as
 # grassmann.tangent_codim.
 from .plucker_form import (  # noqa: F401
@@ -70,25 +65,15 @@ def mu_rank(w: ExteriorVector, s: int) -> int:
     return wedge_rank(w, s)
 
 
-def is_decomposable(w: ExteriorVector) -> bool:
-    """Rank criterion for decomposability; falls back to the contraction
-    oracle when the ambient dimension is too small for the criterion."""
-    if w.is_zero:
-        raise ValueError("zero vector")
-    d, r = w.n, w.degree
-    if d - 2 * r >= 1:
-        return mu_rank(w, 1) == d - r
-    return plucker_relations_hold(w)
-
-
 def codim_threshold(r: int, m: int) -> int:
     """Minimal codimension of the tangent space to the deepest singular
     stratum at a diagonal point, attained exactly on the Grassmannian cone.
 
     Equals m * binom((m-1)r, r) for even r and (m-1) * binom((m-1)r, r) for
     odd r.  This is the value over a field of characteristic other than 2;
-    :func:`field_codim_threshold` gives it over any field.  Requires m >= 3;
-    see :func:`codim_small_m` for m = 2.
+    :func:`field_codim_threshold` gives it over any field.  Requires m >= 3:
+    at m = 2 every point of the stratum has codimension m - 1 = 1, which
+    carries no membership information.
     """
     if m < 3:
         raise ValueError("threshold formula requires m >= 3")
@@ -109,14 +94,6 @@ def field_codim_threshold(r: int, m: int, field: Field) -> int:
     if m < 3:
         raise ValueError("threshold formula requires m >= 3")
     return _slot_pair_rank(r % 2, m, field) * math.comb((m - 1) * r, r)
-
-
-def codim_small_m(m: int) -> int:
-    """Degenerate regime m = 2: the codimension is m - 1 for every point of
-    the stratum, so it carries no membership information."""
-    if m != 2:
-        raise ValueError("small-m value is only defined for m = 2")
-    return m - 1
 
 
 class Verdict(enum.Enum):

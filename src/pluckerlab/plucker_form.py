@@ -11,9 +11,8 @@ test suite) pins the convention.
 
 Tangent systems are built once, as one array of unboxed entries (residues
 over F_p, Fractions over Q) filled block by block from
-``exterior._wedge_array``.  ``tangent_codim`` ranks that array through
-``scalars._rank`` over either field; only ``build_tangent_system``, which
-returns the matrix, boxes it.
+``exterior._wedge_array``, and ``tangent_codim`` ranks that array through
+``scalars._rank`` over either field; it is never boxed.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .exterior import (
     wedge,
     wedge_rank,
 )
-from .scalars import DenseMatrix, Field, Scalar, _boxed, _dtype, _rank
+from .scalars import Field, Scalar, _dtype, _rank
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,6 @@ def expand_form_term_count(r: int, m: int) -> int:
     return math.factorial(r * m) // math.factorial(r) ** m
 
 
-def expand_form_json(r: int, m: int) -> list:
-    """Shuffle expansion as JSON-ready [[blocks, sign], ...] records."""
-    return [
-        [[list(b.indices) for b in blocks], sign]
-        for blocks, sign in expand_form(r, m)
-    ]
-
-
 def evaluate_expansion(expansion, p: PointTuple) -> Scalar:
     """Sum of sign * product of slot coordinates over a shuffle expansion."""
     total = p.field.zero()
@@ -209,36 +200,18 @@ def multiplicity_at(p: PointTuple) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TangentSystem:
-    """Linear conditions cutting the tangent space to the k-th singular
-    stratum at a base point, as one dense matrix.
+def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
+    """Matrix of the conditions for a direction tuple t to be tangent to the
+    k-th singular stratum at p, as an array of unboxed entries of dtype
+    ``_dtype(p.field)``, zero where empty.
 
     Rows are indexed by pairs (slot subset S with |S| = m-k+1, top-degree
-    basis mask); columns by (slot, degree-r basis mask).
+    basis mask); columns by (slot, degree-r basis mask).  For each S the
+    condition is the vanishing of the eps-coefficient of the ordered wedge
+    over S of (w_s + eps*t_s); the block of columns for slot i inside S is
+    (+-1) times the matrix of t |-> t ^ w_{S - i}, the sign coming from
+    moving t_i to the front across blocks of degree r.
     """
-
-    k: int
-    base: PointTuple
-    matrix: DenseMatrix
-
-
-def build_tangent_system(p: PointTuple, k: int) -> TangentSystem:
-    """Matrix of the conditions for a direction tuple t to be tangent to the
-    k-th singular stratum at p.
-
-    For each slot subset S of size m-k+1 the condition is the vanishing of
-    the eps-coefficient of the ordered wedge over S of (w_s + eps*t_s); the
-    block of columns for slot i inside S is (+-1) times the matrix of
-    t |-> t ^ w_{S - i}, the sign coming from moving t_i to the front across
-    blocks of degree r.
-    """
-    return TangentSystem(k, p, _boxed(_tangent_array(p, k), p.field))
-
-
-def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
-    """The matrix of :func:`build_tangent_system` as an array of unboxed
-    entries of dtype ``_dtype(p.field)``, zero where empty."""
     r, m, n, field = p.r, p.m, p.n, p.field
     ncols_slot = len(lex_masks(n, r))
     cols_total = m * ncols_slot
@@ -270,7 +243,8 @@ def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
 
 def tangent_codim(p: PointTuple, k: int) -> int:
     """Codimension of the tangent space to the k-th singular stratum at p,
-    i.e. the rank of its defining linear system (never boxed)."""
+    i.e. the rank of its defining linear system: C(m, m-k+1) * C(rm,
+    r(m-k+1)) rows and m * C(rm, r) columns, filled and ranked unboxed."""
     return _rank(_tangent_array(p, k), p.field)
 
 
@@ -296,11 +270,12 @@ def diagonal_tangent_codim(w: ExteriorVector, m: int) -> int:
     diagonal point (w, ..., w), through the Kronecker factorization of its
     tangent system.  Equals ``tangent_codim(PointTuple.diagonal(w, m), m - 1)``.
 
-    Lemma.  Let M = ``wedge_matrix(w, r)`` and let B be the C(m,2) x m matrix
-    with rows indexed by the slot pairs S = {i < j} in lex order, B[S, i] =
-    (-1)^r, B[S, j] = 1 and zeros elsewhere.  Then the tangent system of
-    ``build_tangent_system`` at the diagonal point and k = m - 1 is B (x) M,
-    so its rank is rank(B) * rank(M) over any field.
+    Lemma.  Let M be the matrix of t |-> w ^ t on wedge^r(V), lex bases on
+    both sides, and let B be the C(m,2) x m matrix with rows indexed by the
+    slot pairs S = {i < j} in lex order, B[S, i] = (-1)^r, B[S, j] = 1 and
+    zeros elsewhere.  Then the tangent system of ``tangent_codim`` at the
+    diagonal point and k = m - 1 is B (x) M, so its rank is rank(B) *
+    rank(M) over any field.
 
     Proof.  At k = m - 1 the slot subsets have size 2.  The point stores the
     normalized c*w in every slot, so the block of subset S and slot i is
@@ -332,7 +307,7 @@ def diagonal_tangent_codim(w: ExteriorVector, m: int) -> int:
 
 
 def _diagonal_kronecker_codim(w: ExteriorVector, m: int) -> int:
-    """rank(B) * rank(wedge_matrix(w, r)) for a w known to satisfy w ^ w = 0."""
+    """rank(B) * ``wedge_rank(w, r)`` for a w known to satisfy w ^ w = 0."""
     return _slot_pair_rank(w.degree % 2, m, w.field) * wedge_rank(w, w.degree)
 
 

@@ -12,10 +12,10 @@ Matrices inside the library are unboxed: rows or 2-D arrays of residues in
 Every rank goes through one entry, ``_rank(A, field)``: over F_p it is
 :func:`rank_mod_p`, Gaussian elimination on a numpy array, and over Q
 fraction-free (Bareiss) elimination on the rows with their denominators
-cleared.  ``_boxed`` is the one way out to a ``DenseMatrix``, for the API
-functions that return one; ``mat_rank`` and ``mat_det`` unbox a
-``DenseMatrix`` once (``_unboxed_rows``, which refuses mixed-field
-entries).  ``exterior.wedge_rank`` hands :func:`rank_mod_p` a Schur
+cleared.  ``_boxed`` is the one way out to a ``DenseMatrix``, for
+``bundle_pairs_p1.det_map_matrix``; ``mat_det`` unboxes a ``DenseMatrix``
+once (``_unboxed_rows``, which refuses mixed-field entries), and so does
+``grassmann.plucker_embed``.  ``exterior.wedge_rank`` hands :func:`rank_mod_p` a Schur
 complement it scatters straight from a vector's residues.  The elimination
 update forms products of two residues, so the arrays are int64 only when
 (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
@@ -130,6 +130,8 @@ class Fp:
         return Fp(-self.v, self.p)
 
     def __pow__(self, e: int):
+        if e < 0 and not self.v:
+            raise ZeroDivisionError("negative power of zero in prime field")
         return Fp(pow(self.v, e, self.p), self.p)
 
     def __eq__(self, other):
@@ -173,7 +175,10 @@ class RationalField:
 
     def element_from_str(self, s: str) -> Fraction:
         num, _, den = s.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(int(num), den)
 
     def is_element(self, x) -> bool:
         return isinstance(x, Fraction)
@@ -259,11 +264,6 @@ def field_from_name(name: str, prime: int = DEFAULT_PRIME) -> Field:
     raise ValueError(f"unknown field tag {name!r}")
 
 
-def sample_scalar(field: Field, rng: random.Random) -> Scalar:
-    """Draw one field element from a value-passed RNG stream."""
-    return field.sample(rng)
-
-
 @dataclass(frozen=True)
 class DenseMatrix:
     """Immutable row-major dense matrix of field elements."""
@@ -287,32 +287,6 @@ class DenseMatrix:
             flat.extend(row)
         return DenseMatrix(r, c, tuple(flat))
 
-    @staticmethod
-    def zeros(rows: int, cols: int, field: Field) -> "DenseMatrix":
-        z = field.zero()
-        return DenseMatrix(rows, cols, (z,) * (rows * cols))
-
-    @staticmethod
-    def identity(n: int, field: Field) -> "DenseMatrix":
-        z, o = field.zero(), field.one()
-        ent = [z] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = o
-        return DenseMatrix(n, n, tuple(ent))
-
-    def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "DenseMatrix":
-        ent = [None] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                ent[j * self.rows + i] = self.entries[base + j]
-        return DenseMatrix(self.cols, self.rows, tuple(ent))
 
 
 def _unboxed_rows(M: DenseMatrix) -> tuple[Field, list[list]]:
@@ -507,14 +481,6 @@ def _boxed(A, field: Field) -> DenseMatrix:
     return DenseMatrix(*A.shape, tuple(map(field.box, A.ravel().tolist())))
 
 
-def mat_rank(M: DenseMatrix) -> int:
-    """Exact rank of a dense matrix over its coefficient field."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    field, rows = _unboxed_rows(M)
-    return _rank(rows, field)
-
-
 def mat_det(M: DenseMatrix) -> Scalar:
     """Exact determinant of a square matrix (Gaussian elimination with division).
 
@@ -565,25 +531,6 @@ def _det(rows: list[list], field: Field) -> Scalar:
                     f %= p
                     ri[c + 1 :] = [(x - f * y) % p for x, y in zip(ri[c + 1 :], tail)]
     return field.box(det)
-
-
-def mat_vec(M: DenseMatrix, v: Sequence[Scalar]) -> list[Scalar]:
-    if len(v) != M.cols:
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        acc = row[0] * v[0]
-        for j in range(1, M.cols):
-            acc = acc + row[j] * v[j]
-        out.append(acc)
-    return out
-
-
-def random_matrix(rows: int, cols: int, field: Field, rng: random.Random) -> DenseMatrix:
-    return DenseMatrix(
-        rows, cols, tuple(field.sample(rng) for _ in range(rows * cols))
-    )
 
 
 def poly_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Scalar]:

@@ -8,8 +8,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import math
 import random
 
+from oracles import change_basis, random_matrix
 from pluckerlab.bundle_pairs_p1 import (
-    change_basis,
     classify_point,
     det_map_rank,
     diagonal_factor_check,
@@ -55,7 +55,6 @@ from pluckerlab.scalars import (
     QQ,
     mat_det,
     poly_interpolate,
-    random_matrix,
 )
 
 F = PrimeField()

@@ -3,30 +3,28 @@ import random
 
 import pytest
 
+from oracles import from_coefficients, mat_rank, random_matrix, rows_of, wedge_matrix
 from pluckerlab.exterior import (
     ExteriorVector,
     plucker_relations_hold,
     random_exterior,
     top_wedge_coefficient,
     wedge,
-    wedge_matrix,
 )
 from pluckerlab.grassmann import (
     ClassifierVerdict,
     Verdict,
     classify_membership,
-    codim_small_m,
     codim_threshold,
     ev_m_det,
     field_codim_threshold,
-    is_decomposable,
     mu_rank,
     plucker_embed,
     random_grass_point,
     random_hyperplane_point,
 )
 from pluckerlab.plucker_form import PointTuple, eval_form
-from pluckerlab.scalars import DenseMatrix, QQ, PrimeField, mat_rank, random_matrix
+from pluckerlab.scalars import DenseMatrix, QQ, PrimeField
 
 F = PrimeField()
 
@@ -67,7 +65,7 @@ def test_hyperplane_points_have_a_zero_last_column():
     for field in (F, PrimeField(2), QQ):
         gp = random_hyperplane_point(2, 6, field, rng)
         assert gp.basis_matrix.cols == 6
-        assert not any(gp.basis_matrix.at(i, 5) for i in range(2))
+        assert not any(row[5] for row in rows_of(gp.basis_matrix))
         assert all(m < 1 << 5 for m in gp.plucker.terms)
         assert plucker_relations_hold(gp.plucker)
 
@@ -77,7 +75,7 @@ def _reference_random_point(r, n, free, field, rng):
     # one: a random r x free matrix, padded with zero columns to n.
     while True:
         A = random_matrix(r, free, field, rng)
-        rows = [list(A.row(i)) + [field.zero()] * (n - free) for i in range(r)]
+        rows = [list(row) + [field.zero()] * (n - free) for row in rows_of(A)]
         try:
             return plucker_embed(DenseMatrix.from_rows(rows))
         except ValueError:
@@ -116,10 +114,10 @@ def test_embed_rank_deficient_rejected():
 def test_embed_coordinates_are_minors():
     rng = random.Random(43)
     gp = random_grass_point(2, 5, F, rng)
-    A = gp.basis_matrix
+    a, b = rows_of(gp.basis_matrix)
     for j1 in range(5):
         for j2 in range(j1 + 1, 5):
-            minor = A.at(0, j1) * A.at(1, j2) - A.at(0, j2) * A.at(1, j1)
+            minor = a[j1] * b[j2] - a[j2] * b[j1]
             mask = (1 << j1) | (1 << j2)
             assert gp.plucker.coefficient(mask) == minor
 
@@ -144,20 +142,28 @@ def test_mu_rank_errors():
         mu_rank(basis(6, (1, 2)), 5)
 
 
+def rank_criterion(w):
+    """Decomposability by the rank of t |-> w ^ t on vectors, for n - 2r >= 1."""
+    return mu_rank(w, 1) == w.n - w.degree
+
+
 def test_is_decomposable_examples():
-    assert is_decomposable(basis(9, (1, 2, 3)))
-    assert not is_decomposable(basis(9, (1, 2, 3)) + basis(9, (4, 5, 6)))
-    assert is_decomposable(basis(6, (1, 2)) + basis(6, (1, 3)))
+    for w, decomposable in [
+        (basis(9, (1, 2, 3)), True),
+        (basis(9, (1, 2, 3)) + basis(9, (4, 5, 6)), False),
+        (basis(6, (1, 2)) + basis(6, (1, 3)), True),
+    ]:
+        assert rank_criterion(w) == plucker_relations_hold(w) == decomposable
 
 
 def test_decomposability_routes_agree():
     rng = random.Random(47)
     for _ in range(25):
         w = random_exterior(6, 2, F, rng)
-        assert is_decomposable(w) == plucker_relations_hold(w)
+        assert rank_criterion(w) == plucker_relations_hold(w)
     for _ in range(10):
         w = random_grass_point(3, 9, F, rng).plucker
-        assert is_decomposable(w) and plucker_relations_hold(w)
+        assert rank_criterion(w) and plucker_relations_hold(w)
 
 
 def test_rank_bound_and_equality_characterization():
@@ -198,9 +204,6 @@ def test_field_codim_threshold_differs_only_in_characteristic_two():
 def test_codim_threshold_requires_m_three():
     with pytest.raises(ValueError):
         codim_threshold(2, 2)
-    assert codim_small_m(2) == 1
-    with pytest.raises(ValueError):
-        codim_small_m(3)
 
 
 # -- classifier ------------------------------------------------------------------
@@ -270,9 +273,7 @@ def test_classifier_large_prime_matches_default_prime():
         verdicts = []
         for field in (F, big):
             member = plucker_embed(rows_matrix(member_rows, field)).plucker
-            other = ExteriorVector.from_coefficients(
-                n, r, [field.from_int(c) for c in coeffs], field
-            )
+            other = from_coefficients(n, r, [field.from_int(c) for c in coeffs], field)
             verdicts.append((classify_membership(member, 3), classify_membership(other, 3)))
         assert verdicts[0] == verdicts[1]
         assert [v.tag for v in verdicts[0]] == [Verdict.IN_GRASSMANNIAN, reject]
