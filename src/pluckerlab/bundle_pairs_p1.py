@@ -8,8 +8,9 @@ a section at a point goes through one kernel, :func:`_section_values`, which
 takes the monomial values u^a v^(d-a) once per point and degree.
 
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
-terms a pair stores; ``divisor_value`` passes its rows straight to the one
-determinant loop, ``scalars._det``, and ``classify_point`` folds them through
+terms a pair stores; ``divisor_value`` passes its rows straight to
+``scalars._det``, the determinant of the one row-elimination loop
+(``scalars._eliminate``), and ``classify_point`` folds them through
 ``exterior._wedge_walk`` into an unboxed ``ExteriorVector``.  Only returned
 scalars are boxed.
 
@@ -484,6 +485,9 @@ def pair_to_json(pair: BundlePairP1) -> dict:
 
 
 def pair_from_json(data: dict) -> BundlePairP1:
+    missing = [k for k in ("field", "splitting", "m") if k not in data]
+    if missing:
+        raise ValueError(f"record lacks {', '.join(missing)}")
     field = field_from_name(data["field"], data.get("prime", DEFAULT_PRIME))
     splitting = tuple(data["splitting"])
     if data.get("r") is not None and data["r"] != len(splitting):

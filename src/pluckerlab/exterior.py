@@ -376,6 +376,9 @@ class ExteriorVector:
 
     @staticmethod
     def from_json(data: dict, field: Field) -> "ExteriorVector":
+        missing = [k for k in ("n", "degree", "terms") if k not in data]
+        if missing:
+            raise ValueError(f"record lacks {', '.join(missing)}")
         n = data["n"]
         terms = {
             _mask_from_indices(idx, n): field.element_from_str(s)

@@ -9,12 +9,20 @@ partial sum below 2^63, so it never wraps (both proved in its docstring).
 
 Matrices inside the library are unboxed: rows or 2-D arrays of residues in
 [0, p) over F_p, of Fractions over Q (``_dtype`` gives the array dtype).
-Every rank goes through one entry, ``_rank(A, field)``: over F_p it is
-:func:`rank_mod_p`, Gaussian elimination on a numpy array, and over Q
-fraction-free (Bareiss) elimination on the rows with their denominators
-cleared.  ``_boxed`` is the one way out to a ``DenseMatrix``, for
+Elimination is one row loop plus one array kernel.  The row loop,
+:func:`_eliminate`, returns the rank and the determinant of list rows: of
+integer rows by fraction-free (Bareiss) elimination, of residue rows by
+Gaussian elimination mod p, with one pivot search, row swap and sign for
+both.  It gives the rank over Q and every determinant (``_det``), over Q on
+the rows with their denominators cleared (``_rows_as_integers``).  The array
+kernel, :func:`rank_mod_p`, is Gaussian elimination on a numpy array and
+gives every rank over F_p.  Every rank goes through one entry, ``_rank(A,
+field)``, and ``mat_det`` and ``bundle_pairs_p1.divisor_value`` feed
+``_det``; its matrices are at most 12 x 12, where plain ints beat numpy's
+per-call overhead.  ``_boxed`` is the one way out to a ``DenseMatrix``, for
 ``bundle_pairs_p1.det_map_matrix``; ``mat_det`` unboxes a ``DenseMatrix``
-once (``_unboxed_rows``, which refuses mixed-field entries), and so does
+once (``_unboxed_rows``, which refuses entries that are no field element or
+of mixed fields), and so does
 ``grassmann.plucker_embed``.  ``exterior.wedge_rank`` hands :func:`rank_mod_p` a Schur
 complement it scatters straight from a vector's residues.  The elimination
 update forms products of two residues, so the arrays are int64 only when
@@ -30,12 +38,6 @@ and a longer one float64 GEMMs against Y split into 16-bit limbs, chunked
 along the inner dimension so every sum stays exact (the technique of
 FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Over object
 arrays it works in Python ints.
-
-Determinants come from one elimination loop, ``_det``, on unboxed rows
-(ints kept reduced mod p, or Fractions), boxing only the result; ``mat_det``
-and ``bundle_pairs_p1.divisor_value`` feed it.  Its matrices are at most
-12 x 12, where numpy's per-call overhead leaves an int64 loop barely faster
-than boxed scalars and plain ints take about a third of their time.
 """
 
 from __future__ import annotations
@@ -291,54 +293,70 @@ class DenseMatrix:
 
 def _unboxed_rows(M: DenseMatrix) -> tuple[Field, list[list]]:
     """The field of a nonempty matrix and its entries unboxed, as rows;
-    raises on mixed-field entries."""
-    field = field_of(M.entries[0])
-    unbox = field.unbox
+    raises ``ValueError`` on entries that are not field elements or that
+    lie in different fields."""
     try:
+        field = field_of(M.entries[0])
+        unbox = field.unbox
         flat = [unbox(e) for e in M.entries]
+    except TypeError as e:
+        raise ValueError(str(e)) from None
     except ValueError:
         raise ValueError("mixed-field entries") from None
     c = M.cols
     return field, [flat[i : i + c] for i in range(0, len(flat), c)]
 
 
-def _rows_as_integers(rows) -> list[list[int]]:
-    # Clearing denominators row by row leaves the rank unchanged.
-    out = []
+def _rows_as_integers(rows) -> tuple[list[list[int]], int]:
+    """Rows of Fractions or ints, each times the lcm of its denominators,
+    and the product of those lcms.  Clearing denominators row by row leaves
+    the rank unchanged and multiplies the determinant by that product."""
+    out, scale = [], 1
     for row in rows:
         l = math.lcm(*(e.denominator for e in row))
         out.append([e.numerator * (l // e.denominator) for e in row])
-    return out
+        scale *= l
+    return out, scale
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
+def _eliminate(rows: list[list[int]], p) -> tuple[int, int]:
+    """(rank, det) of integer rows (p None) or of rows of residues in
+    [0, p), by elimination in place; residues stay in [0, p), so a zero test
+    is a test mod p.  det is an integer, to be reduced mod p, and is the
+    determinant only when the rows are square.
+
+    Both fields share the pivot search, the row swap and its sign.  d is
+    the minor on the rows and pivot columns eliminated so far: over Z the
+    last pivot of fraction-free (Bareiss) elimination, which divides the
+    next update exactly (Bareiss, Math. Comp. 22, 1968); mod p the product
+    of the pivots of Gaussian elimination, whose update skips rows that are
+    zero in the pivot column.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    prev = 1
-    r = 0
+    r, sign, d = 0, 1, 1
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        pc = rows[r][c]
-        for i in range(r + 1, m):
-            ic = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            for j in range(c + 1, n):
-                # Exact by the Sylvester identity for fraction-free elimination.
-                ri[j] = (pc * ri[j] - ic * rr[j]) // prev
-            ri[c] = 0
-        prev = pc
+            sign = -sign
+        pv, tail = rows[r][c], rows[r][c + 1 :]
+        if p is None:
+            for ri in rows[r + 1 :]:
+                f = ri[c]
+                ri[c + 1 :] = [(pv * x - f * y) // d for x, y in zip(ri[c + 1 :], tail)]
+            d = pv
+        else:
+            inv = pow(pv, -1, p)
+            for ri in rows[r + 1 :]:
+                if ri[c]:
+                    f = ri[c] * inv % p
+                    ri[c + 1 :] = [(x - f * y) % p for x, y in zip(ri[c + 1 :], tail)]
+            d = d * pv % p
         r += 1
-        if r == m:
-            break
-    return r
+    return r, sign * d if r == n else 0
 
 
 def _residue_dtype(p: int):
@@ -466,11 +484,13 @@ def _rank(A, field: Field) -> int:
 
     Over F_p it is :func:`rank_mod_p`, which overwrites A when A already is
     an array of dtype ``_residue_dtype(p)`` (no copy is made); over Q it is
-    Bareiss elimination on the rows with their denominators cleared."""
+    :func:`_eliminate`, fraction-free, on the rows with their denominators
+    cleared."""
     p = _modulus(field)
     if p is not None:
         return rank_mod_p(np.asarray(A, dtype=_residue_dtype(p)), p)
-    return _rank_bareiss(_rows_as_integers(A.tolist() if isinstance(A, np.ndarray) else A))
+    rows, _ = _rows_as_integers(A.tolist() if isinstance(A, np.ndarray) else A)
+    return _eliminate(rows, None)[0]
 
 
 def _boxed(A, field: Field) -> DenseMatrix:
@@ -482,7 +502,7 @@ def _boxed(A, field: Field) -> DenseMatrix:
 
 
 def mat_det(M: DenseMatrix) -> Scalar:
-    """Exact determinant of a square matrix (Gaussian elimination with division).
+    """Exact determinant of a square matrix, by :func:`_det`.
 
     The 0 x 0 determinant is the empty product, the plain int 1.
     """
@@ -501,36 +521,13 @@ def _modulus(field: Field):
 
 def _det(rows: list[list], field: Field) -> Scalar:
     """Boxed determinant of a nonempty square matrix of unboxed rows (residues
-    in [0, p), or Fractions), eliminated in place.  Entries stay reduced, so
-    a zero test is a test mod p."""
+    in [0, p), or Fractions), by :func:`_eliminate`: on the residues in
+    place, over Q on the rows with their denominators cleared."""
     p = _modulus(field)
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        pv = rows[c][c]
-        if p is None:
-            det *= pv
-            inv = 1 / pv
-        else:
-            det = det * pv % p
-            inv = pow(pv, -1, p)
-        tail = rows[c][c + 1 :]
-        for i in range(c + 1, n):
-            ri = rows[i]
-            if ri[c]:
-                f = ri[c] * inv
-                if p is None:
-                    ri[c + 1 :] = [x - f * y for x, y in zip(ri[c + 1 :], tail)]
-                else:
-                    f %= p
-                    ri[c + 1 :] = [(x - f * y) % p for x, y in zip(ri[c + 1 :], tail)]
-    return field.box(det)
+    if p is not None:
+        return field.box(_eliminate(rows, p)[1])
+    rows, scale = _rows_as_integers(rows)
+    return Fraction(_eliminate(rows, None)[1], scale)
 
 
 def poly_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Scalar]:

@@ -4,9 +4,10 @@ Each one boxes what the library keeps unboxed, or takes the long way round
 that the library avoids: the boxed wedge-multiplication matrix and the
 boxed tangent system are the references for ``wedge_rank`` and the
 Kronecker route of ``diagonal_tangent_codim``; ``mat_rank`` ranks a boxed
-matrix through the library's one rank entry, so Bareiss (over Q) and
-``rank_mod_p`` (over F_p) can be checked against each other on the same
-integer matrix.  None of them is part of the package's API.
+matrix through the library's one rank entry, so the row loop
+``_eliminate`` (fraction-free over Q) and the array kernel ``rank_mod_p``
+(over F_p) can be checked against each other on the same integer matrix.
+None of them is part of the package's API.
 """
 
 from __future__ import annotations

@@ -521,6 +521,14 @@ def test_pair_json_rank_mismatch():
         pair_from_json({"r": 3, "m": 3, "splitting": [2, 2], "field": "fp"})
 
 
+@pytest.mark.parametrize("key", ["field", "splitting", "m"])
+def test_pair_json_missing_key(key):
+    data = {"m": 3, "splitting": [2, 2], "field": "fp"}
+    del data[key]
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        pair_from_json(data)
+
+
 def test_pair_json_rational_field():
     pair = pair_from_json({"r": 1, "m": 3, "splitting": [2], "field": "q"})
     assert pair.field == QQ
@@ -694,18 +702,31 @@ def test_coefficient_tensor_evaluates_to_the_divisor_value(field):
             assert value == divisor_value(pair, pts)
 
 
+# Q entries over denominators up to 2^61 - 1, as DENOMINATORS in test_exterior.
+def _det_entry(field, rng):
+    if field is not QQ:
+        return field.sample(rng)
+    den = rng.choice([1, 2, 3, 2**31 - 1, 2**61 - 1, rng.randint(1, 2**31 - 1)])
+    return Fraction(rng.randint(-100, 100), den)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_mat_det_matches_leibniz(field):
     rng = random.Random(43)
-    for n in range(1, 7):
-        for trial in range(6):
-            # Half-zero entries force row swaps; the last trials are singular.
+    for n in range(1, 8):
+        for trial in range(7):
+            # Half-zero entries force row swaps; trials 5 and 6 are singular,
+            # and trial 6 has a zero column before the last, so a pivot is
+            # missing and elimination goes on past it.
             rows = [
-                [field.sample(rng) if rng.random() < 0.5 else field.zero() for _ in range(n)]
+                [_det_entry(field, rng) if rng.random() < 0.5 else field.zero() for _ in range(n)]
                 for _ in range(n)
             ]
             if trial == 5 and n > 1:
                 rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            if trial == 6:
+                for row in rows:
+                    row[max(n - 2, 0)] = field.zero()
             M = DenseMatrix.from_rows(rows)
             det = mat_det(M)
             assert field.is_element(det)

@@ -704,6 +704,14 @@ def test_json_with_a_zero_denominator_is_refused():
         ExteriorVector.from_json(data, QQ)
 
 
+@pytest.mark.parametrize("key", ["n", "degree", "terms"])
+def test_json_with_a_missing_key_is_refused(key):
+    data = {"n": 4, "degree": 2, "terms": [[[1, 2], "1/1"]]}
+    del data[key]
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        ExteriorVector.from_json(data, QQ)
+
+
 def test_json_term_format():
     w = ev(6, (1, 2)) + 3 * ev(6, (3, 4))
     data = w.to_json()

@@ -106,6 +106,13 @@ def test_random_points_refuse_shapes_without_a_full_rank_matrix():
         plucker_embed(rows_matrix([[1] * 65]))
 
 
+def test_embed_refuses_entries_outside_one_field():
+    with pytest.raises(ValueError, match="not a field element"):
+        plucker_embed(DenseMatrix(1, 2, (1, 0)))
+    with pytest.raises(ValueError, match="mixed-field"):
+        plucker_embed(DenseMatrix(1, 2, (QQ.one(), F.one())))
+
+
 def test_embed_rank_deficient_rejected():
     with pytest.raises(ValueError, match="rank"):
         plucker_embed(rows_matrix([[1, 2, 3, 4], [2, 4, 6, 8]]))

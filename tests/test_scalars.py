@@ -113,11 +113,17 @@ def test_rank_row_operations_invariance():
 
 
 def test_rank_agrees_between_fields_on_integer_matrix():
-    # An integer matrix of known rank keeps it over both fields.
-    rows_int = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
-    mq = DenseMatrix.from_rows([[Fraction(x) for x in row] for row in rows_int])
-    mf = DenseMatrix.from_rows([[F.from_int(x) for x in row] for row in rows_int])
-    assert mat_rank(mq) == mat_rank(mf) == 2
+    # An integer matrix of known rank keeps it over both fields.  In the
+    # second the zero middle column has no pivot, and the last row is the
+    # first plus twice the second minus the third: rank 3 of 4 x 5.
+    cases = [
+        ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]], 2),
+        ([[1, 2, 0, 3, 4], [0, 1, 0, 1, 5], [2, -1, 0, 7, 1], [-1, 5, 0, -2, 13]], 3),
+    ]
+    for rows_int, rank in cases:
+        mq = DenseMatrix.from_rows([[Fraction(x) for x in row] for row in rows_int])
+        mf = DenseMatrix.from_rows([[F.from_int(x) for x in row] for row in rows_int])
+        assert mat_rank(mq) == mat_rank(mf) == rank
 
 
 def test_rank_mixed_field_error():
@@ -290,6 +296,9 @@ def test_det_mixed_field_error():
         mat_det(DenseMatrix(2, 2, (Fraction(1), Fraction(2), F.one(), Fraction(3))))
     with pytest.raises(ValueError, match="mixed-field"):
         mat_det(DenseMatrix(2, 2, (F.one(), F.one(), PrimeField(7).one(), F.one())))
+    # Entries that are no field element are refused the same way.
+    with pytest.raises(ValueError, match="not a field element"):
+        mat_det(DenseMatrix(1, 1, (1,)))
 
 
 def test_det_multiplicativity():
