@@ -489,7 +489,9 @@ def pair_from_json(data: dict) -> BundlePairP1:
     if missing:
         raise ValueError(f"record lacks {', '.join(missing)}")
     field = field_from_name(data["field"], data.get("prime", DEFAULT_PRIME))
-    splitting = tuple(data["splitting"])
+    splitting, m = data["splitting"], data["m"]
+    if type(m) is not int or type(splitting) is not list or any(type(d) is not int for d in splitting):
+        raise ValueError("m must be an integer and splitting a list of integers")
     if data.get("r") is not None and data["r"] != len(splitting):
         raise ValueError("rank does not match the splitting length")
-    return make_pair(splitting, data["m"], field)
+    return make_pair(tuple(splitting), m, field)

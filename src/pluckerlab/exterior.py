@@ -65,10 +65,12 @@ wedge matrix itself is never built: ``_schur_scatter(n, a, s, i0)``, cached
 per pivot row in a bounded cache, maps every scatter-table entry to its
 place in S, in X (the pivot columns) or in Y (the pivot rows), so one
 fancy-index assignment of c or p - c fills all three, and
-:func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  A decomposable
-u has rank C(n - a, s), so its S is zero (the Plucker relations in the
-chart c_0 != 0) and Grassmannian members get their rank with no
-elimination at all.
+:func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  This is the
+panel step of :func:`pluckerlab.scalars.rank_mod_p`, taken once on a panel
+whose pivot block is known without elimination; ``rank_mod_p`` then takes
+the same step, panel by panel, on S.  A decomposable u has rank C(n - a,
+s), so its S is zero (the Plucker relations in the chart c_0 != 0) and
+Grassmannian members get their rank with no elimination at all.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -379,12 +381,14 @@ class ExteriorVector:
         missing = [k for k in ("n", "degree", "terms") if k not in data]
         if missing:
             raise ValueError(f"record lacks {', '.join(missing)}")
-        n = data["n"]
-        terms = {
-            _mask_from_indices(idx, n): field.element_from_str(s)
-            for idx, s in data["terms"]
-        }
-        return ExteriorVector(n, data["degree"], terms, field)
+        n, degree = data["n"], data["degree"]
+        if type(n) is not int or type(degree) is not int:
+            raise ValueError("n and degree must be integers")
+        try:
+            terms = {_mask_from_indices(i, n): field.element_from_str(s) for i, s in data["terms"]}
+        except (TypeError, AttributeError):
+            raise ValueError("terms must be [[indices], coefficient string] pairs") from None
+        return ExteriorVector(n, degree, terms, field)
 
 
 def _table_pays(p, nu: int, nv: int, n: int, a: int, b: int) -> bool:

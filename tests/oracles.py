@@ -6,7 +6,9 @@ boxed tangent system are the references for ``wedge_rank`` and the
 Kronecker route of ``diagonal_tangent_codim``; ``mat_rank`` ranks a boxed
 matrix through the library's one rank entry, so the row loop
 ``_eliminate`` (fraction-free over Q) and the array kernel ``rank_mod_p``
-(over F_p) can be checked against each other on the same integer matrix.
+(over F_p) can be checked against each other on the same integer matrix;
+``loop_rank_mod_p`` is the unblocked, one-pivot-at-a-time Gaussian
+elimination that ``rank_mod_p`` ran before it was blocked into panels.
 None of them is part of the package's API.
 """
 
@@ -16,10 +18,21 @@ import itertools
 import random
 from typing import Sequence
 
+import numpy as np
+
 from pluckerlab.bundle_pairs_p1 import BundlePairP1, P1Point, _section_values
 from pluckerlab.exterior import ExteriorVector, _wedge_array, lex_masks
 from pluckerlab.plucker_form import PointTuple, _tangent_array
-from pluckerlab.scalars import DenseMatrix, Field, Scalar, _boxed, _rank, _unboxed_rows
+from pluckerlab.scalars import (
+    DenseMatrix,
+    Field,
+    Scalar,
+    _boxed,
+    _mod_p,
+    _rank,
+    _residue_dtype,
+    _unboxed_rows,
+)
 
 
 def rows_of(M: DenseMatrix) -> list[tuple]:
@@ -37,6 +50,41 @@ def mat_rank(M: DenseMatrix) -> int:
         return 0
     field, rows = _unboxed_rows(M)
     return _rank(rows, field)
+
+
+def loop_rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank over F_p of an array of residues in [0, p) with dtype
+    ``_residue_dtype(p)``, by Gaussian elimination that overwrites A.
+
+    Any other dtype, or an entry outside [0, p), is refused: int64
+    arithmetic on arrays wraps around without a warning, so the dtype and
+    the range are what keep every product of two residues exact.
+    """
+    dtype = np.dtype(_residue_dtype(p))
+    if A.dtype != dtype:
+        raise ValueError(f"residues mod {p} need dtype {dtype}, not {A.dtype}")
+    if A.size and (A.min() < 0 or A.max() >= p):
+        raise ValueError(f"entries must be residues in [0, {p})")
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        A[r, c:] = _mod_p(A[r, c:] * inv, p)
+        below = A[r + 1 :, c]
+        nzb = np.nonzero(below)[0]
+        if nzb.size:
+            f = below[nzb]
+            A[r + 1 + nzb, c:] = _mod_p(A[r + 1 + nzb, c:] - np.outer(f, A[r, c:]), p)
+        r += 1
+    return r
 
 
 def mat_vec(M: DenseMatrix, v: Sequence[Scalar]) -> list[Scalar]:

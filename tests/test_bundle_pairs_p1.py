@@ -529,6 +529,15 @@ def test_pair_json_missing_key(key):
         pair_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "change", [{"splitting": 4}, {"m": "3"}], ids=["splitting-an-int", "m-a-string"]
+)
+def test_pair_json_value_of_the_wrong_type(change):
+    data = {"m": 3, "splitting": [2, 2], "field": "fp", **change}
+    with pytest.raises(ValueError):
+        pair_from_json(data)
+
+
 def test_pair_json_rational_field():
     pair = pair_from_json({"r": 1, "m": 3, "splitting": [2], "field": "q"})
     assert pair.field == QQ

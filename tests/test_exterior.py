@@ -712,6 +712,18 @@ def test_json_with_a_missing_key_is_refused(key):
         ExteriorVector.from_json(data, QQ)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"terms": [[1, 2]]}, {"terms": [[[1, 2], 3]]}, {"n": "4"}],
+    ids=["term-not-a-pair", "coefficient-not-a-string", "n-a-string"],
+)
+def test_json_with_a_value_of_the_wrong_type_is_refused(change):
+    data = {"n": 4, "degree": 2, "terms": [[[1, 2], "1"]], **change}
+    for field in (QQ, F):
+        with pytest.raises(ValueError):
+            ExteriorVector.from_json(data, field)
+
+
 def test_json_term_format():
     w = ev(6, (1, 2)) + 3 * ev(6, (3, 4))
     data = w.to_json()

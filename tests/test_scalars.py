@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_rank, mat_vec, random_matrix, rows_of, transpose
+from oracles import loop_rank_mod_p, mat_rank, mat_vec, random_matrix, rows_of, transpose
+from pluckerlab import exterior
+from pluckerlab.exterior import ExteriorVector, plucker_relations_hold, random_exterior
 from pluckerlab.scalars import (
     DEFAULT_PRIME,
     DenseMatrix,
     Fp,
     PrimeField,
     QQ,
+    _PANEL,
+    _eliminate,
     _residue_dtype,
     mat_det,
     poly_interpolate,
@@ -258,6 +262,100 @@ def test_submul_int64_route_at_its_bound_and_one_past_it(p):
             S = [[p - 1 if (i + j) % 2 == parity else 0 for j in range(3)] for i in range(3)]
             check_submul(S, X, Y, p)
     assert largest_short_k(2**31 - 1) == 8
+
+
+# The blocked kernel against the unblocked loop and the row loop, at the
+# panel edges: b - 1, b and b + 1 rows or columns, and 2b + 1, which needs
+# three panels, the last of one row.
+B = _PANEL
+EDGES = (B - 1, B, B + 1, 2 * B + 1)
+
+
+def random_rows(m, n, p, rng):
+    return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+
+def times(X, Y, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*Y)] for row in X]
+
+
+def product(m, n, k, p, rng):
+    """A random m x n product of an m x k and a k x n factor: rank at most k."""
+    return times(random_rows(m, k, p, rng), random_rows(k, n, p, rng), p)
+
+
+def edge_shapes(p, rng):
+    return [random_rows(m, n, p, rng) for m in EDGES for n in EDGES]
+
+
+def tall_and_wide(p, rng):
+    return [random_rows(m, n, p, rng) for m, n in ((3 * B, 5), (5, 3 * B), (1, 2 * B + 1), (2 * B + 1, 1))]
+
+
+def zero_panels(p, rng):
+    zero = [[0] * (B + 3) for _ in range(B)]
+    return [zero + random_rows(B + 1, B + 3, p, rng), [[0] * 4 for _ in range(2 * B + 1)]]
+
+
+def dependent_panels(p, rng):
+    # A second panel of combinations of the first, which the first panel's
+    # update zeroes, between two independent ones; then a first panel of
+    # rank B // 2 (each row twice), whose rows below still have rank.
+    first = random_rows(B, 3 * B + 5, p, rng)
+    combos = times(random_rows(B, B, p, rng), first, p)
+    half = random_rows(B // 2, 2 * B, p, rng)
+    return [
+        first + combos + random_rows(B + 1, 3 * B + 5, p, rng),
+        half + half + random_rows(B + 1, 2 * B, p, rng),
+    ]
+
+
+def low_rank_products(p, rng):
+    return [product(2 * B + 1, 2 * B + 1, k, p, rng) for k in (B // 2, B - 1, B, B + 1, B + 9)]
+
+
+def wedge_schur_complement(w):
+    """The S that ``wedge_rank`` hands to ``rank_mod_p``: its zero rows and
+    columns dropped."""
+    _, S = exterior._wedge_schur(w, w.degree)
+    S = S[S.any(axis=1)]
+    return S[:, S.any(axis=0)].tolist()
+
+
+def classify_33_schur(p, rng):
+    field = PrimeField(p)
+    while True:
+        w = random_exterior(9, 3, field, rng)
+        if not plucker_relations_hold(w):
+            return [wedge_schur_complement(w)]
+
+
+def crafted_43_schur(p, rng):
+    field = PrimeField(p)
+    w = ExteriorVector.basis(12, (1, 2, 3, 4), field) + ExteriorVector.basis(12, (1, 2, 5, 6), field)
+    return [wedge_schur_complement(w)]
+
+
+RANK_FAMILIES = [
+    edge_shapes,
+    tall_and_wide,
+    zero_panels,
+    dependent_panels,
+    low_rank_products,
+    classify_33_schur,
+    crafted_43_schur,
+]
+
+
+@pytest.mark.parametrize("family", RANK_FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", SUBMUL_PRIMES)
+def test_blocked_rank_matches_the_loop_kernel_and_the_row_loop(p, family):
+    rng = random.Random(p)
+    for rows in family(p, rng):
+        A = np.array(rows, dtype=_residue_dtype(p))
+        want = _eliminate([list(r) for r in rows], p)[0]
+        assert loop_rank_mod_p(A.copy(), p) == want
+        assert rank_mod_p(A, p) == want, (family.__name__, A.shape)
 
 
 def test_prime_field_rejects_non_primes():
