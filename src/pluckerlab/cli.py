@@ -82,6 +82,13 @@ from .scalars import (
 
 SCHEMA_VERSION = 1
 
+# Every suite works with vectors of wedge^r of an rm-dimensional space, which
+# hold up to C(rm, r) coefficients, and with ``lex_masks(rm, r)`` and its
+# position table, one entry per coefficient.  A dense (5,5) vector of 53,130
+# coefficients with its tables takes about 18 MB; (8,8)'s 4.4 * 10^9 masks
+# would exhaust memory before the first trial.
+_MAX_SLOT_COEFFICIENTS = 10**5
+
 
 @dataclass
 class ExperimentConfig:
@@ -495,6 +502,11 @@ def _validate(config: ExperimentConfig):
         raise ValueError("need r >= 1 and m >= 2")
     if config.r * config.m > 64:
         raise ValueError("ambient dimension r * m must be at most 64")
+    coefficients = math.comb(config.r * config.m, config.r)
+    if coefficients > _MAX_SLOT_COEFFICIENTS:
+        raise ValueError(
+            f"a degree-r vector has C(rm, r) = {coefficients} coefficients; at most 10^5"
+        )
     if config.trials < 1:
         raise ValueError("need trials >= 1")
     if config.command in ("reconstruction", "codim-threshold") and config.m < 3:

@@ -4,16 +4,22 @@ A degree-k basis element e_I of wedge^k(V), with dim V = n <= 64, is labelled
 by the strictly increasing index set I in {1, ..., n}, encoded as the bitmask
 with bit (i-1) set for each i in I.
 
-Representation.  An ``ExteriorVector`` stores its nonzero coefficients once,
-unboxed (residues in [0, p) over F_p, Fractions over Q), in one private
-mask -> coefficient dict that its arithmetic and every kernel read.  The
-public constructor unboxes each coefficient through ``field.unbox``, which
-refuses non-elements; ``_trusted`` takes them unboxed and reduced.  ``terms``
-is a read-only boxed view for the API, built on first access and cached.
-A vector also keeps a dense lex-order vector of integers over a denominator
-d, computed when the gather first needs it and marked read-only: over F_p
-its residues in [0, p) with d = 1 (int64 while (p - 1)^2 < 2^63, Python
-ints above), over Q its numerators over the lcm d of its denominators.
+Representation.  An ``ExteriorVector`` holds its coefficients unboxed
+(residues in [0, p) over F_p, Fractions over Q) in one or both of two
+forms, each built from the other the first time it is read: a private
+mask -> coefficient dict of its nonzero terms (``_coeffs``), and a dense
+lex-order vector of integers x over a denominator d, read-only, with u = x
+/ d (``_dense_vector``).  Over F_p x holds the residues with d = 1 (int64
+while (p - 1)^2 < 2^63, Python ints above); over Q it holds numerators over
+a common denominator d, which is not reduced to the lcm.  A vector built
+from terms, through the public constructor (which unboxes each coefficient
+through ``field.unbox``, refusing non-elements) or through ``_trusted``
+(unboxed and reduced), is born with its dict; every gather output and
+every sum, negative or multiple of operands that hold dense vectors is
+born with its dense vector alone (``_from_dense``), and a dict built from
+it lists its terms in lex order.  ``is_zero`` and the term counts that
+choose a wedge path read whichever form is there.  ``terms`` is a
+read-only boxed view for the API, built on first access and cached.
 
 Sign kernel.  e_I ^ e_J = (-1)^s e_{I+J} for disjoint I and J, where s counts
 the pairs i in I, j in J with i > j: the inversions of the merge permutation
@@ -36,7 +42,7 @@ the product dx * dy of the inputs' denominators.  On int64 residues each
 product is reduced mod p before the sum, which is exact while C(a + b, a) *
 p < 2^63 (proved in ``_gather``; a wedge past that bound scans its pairs);
 Python ints are signed and summed as they are and reduced once mod p.  The
-nonzero outputs become the result's coefficients.
+summed vector is the result, born dense (``_from_dense``).
 ``top_wedge_coefficient`` folds its slots the same way, but keeps the
 running wedge a dense vector across the gather steps and boxes only the
 final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
@@ -233,9 +239,10 @@ class MultiIndex:
 
 
 class ExteriorVector:
-    """Homogeneous element of wedge^k(V) as a sparse mask -> coefficient map."""
+    """Homogeneous element of wedge^k(V): a sparse mask -> coefficient map,
+    a dense lex-order vector, or both (see the module docstring)."""
 
-    __slots__ = ("n", "degree", "field", "_coeffs", "_terms", "_dense")
+    __slots__ = ("n", "degree", "field", "_dict", "_terms", "_dense")
 
     def __init__(self, n: int, degree: int, terms: dict, field: Field):
         if not 0 < n <= 64:
@@ -249,16 +256,34 @@ class ExteriorVector:
             if c := field.unbox(coeff):
                 clean[mask] = c
         self.n, self.degree, self.field = n, degree, field
-        self._coeffs, self._terms, self._dense = clean, None, None
+        self._dict, self._terms, self._dense = clean, None, None
 
     @classmethod
-    def _trusted(cls, n: int, degree: int, coeffs: dict, field: Field) -> "ExteriorVector":
+    def _trusted(
+        cls, n: int, degree: int, coeffs, field: Field, dense=None
+    ) -> "ExteriorVector":
         """Construct without the checks of ``__init__``: the caller passes only
-        nonzero unboxed coefficients, on masks of this degree within range."""
+        nonzero unboxed coefficients, on masks of this degree within range,
+        or None and a read-only dense vector (x, d) (see :func:`_from_dense`)."""
         self = object.__new__(cls)
         self.n, self.degree, self.field = n, degree, field
-        self._coeffs, self._terms, self._dense = coeffs, None, None
+        self._dict, self._terms, self._dense = coeffs, None, dense
         return self
+
+    @property
+    def _coeffs(self) -> dict:
+        """The mask -> unboxed coefficient dict of the nonzero terms; for a
+        vector born dense, built from its dense vector on first read, in lex
+        order, and kept."""
+        if self._dict is None:
+            x, d = self._dense
+            nz = np.flatnonzero(x)
+            masks = map(lex_masks(self.n, self.degree).__getitem__, nz.tolist())
+            cs = x[nz].tolist()
+            if _modulus(self.field) is None:
+                cs = [Fraction(c, d) for c in cs]
+            self._dict = dict(zip(masks, cs))
+        return self._dict
 
     @property
     def terms(self) -> Mapping[int, Scalar]:
@@ -283,7 +308,9 @@ class ExteriorVector:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        if self._dict is None:
+            return not self._dense[0].any()
+        return not self._dict
 
     def coefficient(self, index) -> Scalar:
         mask = index.mask if isinstance(index, MultiIndex) else index
@@ -298,11 +325,25 @@ class ExteriorVector:
             raise ValueError("field mismatch")
 
     # Sums, negatives and multiples keep the unboxed coefficients reduced mod
-    # p, drop zeros themselves and build through ``_trusted``.
+    # p.  When every operand holds a dense vector they work on those, over
+    # the product of the denominators on Q, and the result is born dense;
+    # otherwise they walk the dicts, drop zeros themselves and build through
+    # ``_trusted``.  On int64 residues a sum is below 2p and a product below
+    # (p - 1)^2 < 2^63, both inside the dtype.
+
+    def _dense_result(self, z: np.ndarray, d: int) -> "ExteriorVector":
+        return _from_dense(z, d, self.n, self.degree, self.field)
 
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_compatible(other)
         p = _modulus(self.field)
+        if self._dense is not None and other._dense is not None:
+            (x, dx), (y, dy) = self._dense, other._dense
+            if p is None:
+                return self._dense_result(x * dy + y * dx, dx * dy)
+            z = x + y
+            z[z >= p] -= p
+            return self._dense_result(z, 1)
         coeffs = dict(self._coeffs)
         for m, c in other._coeffs.items():
             total = coeffs.pop(m, 0) + c
@@ -316,12 +357,25 @@ class ExteriorVector:
         return self + (-other)
 
     def __neg__(self) -> "ExteriorVector":
-        p, items = _modulus(self.field), self._coeffs.items()
+        p = _modulus(self.field)
+        if self._dense is not None:
+            x, d = self._dense
+            if p is None:
+                return self._dense_result(-x, d)
+            z = p - x
+            z[z == p] = 0
+            return self._dense_result(z, 1)
+        items = self._coeffs.items()
         coeffs = {m: -c for m, c in items} if p is None else {m: p - c for m, c in items}
         return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
 
     def scale(self, scalar: Scalar) -> "ExteriorVector":
         s, p = self.field.unbox(scalar), _modulus(self.field)
+        if self._dense is not None:
+            x, d = self._dense
+            if p is None:
+                return self._dense_result(x * s.numerator, d * s.denominator)
+            return self._dense_result(_mod_p(x * s, p), 1)
         items = self._coeffs.items() if s else ()  # s * c is nonzero for nonzero s, c
         coeffs = {m: s * c for m, c in items} if p is None else {m: s * c % p for m, c in items}
         return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
@@ -391,6 +445,13 @@ class ExteriorVector:
         return ExteriorVector(n, degree, terms, field)
 
 
+def _term_count(u: ExteriorVector) -> int:
+    """Number of nonzero terms of u, read off its dict or its dense vector."""
+    if u._dict is None:
+        return int(np.count_nonzero(u._dense[0]))
+    return len(u._dict)
+
+
 def _table_pays(p, nu: int, nv: int, n: int, a: int, b: int) -> bool:
     """Whether a wedge of an nu-term degree-a vector and an nv-term degree-b
     vector over F_p (over Q when p is None) gathers through the cached
@@ -405,37 +466,35 @@ def _table_pays(p, nu: int, nv: int, n: int, a: int, b: int) -> bool:
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
     """Lex position of each term of u, in the order of its coefficients."""
-    at = _lex_position(u.n, u.degree)
-    return np.fromiter(map(at.__getitem__, u._coeffs), dtype=np.intp, count=len(u._coeffs))
+    coeffs, at = u._coeffs, _lex_position(u.n, u.degree)
+    return np.fromiter(map(at.__getitem__, coeffs), dtype=np.intp, count=len(coeffs))
 
 
 def _dense_vector(u: ExteriorVector) -> tuple[np.ndarray, int]:
-    """u as (x, d), u = x / d with x a dense lex-order vector of integers:
-    over F_p the residues in [0, p) as ``_residue_dtype(p)`` and d = 1, over
-    Q the numerators over the lcm d of the denominators as Python ints.
-    Computed on first use, then kept on u, with x read-only."""
-    dense = u._dense
-    if dense is None:
-        p, cs, d = _modulus(u.field), list(u._coeffs.values()), 1
+    """u as (x, d), u = x / d with x a read-only dense lex-order vector of
+    integers: over F_p the residues in [0, p) as ``_residue_dtype(p)`` and
+    d = 1, over Q the numerators over a common denominator d of the
+    coefficients, as Python ints.  A vector born with its dict gets x on
+    first use, over the lcm of its denominators, and keeps it; a vector
+    born dense holds x over whatever common denominator built it."""
+    if u._dense is None:
+        p, cs, d = _modulus(u.field), list(u._dict.values()), 1
         if p is None:
             d = math.lcm(*(c.denominator for c in cs))
             cs = [c.numerator * (d // c.denominator) for c in cs]
         x = np.zeros(math.comb(u.n, u.degree), dtype=_dtype(u.field))
         x[_term_positions(u)] = cs
         x.flags.writeable = False
-        u._dense = dense = x, d
-    return dense
+        u._dense = x, d
+    return u._dense
 
 
 def _from_dense(z: np.ndarray, d: int, n: int, k: int, field: Field) -> ExteriorVector:
     """The degree-k vector z / d, z a dense lex-order vector of integers,
-    reduced mod p over F_p (where d = 1)."""
-    nz = np.flatnonzero(z)
-    masks = map(lex_masks(n, k).__getitem__, nz.tolist())
-    cs = z[nz].tolist()
-    if not isinstance(field, PrimeField):
-        cs = [Fraction(c, d) for c in cs]
-    return ExteriorVector._trusted(n, k, dict(zip(masks, cs)), field)
+    reduced mod p over F_p (where d = 1), born holding z alone, which
+    becomes read-only: its dict is built only if something reads it."""
+    z.flags.writeable = False
+    return ExteriorVector._trusted(n, k, None, field, (z, d))
 
 
 def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarray:
@@ -470,11 +529,11 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     n, a, b = u.n, u.degree, v.degree
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
-    field, ut, vt, p = u.field, u._coeffs, v._coeffs, _modulus(u.field)
-    if _table_pays(p, len(ut), len(vt), n, a, b):
+    field, p = u.field, _modulus(u.field)
+    if _table_pays(p, _term_count(u), _term_count(v), n, a, b):
         (x, dx), (y, dy) = _dense_vector(u), _dense_vector(v)
         return _from_dense(_gather(x, y, n, a, b, p), dx * dy, n, a + b, field)
-    return ExteriorVector._trusted(n, a + b, _wedge_walk(ut, vt, p), field)
+    return ExteriorVector._trusted(n, a + b, _wedge_walk(u._coeffs, v._coeffs, p), field)
 
 
 def _wedge_walk(ut: dict, vt: dict, p) -> dict:
@@ -518,10 +577,10 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
     for v in vectors[1:]:
         b = v.degree
-        count = len(acc._coeffs) if x is None else int(np.count_nonzero(x))
+        count = _term_count(acc) if x is None else int(np.count_nonzero(x))
         if not count:
             return field.zero()
-        if _table_pays(p, count, len(v._coeffs), n, a, b):
+        if _table_pays(p, count, _term_count(v), n, a, b):
             if x is None:
                 x, d = _dense_vector(acc)
             y, dy = _dense_vector(v)

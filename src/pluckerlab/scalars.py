@@ -591,27 +591,29 @@ def poly_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> list[Scalar]
     """Coefficients (ascending degree) of the unique interpolating polynomial.
 
     Exact Lagrange interpolation; the evaluation points must be pairwise
-    distinct elements of one field.
+    distinct elements of one field, and the values elements of the same
+    field, or ``ValueError`` is raised.  Points and values are unboxed once
+    and the basis polynomials are formed on residues (one modular inverse
+    each) or on Fractions; only the returned coefficients are boxed.
     """
     if len(xs) != len(ys) or not xs:
         raise ValueError("need equally many points and values")
-    if len(set(xs)) != len(xs):
+    try:
+        field = field_of(xs[0])
+    except TypeError as e:
+        raise ValueError(str(e)) from None
+    us, vs = [field.unbox(x) for x in xs], [field.unbox(y) for y in ys]
+    if len(set(us)) != len(us):
         raise ValueError("evaluation points must be pairwise distinct")
-    field = field_of(xs[0])
-    n = len(xs)
-    coeffs = [field.zero()] * n
-    for i in range(n):
-        basis = [field.one()]
-        denom = field.one()
-        for j in range(n):
-            if j == i:
-                continue
-            new = [field.zero()] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t + 1] = new[t + 1] + c
-                new[t] = new[t] - c * xs[j]
-            basis = new
-            denom = denom * (xs[i] - xs[j])
-        w = ys[i] / denom
-        coeffs = [a + w * b for a, b in zip(coeffs, basis)]
-    return coeffs
+    p = _modulus(field)
+    coeffs = [0] * len(us)
+    for i, xi in enumerate(us):
+        basis, denom = [1], 1
+        for j, xj in enumerate(us):
+            if j != i:
+                # basis * (X - xj), ascending degree.
+                basis = [a - xj * b for a, b in zip([0, *basis], [*basis, 0])]
+                denom *= xi - xj
+        w = vs[i] / denom if p is None else vs[i] * pow(denom, -1, p)
+        coeffs = [c + w * b for c, b in zip(coeffs, basis)]
+    return [field.box(c if p is None else c % p) for c in coeffs]

@@ -484,6 +484,35 @@ def test_expand_check_at_three_four_is_accepted():
     cli._validate(ExperimentConfig(command="expand-check", r=3, m=4, trials=1))
 
 
+# Every shape that CI, the golden digests and the benchmark run fits the
+# coefficient budget, and so do the large shapes (5,3), (4,4) and (3,5).
+BUDGET_ACCEPTED = sorted(
+    set(GOLDEN_BODIES)
+    | set(GOLDEN_BODIES_Q)
+    | {("p1-lambda", 2, 4), ("p1-divisor", 3, 4), ("p1-no-form", 2, 3)}
+    | {("codim-threshold", r, 3) for r in (2, 3, 4, 5)}
+    | {("taylor-check", r, m) for r, m in [(2, 3), (3, 3), (5, 3), (4, 4), (3, 5)]}
+)
+
+
+@pytest.mark.parametrize("command,r,m", BUDGET_ACCEPTED)
+def test_coefficient_budget_accepts_every_shape_that_is_run(command, r, m):
+    cli._validate(ExperimentConfig(command=command, r=r, m=m, trials=1))
+
+
+@pytest.mark.parametrize(
+    "command,r,m", [("taylor-check", 8, 8), ("codim-threshold", 7, 3), ("p1-divisor", 6, 4)]
+)
+def test_vectors_beyond_the_coefficient_budget_are_refused(command, r, m, capsys):
+    # C(64, 8) = 4,426,165,368, C(21, 7) = 116,280 and C(24, 6) = 134,596
+    # coefficients: refused before lex_masks is built.
+    with pytest.raises(ValueError, match=r"at most 10\^5"):
+        cli._validate(ExperimentConfig(command=command, r=r, m=m, trials=1))
+    if (r, m) == (8, 8):
+        assert main([command, "--r", "8", "--m", "8", "--trials", "1"]) == 2
+        assert "C(rm, r) = 4426165368" in capsys.readouterr().err
+
+
 def test_parser_lists_all_suites():
     parser = build_parser()
     text = parser.format_help()

@@ -23,8 +23,16 @@ from pluckerlab.exterior import (
     wedge,
     wedge_rank,
 )
-from pluckerlab.grassmann import random_grass_point
-from pluckerlab.scalars import QQ, Fp, PrimeField, _residue_dtype, rank_mod_p, submul_mod_p
+from pluckerlab.grassmann import plucker_embed, random_grass_point
+from pluckerlab.scalars import (
+    QQ,
+    DenseMatrix,
+    Fp,
+    PrimeField,
+    _residue_dtype,
+    rank_mod_p,
+    submul_mod_p,
+)
 
 F = PrimeField()
 
@@ -351,18 +359,129 @@ def test_residue_vector_is_cached_read_only_and_current(case):
     built = [u, v, u + v, u - v, -u, u.scale(s)]
     if 2 * u.degree <= u.n:
         built.append(wedge(u, v))
-    for w in built:
+    for i, w in enumerate(built):
         x, d = exterior._dense_vector(w)
         if isinstance(field, PrimeField):
             assert d == 1 and x.dtype == np.dtype(_residue_dtype(field.p))
             assert x.tolist() == [field.unbox(c) for c in coefficient_vector(w)]
         else:
-            assert d == math.lcm(*(c.denominator for c in w.terms.values()))
+            # A vector born with its dict takes the lcm of its denominators;
+            # one born dense keeps the common denominator that built it.
+            lcm = math.lcm(*(c.denominator for c in w.terms.values()))
+            assert d == lcm if i < 2 else d > 0 and d % lcm == 0
             assert [Fraction(c, d) for c in x.tolist()] == coefficient_vector(w)
         assert all(type(c) is int for c in x.tolist())
         assert exterior._dense_vector(w)[0] is x and not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1
+
+
+# -- vectors born dense against vectors born with their dict ---------------------
+
+CROSS_FIELDS = [QQ, F, PrimeField(7), PrimeField(3037000493), PrimeField(2**61 - 1)]
+
+
+def dict_born(u):
+    """A fresh copy of u that holds its dict alone."""
+    return ExteriorVector(u.n, u.degree, dict(u.terms), u.field)
+
+
+def dense_born(u, spare=1):
+    """A copy of u that holds its dense vector alone; over Q its numerators
+    sit over ``spare`` times the lcm of the denominators."""
+    x, d = exterior._dense_vector(dict_born(u))
+    if u.field is not QQ:
+        spare = 1
+    return exterior._from_dense(x * spare, d * spare, u.n, u.degree, u.field)
+
+
+def observed(w):
+    """What the API reads off a vector; ``is_zero`` first, before anything
+    has built the dict of a vector born dense."""
+    zero = w.is_zero
+    return (
+        zero,
+        dict(w.terms),
+        w.to_json(),
+        [w.coefficient(m) for m in lex_masks(w.n, w.degree)],
+        None if zero else w.leading_mask(),
+    )
+
+
+@st.composite
+def cross_cases(draw):
+    """u and v of one shape, v cancelling some of u's terms; t and rest
+    completing u to a top wedge; a scalar; a spare denominator."""
+    field = draw(st.sampled_from(CROSS_FIELDS))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    j = draw(st.integers(0, n - k))
+    u, v = draw_vector(draw, field, n, k), draw_vector(draw, field, n, k)
+    shared = draw(st.lists(st.sampled_from(sorted(u.terms)), max_size=3)) if u.terms else []
+    v = ExteriorVector(n, k, {**v.terms, **{m: -u.terms[m] for m in shared}}, field)
+    t, rest = draw_vector(draw, field, n, j), draw_vector(draw, field, n, n - k - j)
+    c = draw(st.integers(-(2**70), 2**70))
+    s = Fraction(c, draw(DENOMINATORS)) if field is QQ else field.from_int(c)
+    return u, v, t, rest, s, draw(st.integers(1, 6))
+
+
+# (name, op): each op takes two vectors of one shape and a scalar.
+CROSS_OPS = [
+    ("itself", lambda a, b, s: a),
+    ("sum", lambda a, b, s: a + b),
+    ("difference", lambda a, b, s: a - b),
+    ("negative", lambda a, b, s: -b),
+    ("multiple", lambda a, b, s: a.scale(s)),
+    ("zero multiple", lambda a, b, s: a.scale(a.field.zero())),
+    ("sum cancelling to zero", lambda a, b, s: a + (-a)),
+    ("difference cancelling to zero", lambda a, b, s: a - a),
+]
+
+
+@given(cross_cases())
+@settings(max_examples=200, deadline=None)
+def test_vectors_born_dense_match_vectors_born_with_their_dict(case):
+    u, v, t, rest, s, spare = case
+    lex = exterior._lex_position(u.n, u.degree)
+    for name, op in CROSS_OPS:
+        want = op(dict_born(u), dict_born(v), s)
+        got = op(dense_born(u, spare), dense_born(v), s)
+        # Dense operands give a vector born dense; dict operands walk the dicts.
+        assert got._dict is None and want._dense is None, name
+        x = got._dense[0]
+        assert observed(got) == observed(want), name
+        assert got == want and want == got, name
+        # The dict built from the dense vector is in lex order, and the dense
+        # vector stays as it was, read-only.
+        assert list(got._coeffs) == sorted(got._coeffs, key=lex.__getitem__), name
+        assert exterior._dense_vector(got)[0] is x and not x.flags.writeable, name
+        with pytest.raises(ValueError):
+            x[0] = 1
+        # Wedges read a fresh result's dense vector before any dict is built.
+        got = op(dense_born(u, spare), dense_born(v), s)
+        assert observed(wedge(got, dense_born(t))) == observed(wedge(want, t)), name
+        got = op(dense_born(u, spare), dense_born(v), s)
+        top = top_wedge_coefficient([got, dense_born(t), dense_born(rest)])
+        assert top == top_wedge_coefficient([want, t, rest]), name
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS[1:], ids=["fp", "f7", "p3037000493", "p61"])
+def test_plucker_embed_points_keep_their_first_term(field):
+    # With no zero entry every wedge of the rows gathers, so the point is born
+    # dense, and its dict, built in lex order, starts at its leading term,
+    # which is the pivot of _wedge_schur.
+    rng = random.Random(5)
+    for r in (2, 3):
+        n = 3 * r
+        rows = [[field.from_int(rng.randrange(1, 7)) for _ in range(n)] for _ in range(r)]
+        w = plucker_embed(DenseMatrix.from_rows(rows)).plucker
+        assert w._dict is None
+        lead = w.leading_mask()
+        assert next(iter(w._coeffs)) == lead
+        by_lex = dict(sorted(w.terms.items(), key=lambda mc: MultiIndex(mc[0], n).indices))
+        k, S = exterior._wedge_schur(w, r)
+        k_lex, S_lex = exterior._wedge_schur(ExteriorVector(n, r, by_lex, field), r)
+        assert k == k_lex and np.array_equal(S, S_lex)
 
 
 def test_odd_above_gives_merge_parity_exhaustively():

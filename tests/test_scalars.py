@@ -451,6 +451,66 @@ def test_poly_interpolate_refuses_repeated_points(field):
             poly_interpolate(xs, [F.one(), F.zero()])
 
 
+F7 = PrimeField(7)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([F.from_int(0), F.from_int(1)], [1, 2]),
+        ([F7.from_int(0), F7.from_int(1)], [F7.one(), 2]),
+        ([F.from_int(0), F.from_int(1)], [F.one(), Fraction(1, 2)]),
+        ([F7.from_int(0), F7.from_int(1)], [Fraction(1), F7.one()]),
+        ([QQ.from_int(0), QQ.from_int(1)], [F.one(), F.one()]),
+        ([QQ.from_int(0), QQ.from_int(1)], [QQ.one(), F7.one()]),
+        ([0, QQ.one()], [QQ.one(), QQ.one()]),
+        ([0, F.one()], [F.one(), F.one()]),
+        ([0, F7.one()], [F7.one(), F7.one()]),
+        ([F.from_int(0), Fraction(1)], [F.one(), F.one()]),
+        ([F.from_int(0), F.from_int(1)], [F.one(), F7.one()]),
+    ],
+    ids=[
+        "int-value-at-fp-points",
+        "int-value-at-f7-points",
+        "fraction-value-at-fp-points",
+        "fraction-value-at-f7-points",
+        "fp-values-at-q-points",
+        "f7-value-at-q-points",
+        "int-first-point-q",
+        "int-first-point-fp",
+        "int-first-point-f7",
+        "fraction-point-among-fp-points",
+        "f7-value-at-fp-points",
+    ],
+)
+def test_poly_interpolate_refuses_elements_outside_the_first_points_field(xs, ys):
+    with pytest.raises(ValueError):
+        poly_interpolate(xs, ys)
+
+
+@pytest.mark.parametrize("field", [QQ, F, F7, PrimeField(2**61 - 1)], ids=["q", "fp", "f7", "p61"])
+def test_poly_interpolate_matches_boxed_lagrange(field):
+    # The boxed Lagrange loop the unboxed one replaced, as the reference.
+    rng = random.Random(11)
+    for n in range(1, 6):
+        xs = [field.from_int(i) for i in rng.sample(range(7), n)]
+        ys = [field.sample(rng) for _ in range(n)]
+        want = [field.zero()] * n
+        for i in range(n):
+            basis, denom = [field.one()], field.one()
+            for j in range(n):
+                if j != i:
+                    new = [field.zero()] * (len(basis) + 1)
+                    for t, c in enumerate(basis):
+                        new[t + 1] = new[t + 1] + c
+                        new[t] = new[t] - c * xs[j]
+                    basis, denom = new, denom * (xs[i] - xs[j])
+            w = ys[i] / denom
+            want = [a + w * b for a, b in zip(want, basis)]
+        got = poly_interpolate(xs, ys)
+        assert got == want and all(field.is_element(c) for c in got)
+
+
 def test_mat_vec():
     M = DenseMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
     assert mat_vec(M, [Fraction(3), Fraction(4)]) == [Fraction(11), Fraction(4)]
