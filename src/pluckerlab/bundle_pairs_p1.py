@@ -10,9 +10,13 @@ takes the monomial values u^a v^(d-a) once per point and degree.
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
 terms a pair stores; ``divisor_value`` passes its rows straight to
 ``scalars._det``, the determinant of the one row-elimination loop
-(``scalars._eliminate``), and ``classify_point`` folds them through
-``exterior._wedge_walk`` into an unboxed ``ExteriorVector``.  Only returned
-scalars are boxed.
+(``scalars._eliminate``), and ``classify_point`` hands its r value rows to
+``exterior._wedge_rows``, the Plucker vector of a matrix that
+``grassmann.plucker_embed`` also uses: each row is unboxed once into a dense
+vector and the rows are folded by the dense gather, so the point's vector is
+born dense, and the top wedge of such points in the pullback check gathers
+at every step.  ``span_dimension`` ranks those dense vectors as they are.
+Only returned scalars are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
@@ -41,7 +45,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exterior import ExteriorVector, _wedge_walk, lex_masks
+import numpy as np
+
+from .exterior import ExteriorVector, _dense_vector, _wedge_rows, lex_masks
 from .scalars import (
     DEFAULT_PRIME,
     DenseMatrix,
@@ -163,15 +169,16 @@ def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]
     """One row per section: its r component values at each point in turn,
     unboxed (residues in [0, p), or Fractions)."""
     field, r, p = pair.field, pair.r, _modulus(pair.field)
-    zero = field.unbox(field.zero())
     values = []  # per point, the monomial values of each component's degree
     for pt in points:
         table = {d: _monomials(pt, d, field) for d in set(pair.splitting)}
         values.append([table[d] for d in pair.splitting])
+    blank = [field.unbox(field.zero())] * (r * len(points))
+    at_points = list(zip(range(0, len(blank), r), values))
     rows = []
     for terms in pair.terms:
-        row = [zero] * (r * len(points))
-        for base, at in zip(range(0, len(row), r), values):
+        row = blank.copy()
+        for base, at in at_points:
             for j, a, c in terms:
                 row[base + j] += c * at[j][a]
         rows.append(row if p is None else [x % p for x in row])
@@ -343,15 +350,11 @@ def det_map_rank(pair: BundlePairP1) -> int:
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
-    r x r minors."""
-    rm, field, p = pair.r * pair.m, pair.field, _modulus(pair.field)
-    acc = {0: field.unbox(field.one())}  # the empty wedge, degree 0
-    for row in zip(*_section_values(pair, [x])):
-        terms = {1 << j: c for j, c in enumerate(row) if c}
-        acc = _wedge_walk(acc, terms, p)
-    if not acc:
+    r x r minors, born dense (:func:`pluckerlab.exterior._wedge_rows`)."""
+    vec = _wedge_rows(list(zip(*_section_values(pair, [x]))), pair.field)
+    if vec.is_zero:
         raise ValueError("evaluation drops rank: not globally generated here")
-    return ExteriorVector._trusted(rm, pair.r, acc, field)
+    return vec
 
 
 def lambda_image(pair: BundlePairP1, functional: Sequence[Scalar]) -> ExteriorVector:
@@ -399,8 +402,9 @@ def span_dimension(pair: BundlePairP1, samples: int, seed: int) -> int:
             vec = classify_point(pair, x)
         except ValueError:
             continue
-        rows.append([vec._coeffs.get(m, 0) for m in masks])
-    return _rank(rows, pair.field)
+        # x / d: scaling a row by d leaves the rank as it is.
+        rows.append(_dense_vector(vec)[0])
+    return _rank(np.array(rows), pair.field)
 
 
 def two_point_surjectivity(pair: BundlePairP1, x: P1Point, y: P1Point) -> bool:

@@ -89,6 +89,23 @@ SCHEMA_VERSION = 1
 # would exhaust memory before the first trial.
 _MAX_SLOT_COEFFICIENTS = 10**5
 
+# The classifier ranks t |-> w ^ t on wedge^r through the Schur complement S
+# of one term's diagonal block, and holds S, the pivot columns X and the
+# pivot rows Y at once (``exterior._wedge_schur``); over Q it holds the whole
+# map, S + X + Y cells plus the block.  (4,4) needs about 2.3 * 10^7 cells,
+# 185 MB of int64; (6,3)'s 17640^2 S alone would take 2.5 GB.
+_MAX_SCHUR_CELLS = 3 * 10**7
+
+
+def _schur_cells(r: int, m: int) -> int:
+    """Cells of S, X and Y for a degree-r vector on rm letters: S is
+    (C(rm, 2r) - k) x (C(rm, r) - k), X and Y have k columns and rows, and
+    k = C(rm - r, r) is the size of the pivot block."""
+    n = r * m
+    k = math.comb(n - r, r)
+    rows, cols = math.comb(n, 2 * r) - k, math.comb(n, r) - k
+    return rows * cols + (rows + cols) * k
+
 
 @dataclass
 class ExperimentConfig:
@@ -513,6 +530,13 @@ def _validate(config: ExperimentConfig):
         raise ValueError("unsupported hypothesis: membership tests need m >= 3")
     if config.command == "reconstruction" and config.r < 2:
         raise ValueError("reconstruction needs r >= 2: every degree-1 vector is decomposable")
+    if config.command == "reconstruction":
+        cells = _schur_cells(config.r, config.m)
+        if cells > _MAX_SCHUR_CELLS:
+            raise ValueError(
+                f"the classifier's Schur complement and pivot blocks hold {cells} cells; "
+                "at most 3 * 10^7"
+            )
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:
         raise ValueError("rank bound needs ambient dimension at least 2r + 1")
     # expand-check holds every shuffle term at once: (3,4)'s 369,600 peak at

@@ -30,24 +30,30 @@ the sign is the parity of ``popcount(J & _odd_above(I))``.  Every sign in the
 package (``wedge``, the wedge-multiplication maps, the tangent systems and
 the shuffle expansion of the wedge form) is read off this one mask.
 
-``wedge`` has two paths, chosen from the pair count.  A wedge with fewer
-term pairs than the C(n, a) * C(n - a, b) disjoint pairs of the tables
-(sparse vectors, or large n) scans its own pairs, signing each one off
-``_odd_above``, and never builds a table; that scan is ``_wedge_walk``,
-which ``classify_point`` on P^1 also folds by.  A denser wedge gathers on
-the inputs' cached dense vectors: every disjoint pair is read from
-``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
-coordinate), and the signed products are summed by output coordinate, over
-the product dx * dy of the inputs' denominators.  On int64 residues each
-product is reduced mod p before the sum, which is exact while C(a + b, a) *
-p < 2^63 (proved in ``_gather``; a wedge past that bound scans its pairs);
-Python ints are signed and summed as they are and reduced once mod p.  The
-summed vector is the result, born dense (``_from_dense``).
-``top_wedge_coefficient`` folds its slots the same way, but keeps the
-running wedge a dense vector across the gather steps and boxes only the
-final scalar.  Outputs are built through ``ExteriorVector._trusted``, which
-skips the per-term checks of the public constructor, so nothing on these
-paths is boxed.
+``wedge`` has two paths: a scan of its own term pairs, and a gather on the
+inputs' cached dense vectors.  The rule that picks one (``_gathers``) reads
+only the operands' shapes, their forms and their term counts.  On int64
+residues the gather is exact only while C(a + b, a) * p < 2^63 (proved in
+``_gather``, checked by ``_exact``), so past that bound every wedge scans
+its pairs.  Otherwise two operands that both already hold dense vectors
+gather, since reading them costs nothing more; any other wedge gathers when
+it has at least as many term pairs as the C(n, a) * C(n - a, b) disjoint
+pairs of the tables, and sparse vectors, or large n, scan their pairs
+(``_wedge_walk``), signing each one off ``_odd_above``, and never build a
+table.  The gather reads every disjoint pair from ``_wedge_gather(n, a, b)``
+(the scatter table below, grouped by output coordinate) and sums the signed
+products by output coordinate, over the product dx * dy of the inputs'
+denominators.  On int64 residues each product is reduced mod p before the
+sum; Python ints are signed and summed as they are and reduced once mod p.
+The summed vector is the result, born dense (``_from_dense``).
+``top_wedge_coefficient`` folds its slots by the same rule, but keeps the
+running wedge a bare dense vector from its first gather on and boxes only
+the final scalar.  The wedge of the rows of a matrix, the Plucker vector of
+``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
+``_wedge_rows``: the rows are unboxed once into one array and folded by
+``_gather``, each a dense degree-1 vector.  Outputs are built through
+``ExteriorVector._trusted``, which skips the per-term checks of the public
+constructor, so nothing on these paths is boxed.
 
 Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``lex_masks``
 and ``_odd_above``, lists for each degree-a mask (in lex order) the flat
@@ -105,6 +111,7 @@ from .scalars import (
     _modulus,
     _rank,
     _residue_dtype,
+    _rows_as_integers,
     rank_mod_p,
     submul_mod_p,
 )
@@ -325,11 +332,13 @@ class ExteriorVector:
             raise ValueError("field mismatch")
 
     # Sums, negatives and multiples keep the unboxed coefficients reduced mod
-    # p.  When every operand holds a dense vector they work on those, over
-    # the product of the denominators on Q, and the result is born dense;
-    # otherwise they walk the dicts, drop zeros themselves and build through
-    # ``_trusted``.  On int64 residues a sum is below 2p and a product below
-    # (p - 1)^2 < 2^63, both inside the dtype.
+    # p.  When every operand holds a dense vector they work on those and the
+    # result is born dense: on Q a sum lies over the lcm of the operands'
+    # denominators, so a chain of sums keeps the lcm of its inputs', and a
+    # multiple over the product of the denominators.  Otherwise they walk the
+    # dicts, drop zeros themselves and build through ``_trusted``.  On int64
+    # residues a sum is below 2p and a product below (p - 1)^2 < 2^63, both
+    # inside the dtype.
 
     def _dense_result(self, z: np.ndarray, d: int) -> "ExteriorVector":
         return _from_dense(z, d, self.n, self.degree, self.field)
@@ -340,7 +349,8 @@ class ExteriorVector:
         if self._dense is not None and other._dense is not None:
             (x, dx), (y, dy) = self._dense, other._dense
             if p is None:
-                return self._dense_result(x * dy + y * dx, dx * dy)
+                L = math.lcm(dx, dy)
+                return self._dense_result(x * (L // dx) + y * (L // dy), L)
             z = x + y
             z[z >= p] -= p
             return self._dense_result(z, 1)
@@ -452,16 +462,37 @@ def _term_count(u: ExteriorVector) -> int:
     return len(u._dict)
 
 
-def _table_pays(p, nu: int, nv: int, n: int, a: int, b: int) -> bool:
-    """Whether a wedge of an nu-term degree-a vector and an nv-term degree-b
-    vector over F_p (over Q when p is None) gathers through the cached
-    tables: its term pairs are at least the table's C(n, a) * C(n - a, b)
-    disjoint pairs, and, on int64 residues, the gather is exact, C(a + b, a)
-    * p < 2^63 (see :func:`_gather`).  Other wedges (sparse ones, and at
-    n = 64 the table can reach 10^9 masks) scan their own pairs instead."""
-    if p is not None and _residue_dtype(p) is np.int64 and math.comb(a + b, a) * p >= 2**63:
+@lru_cache(maxsize=None)
+def _table_size(n: int, a: int, b: int) -> tuple[int, int]:
+    """(C(n, a) * C(n - a, b), C(a + b, a)): the disjoint pairs in the gather
+    tables of a degree-a by degree-b wedge on n letters, and the pairs that
+    land on each output coordinate."""
+    return math.comb(n, a) * math.comb(n - a, b), math.comb(a + b, a)
+
+
+def _exact(p, n: int, a: int, b: int) -> bool:
+    """Whether the gather of a degree-a by a degree-b wedge on n letters is
+    exact over F_p (over Q when p is None): always on Python ints, and on
+    int64 residues while C(a + b, a) * p < 2^63 (see :func:`_gather`)."""
+    return p is None or _table_size(n, a, b)[1] * p < 2**63 or _residue_dtype(p) is not np.int64
+
+
+def _gathers(u: ExteriorVector, v: ExteriorVector, p) -> bool:
+    """Whether the wedge u ^ v over F_p (over Q when p is None) gathers
+    through the cached tables; it reads only the operands' shapes, their
+    forms and their term counts.
+
+    First the exactness guard (:func:`_exact`): past it the wedge scans its
+    pairs.  Then two operands that both hold dense vectors gather.  Any
+    other wedge gathers when its term pairs are at least the table's
+    disjoint pairs; sparse wedges, and at n = 64 the table can reach 10^9
+    masks, scan their own pairs instead."""
+    n, a, b = u.n, u.degree, v.degree
+    if not _exact(p, n, a, b):
         return False
-    return nu * nv >= math.comb(n, a) * math.comb(n - a, b)
+    if u._dense is not None and v._dense is not None:
+        return True
+    return _term_count(u) * _term_count(v) >= _table_size(n, a, b)[0]
 
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
@@ -509,7 +540,7 @@ def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarr
     at most (p - 1)^2 < 2^63, which ``_residue_dtype(p) is np.int64``
     guarantees; reduced mod p and signed as p - x, each term lies in [0, p];
     so a row's sum is at most C(a + b, a) * p, below 2^63 by the check in
-    :func:`_table_pays`.
+    :func:`_exact`.
     """
     u_at, v_at, neg = _wedge_gather(n, a, b)
     if x.dtype == object:
@@ -518,6 +549,42 @@ def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarr
         return z if p is None else z % p
     prod = x[u_at] * y[v_at] % p
     return np.where(neg, p - prod, prod).sum(axis=1) % p
+
+
+def _wedge_rows(rows: Sequence[Sequence], field: Field) -> ExteriorVector:
+    """The wedge of the rows of an r x n matrix of unboxed entries (residues
+    in [0, p), or Fractions), r >= 1: the degree-r vector whose coordinate
+    on each r-subset of the columns is that r x r minor.
+
+    The rows are unboxed once into one array, over the lcm of each row's
+    denominators on Q, and folded left to right by :func:`_gather`, each row
+    a dense degree-1 vector, so the result is born dense, over the product
+    of those lcms.  Every step is a degree-a by degree-1 wedge with a < n <=
+    64, so C(a + 1, a) * p <= 64 * p < 2^63 for every p with int64
+    residues: the fold needs no exactness guard.  A minor on a zero column
+    vanishes, so when some columns are zero the fold runs on the k others,
+    and its C(k, r) coordinates are spread into a dict on the n columns
+    instead: a sparse wide matrix never builds the C(n, r) vector."""
+    p, dtype, d = _modulus(field), _dtype(field), 1
+    if p is None:
+        rows, d = _rows_as_integers(rows)
+    A = np.array(rows, dtype=dtype)
+    (r, n), cols = A.shape, A.any(axis=0)
+    k = int(np.count_nonzero(cols))
+    if k < r:
+        return ExteriorVector._trusted(n, r, {}, field)
+    if k < n:
+        A = A[:, cols]
+    x = A[0]
+    for a in range(1, r):
+        x = _gather(x, A[a], k, a, 1, p)
+    if k == n:
+        return _from_dense(x, d, n, r, field)
+    at, masks, coeffs = np.flatnonzero(cols).tolist(), lex_masks(k, r), {}
+    for j in np.flatnonzero(x).tolist():
+        mask = sum(1 << at[i - 1] for i in _indices_from_mask(masks[j]))
+        coeffs[mask] = int(x[j]) if p is not None else Fraction(x[j], d)
+    return ExteriorVector._trusted(n, r, coeffs, field)
 
 
 def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
@@ -530,7 +597,7 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
     field, p = u.field, _modulus(u.field)
-    if _table_pays(p, _term_count(u), _term_count(v), n, a, b):
+    if _gathers(u, v, p):
         (x, dx), (y, dy) = _dense_vector(u), _dense_vector(v)
         return _from_dense(_gather(x, y, n, a, b, p), dx * dy, n, a + b, field)
     return ExteriorVector._trusted(n, a + b, _wedge_walk(u._coeffs, v._coeffs, p), field)
@@ -558,9 +625,11 @@ def _wedge_walk(ut: dict, vt: dict, p) -> dict:
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     """Coefficient of e_{1..n} in the ordered wedge of the given vectors.
 
-    The degrees must add up to the ambient dimension exactly.  Each step of
-    the fold that :func:`wedge` would gather gathers here too, and the
-    running wedge stays a dense vector between such steps: only the final
+    The degrees must add up to the ambient dimension exactly.  It is the
+    fold of :func:`wedge`, but from its first gather on the running wedge is
+    kept as a bare dense vector x / d, so a step whose slot also holds a
+    dense vector gathers at once, the exactness guard permitting (the rule
+    of :func:`_gathers` for two dense operands), and only the final
     coefficient is boxed.
     """
     if not vectors:
@@ -577,18 +646,14 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
     for v in vectors[1:]:
         b = v.degree
-        count = _term_count(acc) if x is None else int(np.count_nonzero(x))
-        if not count:
-            return field.zero()
-        if _table_pays(p, count, _term_count(v), n, a, b):
-            if x is None:
-                x, d = _dense_vector(acc)
-            y, dy = _dense_vector(v)
+        if x is not None and v._dense is not None and _exact(p, n, a, b):
+            y, dy = v._dense
             x, d = _gather(x, y, n, a, b, p), d * dy
         else:
             if x is not None:
-                acc, x = _from_dense(x, d, n, a, field), None
+                acc = _from_dense(x, d, n, a, field)
             acc = wedge(acc, v)
+            x, d = acc._dense if acc._dict is None else (None, 1)
         a += b
     if x is None:
         return acc.coefficient((1 << n) - 1)

@@ -11,14 +11,13 @@ preferring one side.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exterior import ExteriorVector, wedge, wedge_rank
+from .exterior import ExteriorVector, _wedge_rows, wedge, wedge_rank
 # tangent_codim stays importable from here: bench/tests reaches it as
 # grassmann.tangent_codim.
 from .plucker_form import (  # noqa: F401
@@ -42,13 +41,13 @@ class GrassPoint:
 
 
 def plucker_embed(A: DenseMatrix) -> GrassPoint:
-    """Wedge of the rows of a full-rank r x n matrix."""
+    """Wedge of the rows of a full-rank r x n matrix, born dense: its C(n, r)
+    coordinates are the r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
     r, n = A.rows, A.cols
     if not 0 < r <= n <= 64:
         raise ValueError("need 1 <= rows <= cols <= 64")
     field, rows = _unboxed_rows(A)
-    terms = ({1 << j: c for j, c in enumerate(row) if c} for row in rows)
-    vec = functools.reduce(wedge, (ExteriorVector._trusted(n, 1, t, field) for t in terms))
+    vec = _wedge_rows(rows, field)
     if vec.is_zero:
         raise ValueError("matrix is rank deficient")
     return GrassPoint(r, n, A, vec)

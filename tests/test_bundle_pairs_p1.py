@@ -676,6 +676,54 @@ def test_classify_point_matches_boxed_wedge_fold(field):
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_classify_point_is_the_minors_of_the_value_rows(field):
+    # The oracle is mat_det on each r-subset of the columns, so no wedge
+    # kernel checks the fold of the rows.  The point is born dense unless a
+    # column is zero, as at infinity for the monomial pairs.
+    rng = random.Random(43)
+    for pair in _kernel_pairs(field, rng):
+        r, rm = pair.r, pair.r * pair.m
+        for x in [P1Point.infinity(field)] + sample_distinct_points(3, field, rng):
+            rows = list(zip(*_reference_rows(pair, [x])))
+            got = classify_point(pair, x)
+            assert got.degree == r
+            assert (got._dict is None) == all(map(any, zip(*rows)))
+            for cols in itertools.combinations(range(rm), r):
+                minor = mat_det(DenseMatrix(r, r, tuple(row[j] for row in rows for j in cols)))
+                assert got.coefficient(sum(1 << j for j in cols)) == minor
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_classify_point_refuses_a_point_where_evaluation_drops_rank(field):
+    # Every valid pair is globally generated, so the refusal needs a pair
+    # whose second component's terms are gone: its value row is zero, and so
+    # is every minor.
+    pair = make_pair((2, 2), 3, field)
+    object.__setattr__(pair, "terms", tuple(tuple(t for t in ts if t[0] == 0) for ts in pair.terms))
+    for x in (P1Point.infinity(field), affine(3, field)):
+        with pytest.raises(ValueError, match="evaluation drops rank"):
+            classify_point(pair, x)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_span_dimension_ranks_the_dense_points_over_every_field(field):
+    # Over F_7 only shapes with at most 7 usable points fit.
+    shapes = [((2, 2), 3, 30), ((2, 2, 2), 3, 90)]
+    if field == PrimeField(7):
+        shapes = [((2,), 3, 5), ((1, 1), 2, 7)]
+    rng = random.Random(59)
+    for splitting, m, samples in shapes:
+        pair = make_pair(splitting, m, field)
+        rm = pair.r * m
+        while True:
+            G = random_matrix(rm, rm, field, rng)
+            if mat_rank(G) == rm:
+                break
+        for p in (pair, change_basis(pair, G)):
+            assert span_dimension(p, samples, 7) == det_map_rank(p)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_terms_are_the_nonzero_unboxed_section_entries(field):
     # The symbolic expansions read only `terms`, the evaluations only rows
     # built from it; this pins both to the public `sections`.

@@ -15,6 +15,7 @@ from pluckerlab.bundle_pairs_p1 import (
     sample_distinct_points,
 )
 from pluckerlab.cli import ExperimentConfig, build_parser, main, run
+from pluckerlab.exterior import _wedge_schur, random_exterior
 from pluckerlab.scalars import PrimeField
 
 
@@ -511,6 +512,40 @@ def test_vectors_beyond_the_coefficient_budget_are_refused(command, r, m, capsys
     if (r, m) == (8, 8):
         assert main([command, "--r", "8", "--m", "8", "--trials", "1"]) == 2
         assert "C(rm, r) = 4426165368" in capsys.readouterr().err
+
+
+# Every reconstruction shape that CI, the golden digests and the benchmark's
+# classifier run fits the Schur budget, and so do (5,3), (4,4) and (3,5);
+# (4,4) needs 23,178,375 cells.
+SCHUR_ACCEPTED = sorted(
+    {(r, m) for command, r, m in BUDGET_ACCEPTED if command == "reconstruction"}
+    | {(2, 3), (3, 3), (4, 3), (5, 3), (4, 4), (3, 5)}
+)
+
+
+@pytest.mark.parametrize("r,m", SCHUR_ACCEPTED)
+def test_schur_budget_accepts_every_reconstruction_shape_that_is_run(r, m):
+    cli._validate(ExperimentConfig(command="reconstruction", r=r, m=m, trials=1))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_schur_cells_count_the_buffer_the_classifier_fills(r):
+    # A non-member has a nonzero S, so nothing short-cuts the count.
+    w = random_exterior(3 * r, r, PrimeField(), random.Random(r))
+    k, S = _wedge_schur(w, r)
+    assert S.size + (S.shape[0] + S.shape[1]) * k == cli._schur_cells(r, 3)
+
+
+@pytest.mark.parametrize("r,m", [(6, 3), (2, 18), (4, 5)])
+def test_reconstruction_beyond_the_schur_budget_is_refused(r, m, capsys):
+    # Each fits the coefficient budget; only the verdict is checked, no run
+    # is started.  (6,3)'s S alone is 17640 x 17640.
+    assert cli._schur_cells(r, m) > 3 * 10**7
+    with pytest.raises(ValueError, match=r"at most 3 \* 10\^7"):
+        cli._validate(ExperimentConfig(command="reconstruction", r=r, m=m, trials=1))
+    if (r, m) == (6, 3):
+        assert main(["reconstruction", "--r", "6", "--m", "3", "--trials", "1"]) == 2
+        assert "hold 343768320 cells" in capsys.readouterr().err
 
 
 def test_parser_lists_all_suites():

@@ -258,16 +258,28 @@ def test_dense_wedge_of_largest_residues_at_the_int64_edge(n, a, b):
 
 def test_int64_gather_guard_at_its_edge():
     # For the largest int64 residue prime, C(34, 17) * p < 2^63 <= C(35, 17)
-    # * p: however dense, a (17, 17) wedge may gather on int64 residues and a
-    # (17, 18) one must scan its pairs.  Python ints have no such bound.  Only
-    # the bound is evaluated; no table is built.
+    # * p: a (17, 17) wedge of operands that hold dense vectors may gather on
+    # int64 residues, and a (17, 18) one must scan its pairs, so the guard
+    # wins over the held-dense shortcut.  Python ints have no such bound.
+    # The rule reads only the operands' shapes, forms and term counts, so
+    # stand-ins holding a one-entry dense vector will do; no table is built.
+    # The entry is zero, so that even a repr of a stand-in builds no masks.
     p = 3037000493
     assert math.comb(34, 17) * p < 2**63 <= math.comb(35, 17) * p
-    dense = math.comb(35, 17)
-    assert exterior._table_pays(p, dense, dense, 34, 17, 17)
-    assert not exterior._table_pays(p, dense, dense, 35, 17, 18)
-    assert exterior._table_pays(2**61 - 1, dense, dense, 35, 17, 18)
-    assert exterior._table_pays(None, dense, dense, 35, 17, 18)
+
+    def held(n, k, field):
+        x = np.zeros(1, dtype=exterior._dtype(field))
+        return exterior._from_dense(x, 1, n, k, field)
+
+    for field, n, b, gathers in [
+        (PrimeField(p), 34, 17, True),
+        (PrimeField(p), 35, 18, False),
+        (PrimeField(2**61 - 1), 35, 18, True),
+        (QQ, 35, 18, True),
+    ]:
+        q = exterior._modulus(field)
+        got = exterior._gathers(held(n, 17, field), held(n, b, field), q)
+        assert got is gathers and exterior._exact(q, n, 17, b) is gathers, (field, n, b)
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
@@ -465,6 +477,71 @@ def test_vectors_born_dense_match_vectors_born_with_their_dict(case):
         assert top == top_wedge_coefficient([want, t, rest]), name
 
 
+@st.composite
+def form_cases(draw):
+    """2 or 3 slots, dense or sparse, whose degrees add up to n <= 8."""
+    field = draw(st.sampled_from(CROSS_FIELDS))
+    n = draw(st.integers(1, 8))
+    cut = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=2)))
+    degrees = [b - a for a, b in zip([0] + cut, cut + [n])]
+    return [draw_vector(draw, field, n, k) for k in degrees]
+
+
+def _sparse_slots(field):
+    """Three two-term slots on six letters: sparse vectors that, born dense,
+    gather although they have fewer term pairs than the tables."""
+    e = lambda *i: ExteriorVector.basis(6, i, field)
+    two = field.from_int(2)
+    return [e(1, 2) + e(3, 4).scale(two), e(5, 6) - e(1, 3), e(3, 5) + e(2, 4)]
+
+
+@given(form_cases())
+@settings(max_examples=150, deadline=None)
+def test_wedges_agree_whichever_form_each_operand_holds(slots):
+    # Two operands that both hold dense vectors gather whatever their term
+    # counts; every other pairing takes the pair-count rule.  All four
+    # pairings, and every assignment of forms to the slots of a top wedge,
+    # give the reference result.
+    for slots in (slots, _sparse_slots(slots[0].field)):
+        u, v = slots[:2]
+        want = reference_wedge(u, v)
+        for fu, fv in itertools.product((dict_born, dense_born), repeat=2):
+            a, b = fu(u), fv(v)
+            held = a._dense is not None and b._dense is not None
+            got = wedge(a, b)
+            assert got._dict is None or not held
+            assert observed(got) == observed(want)
+        top = want
+        for w in slots[2:]:
+            top = reference_wedge(top, w)
+        top = top.coefficient((1 << u.n) - 1)
+        for forms in itertools.product((dict_born, dense_born), repeat=len(slots)):
+            assert top_wedge_coefficient([f(w) for f, w in zip(forms, slots)]) == top
+
+
+def test_a_chain_of_dense_sums_over_q_stays_over_the_lcm():
+    # Summed over the product of the denominators, 40 sums of (6,3) vectors
+    # carried a 401-bit denominator against a 12-bit lcm.
+    rng = random.Random(3)
+    masks = lex_masks(6, 3)
+    vectors = [
+        ExteriorVector(
+            6, 3, {m: Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for m in masks}, QQ
+        )
+        for _ in range(41)
+    ]
+    dens = [exterior._dense_vector(dict_born(v))[1] for v in vectors]
+    total = dense_born(vectors[0])
+    for i, v in enumerate(vectors[1:], 2):
+        total = total + dense_born(v)
+        assert total._dense[1] == math.lcm(*dens[:i])
+    assert total._dict is None
+    want = vectors[0]
+    for v in vectors[1:]:
+        want = want + v
+    assert want._dense is None and total == want
+
+
 @pytest.mark.parametrize("field", CROSS_FIELDS[1:], ids=["fp", "f7", "p3037000493", "p61"])
 def test_plucker_embed_points_keep_their_first_term(field):
     # With no zero entry every wedge of the rows gathers, so the point is born
@@ -509,6 +586,36 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
     v = ExteriorVector.basis(64, (2, 3, 4), F) + ExteriorVector.basis(64, (5, 6, 7), F)
     # (1, 5, 64, 2, 3, 4) has six inversions; e_{5,6,7} meets u.
     assert wedge(u, v) == ExteriorVector.basis(64, (1, 2, 3, 4, 5, 64), F)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_sparse_wide_matrix_embeds_without_the_tables(field, monkeypatch):
+    # A minor on a zero column vanishes, so the rows of an 8 x 64 matrix with
+    # nine nonzero columns fold on those nine, and the C(64, 8) vector and
+    # its tables are never built.
+    table = exterior._wedge_scatter
+
+    def no_wide_table(*args):
+        if args[0] == 64:
+            raise AssertionError(f"scatter table {args} built for nine columns")
+        return table(*args)
+
+    monkeypatch.setattr(exterior, "_wedge_scatter", no_wide_table)
+    zero, half = field.zero(), field.one() / field.from_int(2)
+    rows = [[zero] * 64 for _ in range(8)]
+    for i in range(8):
+        rows[i][8 * i] = field.one()
+    rows[0][63] = half
+    w = plucker_embed(DenseMatrix.from_rows(rows)).plucker
+    e = lambda *i: ExteriorVector.basis(64, i, field)
+    # Row 1's entry moves from the first to the last column: seven swaps.
+    assert w == e(1, 9, 17, 25, 33, 41, 49, 57) - e(9, 17, 25, 33, 41, 49, 57, 64).scale(half)
+    # The dict lists the terms in lex order, as one built from a dense vector.
+    assert list(w._coeffs) == sorted(w._coeffs, key=lambda m: MultiIndex(m, 64).indices)
+    # Fewer nonzero columns than rows: every minor vanishes.
+    rows = [[field.one()] * 2 + [zero] * 62 for _ in range(3)]
+    with pytest.raises(ValueError, match="rank deficient"):
+        plucker_embed(DenseMatrix.from_rows(rows))
 
 
 # -- the residue rank kernel against plain row reduction --------------------------
