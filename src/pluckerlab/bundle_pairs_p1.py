@@ -12,11 +12,10 @@ terms a pair stores; ``divisor_value`` passes its rows straight to
 ``scalars._det``, the determinant of the one row-elimination loop
 (``scalars._eliminate``), and ``classify_point`` hands its r value rows to
 ``exterior._wedge_rows``, the Plucker vector of a matrix that
-``grassmann.plucker_embed`` also uses: each row is unboxed once into a dense
-vector and the rows are folded by the dense gather, so the point's vector is
-born dense, and the top wedge of such points in the pullback check gathers
-at every step.  ``span_dimension`` ranks those dense vectors as they are.
-Only returned scalars are boxed.
+``grassmann.plucker_embed`` also uses: the fold of ``wedge`` over the rows,
+each step scanning its term pairs or gathering on dense vectors as
+``exterior._gathers`` rules.  ``span_dimension`` ranks the points' dense
+vectors.  Only returned scalars are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
@@ -350,7 +349,7 @@ def det_map_rank(pair: BundlePairP1) -> int:
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
-    r x r minors, born dense (:func:`pluckerlab.exterior._wedge_rows`)."""
+    r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
     vec = _wedge_rows(list(zip(*_section_values(pair, [x]))), pair.field)
     if vec.is_zero:
         raise ValueError("evaluation drops rank: not globally generated here")

@@ -535,7 +535,7 @@ def _validate(config: ExperimentConfig):
         if cells > _MAX_SCHUR_CELLS:
             raise ValueError(
                 f"the classifier's Schur complement and pivot blocks hold {cells} cells; "
-                "at most 3 * 10^7"
+                f"at most {_MAX_SCHUR_CELLS}"
             )
     if config.command == "rank-bound" and config.r * config.m - 2 * config.r < 1:
         raise ValueError("rank bound needs ambient dimension at least 2r + 1")

@@ -32,26 +32,29 @@ the shuffle expansion of the wedge form) is read off this one mask.
 
 ``wedge`` has two paths: a scan of its own term pairs, and a gather on the
 inputs' cached dense vectors.  The rule that picks one (``_gathers``) reads
-only the operands' shapes, their forms and their term counts.  On int64
-residues the gather is exact only while C(a + b, a) * p < 2^63 (proved in
-``_gather``, checked by ``_exact``), so past that bound every wedge scans
-its pairs.  Otherwise two operands that both already hold dense vectors
-gather, since reading them costs nothing more; any other wedge gathers when
-it has at least as many term pairs as the C(n, a) * C(n - a, b) disjoint
-pairs of the tables, and sparse vectors, or large n, scan their pairs
-(``_wedge_walk``), signing each one off ``_odd_above``, and never build a
-table.  The gather reads every disjoint pair from ``_wedge_gather(n, a, b)``
-(the scatter table below, grouped by output coordinate) and sums the signed
-products by output coordinate, over the product dx * dy of the inputs'
-denominators.  On int64 residues each product is reduced mod p before the
-sum; Python ints are signed and summed as they are and reduced once mod p.
-The summed vector is the result, born dense (``_from_dense``).
-``top_wedge_coefficient`` folds its slots by the same rule, but keeps the
-running wedge a bare dense vector from its first gather on and boxes only
-the final scalar.  The wedge of the rows of a matrix, the Plucker vector of
-``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
-``_wedge_rows``: the rows are unboxed once into one array and folded by
-``_gather``, each a dense degree-1 vector.  Outputs are built through
+only the operands' shapes and term counts, never which form they hold.  On
+int64 residues the gather is exact only while C(a + b, a) * p < 2^63
+(proved in ``_gather``, checked by ``_exact``), so past that bound every
+wedge scans its pairs.  Otherwise a degree-a by degree-b wedge gathers when
+u has at least C(n - b, a) terms and v at least C(n - a, b): as many as the
+masks disjoint from one term of the other, the length of a table row.
+Then the C(n, a) * C(n - a, b) disjoint pairs of the tables are no more
+than v's terms paired with every coordinate of u, nor u's terms with every
+coordinate of v, so the table is never larger than one operand's dense
+vector times the other's term count; sparse vectors, and large n, scan
+their pairs (``_wedge_walk``), signing each one off ``_odd_above``, and
+never build a table.  The gather reads every disjoint pair from
+``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
+coordinate) and sums the signed products by output coordinate, over the
+product dx * dy of the inputs' denominators.  On int64 residues each
+product is reduced mod p before the sum; Python ints are signed and summed
+as they are and reduced once mod p.  The summed vector is the result, born
+dense (``_from_dense``).  ``top_wedge_coefficient`` folds its slots by the
+same rule, but keeps the running wedge a dense vector between gather steps
+and boxes only the final scalar.  The wedge of the rows of a matrix, the
+Plucker vector of ``grassmann.plucker_embed`` and of
+``bundle_pairs_p1.classify_point``, is ``_wedge_rows``: the fold of
+``wedge`` over the rows as degree-1 vectors.  Outputs are built through
 ``ExteriorVector._trusted``, which skips the per-term checks of the public
 constructor, so nothing on these paths is boxed.
 
@@ -91,6 +94,7 @@ position of j inside the sorted set phi + {j}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -111,7 +115,6 @@ from .scalars import (
     _modulus,
     _rank,
     _residue_dtype,
-    _rows_as_integers,
     rank_mod_p,
     submul_mod_p,
 )
@@ -463,36 +466,39 @@ def _term_count(u: ExteriorVector) -> int:
 
 
 @lru_cache(maxsize=None)
-def _table_size(n: int, a: int, b: int) -> tuple[int, int]:
-    """(C(n, a) * C(n - a, b), C(a + b, a)): the disjoint pairs in the gather
-    tables of a degree-a by degree-b wedge on n letters, and the pairs that
-    land on each output coordinate."""
-    return math.comb(n, a) * math.comb(n - a, b), math.comb(a + b, a)
+def _gather_floor(n: int, a: int, b: int) -> tuple[int, int]:
+    """(C(n - b, a), C(n - a, b)): the degree-a masks disjoint from one
+    degree-b mask, and the degree-b masks disjoint from one degree-a mask,
+    the least term counts of a degree-a by degree-b wedge on n letters that
+    gathers (:func:`_gathers`)."""
+    return math.comb(n - b, a), math.comb(n - a, b)
 
 
-def _exact(p, n: int, a: int, b: int) -> bool:
-    """Whether the gather of a degree-a by a degree-b wedge on n letters is
-    exact over F_p (over Q when p is None): always on Python ints, and on
-    int64 residues while C(a + b, a) * p < 2^63 (see :func:`_gather`)."""
-    return p is None or _table_size(n, a, b)[1] * p < 2**63 or _residue_dtype(p) is not np.int64
+@lru_cache(maxsize=None)
+def _exact(p, a: int, b: int) -> bool:
+    """Whether the gather of a degree-a by a degree-b wedge is exact over F_p
+    (over Q when p is None): always on Python ints, and on int64 residues
+    while C(a + b, a) * p < 2^63 (see :func:`_gather`)."""
+    return p is None or _residue_dtype(p) is not np.int64 or math.comb(a + b, a) * p < 2**63
 
 
-def _gathers(u: ExteriorVector, v: ExteriorVector, p) -> bool:
-    """Whether the wedge u ^ v over F_p (over Q when p is None) gathers
-    through the cached tables; it reads only the operands' shapes, their
-    forms and their term counts.
+def _gathers(p, n: int, a: int, b: int, nu: int, nv: int) -> bool:
+    """Whether a wedge of an nu-term degree-a vector by an nv-term degree-b
+    vector on n letters, over F_p (over Q when p is None), gathers through
+    the cached tables; it reads only shapes and term counts.
 
     First the exactness guard (:func:`_exact`): past it the wedge scans its
-    pairs.  Then two operands that both hold dense vectors gather.  Any
-    other wedge gathers when its term pairs are at least the table's
-    disjoint pairs; sparse wedges, and at n = 64 the table can reach 10^9
-    masks, scan their own pairs instead."""
-    n, a, b = u.n, u.degree, v.degree
-    if not _exact(p, n, a, b):
+    pairs.  Then it gathers when nu >= C(n - b, a) and nv >= C(n - a, b).
+    The table's C(n, a) * C(n - a, b) = C(n, b) * C(n - b, a) pairs are
+    then at most C(n, a) * nv and nu * C(n, b): it is never larger than one
+    operand's dense vector times the other's term count, and every wedge
+    with at least as many term pairs as the table meets both floors.
+    Sparse wedges, and at n = 64 the table can reach 10^9 masks, scan their
+    own pairs instead."""
+    if not _exact(p, a, b):
         return False
-    if u._dense is not None and v._dense is not None:
-        return True
-    return _term_count(u) * _term_count(v) >= _table_size(n, a, b)[0]
+    fu, fv = _gather_floor(n, a, b)
+    return nu >= fu and nv >= fv
 
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
@@ -554,37 +560,12 @@ def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarr
 def _wedge_rows(rows: Sequence[Sequence], field: Field) -> ExteriorVector:
     """The wedge of the rows of an r x n matrix of unboxed entries (residues
     in [0, p), or Fractions), r >= 1: the degree-r vector whose coordinate
-    on each r-subset of the columns is that r x r minor.
-
-    The rows are unboxed once into one array, over the lcm of each row's
-    denominators on Q, and folded left to right by :func:`_gather`, each row
-    a dense degree-1 vector, so the result is born dense, over the product
-    of those lcms.  Every step is a degree-a by degree-1 wedge with a < n <=
-    64, so C(a + 1, a) * p <= 64 * p < 2^63 for every p with int64
-    residues: the fold needs no exactness guard.  A minor on a zero column
-    vanishes, so when some columns are zero the fold runs on the k others,
-    and its C(k, r) coordinates are spread into a dict on the n columns
-    instead: a sparse wide matrix never builds the C(n, r) vector."""
-    p, dtype, d = _modulus(field), _dtype(field), 1
-    if p is None:
-        rows, d = _rows_as_integers(rows)
-    A = np.array(rows, dtype=dtype)
-    (r, n), cols = A.shape, A.any(axis=0)
-    k = int(np.count_nonzero(cols))
-    if k < r:
-        return ExteriorVector._trusted(n, r, {}, field)
-    if k < n:
-        A = A[:, cols]
-    x = A[0]
-    for a in range(1, r):
-        x = _gather(x, A[a], k, a, 1, p)
-    if k == n:
-        return _from_dense(x, d, n, r, field)
-    at, masks, coeffs = np.flatnonzero(cols).tolist(), lex_masks(k, r), {}
-    for j in np.flatnonzero(x).tolist():
-        mask = sum(1 << at[i - 1] for i in _indices_from_mask(masks[j]))
-        coeffs[mask] = int(x[j]) if p is not None else Fraction(x[j], d)
-    return ExteriorVector._trusted(n, r, coeffs, field)
+    on each r-subset of the columns is that r x r minor.  It folds
+    :func:`wedge` over the rows as degree-1 vectors, so each step takes the
+    route :func:`_gathers` picks."""
+    n = len(rows[0])
+    terms = ({1 << j: c for j, c in enumerate(row) if c} for row in rows)
+    return functools.reduce(wedge, (ExteriorVector._trusted(n, 1, t, field) for t in terms))
 
 
 def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
@@ -597,7 +578,7 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     if a + b > n:
         raise ValueError(f"degree overflow: {a} + {b} > {n}")
     field, p = u.field, _modulus(u.field)
-    if _gathers(u, v, p):
+    if _gathers(p, n, a, b, _term_count(u), _term_count(v)):
         (x, dx), (y, dy) = _dense_vector(u), _dense_vector(v)
         return _from_dense(_gather(x, y, n, a, b, p), dx * dy, n, a + b, field)
     return ExteriorVector._trusted(n, a + b, _wedge_walk(u._coeffs, v._coeffs, p), field)
@@ -625,11 +606,9 @@ def _wedge_walk(ut: dict, vt: dict, p) -> dict:
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     """Coefficient of e_{1..n} in the ordered wedge of the given vectors.
 
-    The degrees must add up to the ambient dimension exactly.  It is the
-    fold of :func:`wedge`, but from its first gather on the running wedge is
-    kept as a bare dense vector x / d, so a step whose slot also holds a
-    dense vector gathers at once, the exactness guard permitting (the rule
-    of :func:`_gathers` for two dense operands), and only the final
+    The degrees must add up to the ambient dimension exactly.  Each step of
+    the fold that :func:`wedge` would gather gathers here too, and the
+    running wedge stays a dense vector between such steps: only the final
     coefficient is boxed.
     """
     if not vectors:
@@ -646,14 +625,18 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
     for v in vectors[1:]:
         b = v.degree
-        if x is not None and v._dense is not None and _exact(p, n, a, b):
-            y, dy = v._dense
+        count = _term_count(acc) if x is None else int(np.count_nonzero(x))
+        if not count:
+            return field.zero()
+        if _gathers(p, n, a, b, count, _term_count(v)):
+            if x is None:
+                x, d = _dense_vector(acc)
+            y, dy = _dense_vector(v)
             x, d = _gather(x, y, n, a, b, p), d * dy
         else:
             if x is not None:
-                acc = _from_dense(x, d, n, a, field)
+                acc, x = _from_dense(x, d, n, a, field), None
             acc = wedge(acc, v)
-            x, d = acc._dense if acc._dict is None else (None, 1)
         a += b
     if x is None:
         return acc.coefficient((1 << n) - 1)

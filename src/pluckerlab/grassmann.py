@@ -41,8 +41,8 @@ class GrassPoint:
 
 
 def plucker_embed(A: DenseMatrix) -> GrassPoint:
-    """Wedge of the rows of a full-rank r x n matrix, born dense: its C(n, r)
-    coordinates are the r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
+    """Wedge of the rows of a full-rank r x n matrix: its C(n, r) coordinates
+    are the r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
     r, n = A.rows, A.cols
     if not 0 < r <= n <= 64:
         raise ValueError("need 1 <= rows <= cols <= 64")

@@ -30,6 +30,7 @@ from pluckerlab.scalars import (
     Fp,
     PrimeField,
     _residue_dtype,
+    mat_det,
     rank_mod_p,
     submul_mod_p,
 )
@@ -258,28 +259,43 @@ def test_dense_wedge_of_largest_residues_at_the_int64_edge(n, a, b):
 
 def test_int64_gather_guard_at_its_edge():
     # For the largest int64 residue prime, C(34, 17) * p < 2^63 <= C(35, 17)
-    # * p: a (17, 17) wedge of operands that hold dense vectors may gather on
-    # int64 residues, and a (17, 18) one must scan its pairs, so the guard
-    # wins over the held-dense shortcut.  Python ints have no such bound.
-    # The rule reads only the operands' shapes, forms and term counts, so
-    # stand-ins holding a one-entry dense vector will do; no table is built.
-    # The entry is zero, so that even a repr of a stand-in builds no masks.
+    # * p: even with every term present, a (17, 17) wedge may gather on int64
+    # residues and a (17, 18) one must scan its pairs, so the guard wins over
+    # the term counts.  Python ints have no such bound.  The rule reads only
+    # shapes and term counts, so no vector and no table is built.
     p = 3037000493
     assert math.comb(34, 17) * p < 2**63 <= math.comb(35, 17) * p
-
-    def held(n, k, field):
-        x = np.zeros(1, dtype=exterior._dtype(field))
-        return exterior._from_dense(x, 1, n, k, field)
-
-    for field, n, b, gathers in [
-        (PrimeField(p), 34, 17, True),
-        (PrimeField(p), 35, 18, False),
-        (PrimeField(2**61 - 1), 35, 18, True),
-        (QQ, 35, 18, True),
+    for q, n, b, gathers in [
+        (p, 34, 17, True),
+        (p, 35, 18, False),
+        (2**61 - 1, 35, 18, True),
+        (None, 35, 18, True),
     ]:
-        q = exterior._modulus(field)
-        got = exterior._gathers(held(n, 17, field), held(n, b, field), q)
-        assert got is gathers and exterior._exact(q, n, 17, b) is gathers, (field, n, b)
+        full = math.comb(n, 17), math.comb(n, b)
+        assert exterior._gathers(q, n, 17, b, *full) is gathers, (q, n, b)
+        assert exterior._exact(q, 17, b) is gathers, (q, n, b)
+
+
+def test_route_floors_bound_the_table_by_one_dense_operand():
+    # A wedge gathers once each operand has as many terms as a table row:
+    # the masks disjoint from one term of the other.  Then the table is at
+    # most one operand's dense length times the other's term count, and
+    # every wedge the pair count sends to the tables meets both floors.
+    for n in range(1, 10):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                fu, fv = exterior._gather_floor(n, a, b)
+                table = math.comb(n, a) * math.comb(n - a, b)
+                assert table <= math.comb(n, a) * fv and table <= fu * math.comb(n, b)
+                for nu in range(1, math.comb(n, a) + 1):
+                    for nv in range(1, math.comb(n, b) + 1):
+                        gathers = exterior._gathers(None, n, a, b, nu, nv)
+                        assert gathers == (nu >= fu and nv >= fv)
+                        assert gathers or nu * nv < table
+    # 62-term degree-3 vectors on 64 letters scan: the table would hold
+    # C(64, 6) * 20, about 1.5e9 masks, for 3844 term pairs.
+    assert not exterior._gathers(F.p, 64, 3, 3, 62, 62)
+    assert exterior._gather_floor(64, 3, 3) == (35990, 35990)
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
@@ -488,8 +504,8 @@ def form_cases(draw):
 
 
 def _sparse_slots(field):
-    """Three two-term slots on six letters: sparse vectors that, born dense,
-    gather although they have fewer term pairs than the tables."""
+    """Three two-term slots on six letters: sparse vectors that scan their
+    pairs whichever form they hold."""
     e = lambda *i: ExteriorVector.basis(6, i, field)
     two = field.from_int(2)
     return [e(1, 2) + e(3, 4).scale(two), e(5, 6) - e(1, 3), e(3, 5) + e(2, 4)]
@@ -498,18 +514,17 @@ def _sparse_slots(field):
 @given(form_cases())
 @settings(max_examples=150, deadline=None)
 def test_wedges_agree_whichever_form_each_operand_holds(slots):
-    # Two operands that both hold dense vectors gather whatever their term
-    # counts; every other pairing takes the pair-count rule.  All four
-    # pairings, and every assignment of forms to the slots of a top wedge,
-    # give the reference result.
+    # The route reads term counts, not forms: all four pairings of dict-born
+    # and dense-born operands take one route, and they, and every assignment
+    # of forms to the slots of a top wedge, give the reference result.
     for slots in (slots, _sparse_slots(slots[0].field)):
         u, v = slots[:2]
         want = reference_wedge(u, v)
+        p, counts = exterior._modulus(u.field), (len(u.terms), len(v.terms))
+        gathers = exterior._gathers(p, u.n, u.degree, v.degree, *counts)
         for fu, fv in itertools.product((dict_born, dense_born), repeat=2):
-            a, b = fu(u), fv(v)
-            held = a._dense is not None and b._dense is not None
-            got = wedge(a, b)
-            assert got._dict is None or not held
+            got = wedge(fu(u), fv(v))
+            assert (got._dict is None) == gathers
             assert observed(got) == observed(want)
         top = want
         for w in slots[2:]:
@@ -588,19 +603,49 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
     assert wedge(u, v) == ExteriorVector.basis(64, (1, 2, 3, 4, 5, 64), F)
 
 
-@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
-def test_sparse_wide_matrix_embeds_without_the_tables(field, monkeypatch):
-    # A minor on a zero column vanishes, so the rows of an 8 x 64 matrix with
-    # nine nonzero columns fold on those nine, and the C(64, 8) vector and
-    # its tables are never built.
+def _no_table_on(monkeypatch, n):
+    """Make building any scatter table on n letters fail."""
     table = exterior._wedge_scatter
 
-    def no_wide_table(*args):
-        if args[0] == 64:
-            raise AssertionError(f"scatter table {args} built for nine columns")
+    def no_table(*args):
+        if args[0] == n:
+            raise AssertionError(f"scatter table {args} built for a sparse wedge")
         return table(*args)
 
-    monkeypatch.setattr(exterior, "_wedge_scatter", no_wide_table)
+    monkeypatch.setattr(exterior, "_wedge_scatter", no_table)
+
+
+def _minor(rows, cols):
+    r = len(rows)
+    return mat_det(DenseMatrix(r, r, tuple(row[j] for row in rows for j in cols)))
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_sparse_dense_born_wedge_in_large_dimension_skips_the_table(field, monkeypatch):
+    # Two degree-3 vectors with 62 terms each on 64 letters scan their 3844
+    # term pairs whichever form they hold; the (64, 3, 3) table of about
+    # 1.5e9 masks is never built.  The oracle is mat_det on the 6 x 6 minors
+    # of the six rows.
+    _no_table_on(monkeypatch, 64)
+    e = lambda i: [field.from_int(int(j == i)) for j in range(64)]
+    ones, ramp = [field.one()] * 64, [field.from_int(j + 1) / field.from_int(3) for j in range(64)]
+    P = plucker_embed(DenseMatrix.from_rows([ones, e(0), e(1)])).plucker
+    Q = plucker_embed(DenseMatrix.from_rows([ramp, e(2), e(3)])).plucker
+    assert len(P.terms) == len(Q.terms) == 62
+    rows = [ones, e(0), e(1), ramp, e(2), e(3)]
+    for fu, fv in itertools.product((dict_born, dense_born), repeat=2):
+        got = wedge(fu(P), fv(Q))
+        assert len(got.terms) == math.comb(60, 2)
+        for cols in [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 9, 63), (0, 1, 2, 4, 5, 6)]:
+            assert got.coefficient(sum(1 << j for j in cols)) == _minor(rows, cols)
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1), QQ], ids=["fp", "p61", "q"])
+def test_sparse_wide_matrix_embeds_without_the_tables(field, monkeypatch):
+    # The rows of these 8 x 64 matrices are sparse, so every step of the fold
+    # scans its pairs, and the C(64, 8) vector and its tables are never
+    # built: one matrix has nine nonzero columns, the other none zero.
+    _no_table_on(monkeypatch, 64)
     zero, half = field.zero(), field.one() / field.from_int(2)
     rows = [[zero] * 64 for _ in range(8)]
     for i in range(8):
@@ -610,8 +655,14 @@ def test_sparse_wide_matrix_embeds_without_the_tables(field, monkeypatch):
     e = lambda *i: ExteriorVector.basis(64, i, field)
     # Row 1's entry moves from the first to the last column: seven swaps.
     assert w == e(1, 9, 17, 25, 33, 41, 49, 57) - e(9, 17, 25, 33, 41, 49, 57, 64).scale(half)
-    # The dict lists the terms in lex order, as one built from a dense vector.
-    assert list(w._coeffs) == sorted(w._coeffs, key=lambda m: MultiIndex(m, 64).indices)
+    # Row 0 all ones, rows 1-7 the first seven unit rows: every column is
+    # nonzero, and the minors on the first seven columns and one more are
+    # the 57 nonzero coordinates.
+    rows = [[field.one()] * 64] + [[field.from_int(int(j == i)) for j in range(64)] for i in range(7)]
+    w = plucker_embed(DenseMatrix.from_rows(rows)).plucker
+    assert len(w.terms) == 57
+    for cols in [tuple(range(8)), tuple(range(7)) + (63,), (0, 1, 2, 3, 4, 5, 7, 8)]:
+        assert w.coefficient(sum(1 << j for j in cols)) == _minor(rows, cols)
     # Fewer nonzero columns than rows: every minor vanishes.
     rows = [[field.one()] * 2 + [zero] * 62 for _ in range(3)]
     with pytest.raises(ValueError, match="rank deficient"):
