@@ -51,10 +51,15 @@ product is reduced mod p before the sum; Python ints are signed and summed
 as they are and reduced once mod p.  The summed vector is the result, born
 dense (``_from_dense``).  ``top_wedge_coefficient`` folds its slots by the
 same rule, but keeps the running wedge a dense vector between gather steps
-and boxes only the final scalar.  The wedge of the rows of a matrix, the
-Plucker vector of ``grassmann.plucker_embed`` and of
-``bundle_pairs_p1.classify_point``, is ``_wedge_rows``: the fold of
-``wedge`` over the rows as degree-1 vectors.  Outputs are built through
+and boxes only the final scalar.  When the step before last gathers, it and
+the last step are one gather (``_gather_top``): the sum of sign * x_I * y_J
+* z_{(I | J)^c} over the T = C(n, a) * C(n - a, b) disjoint pairs (I, J) of
+``_wedge_gather(n, a, b)``, each complement read off the one-row table
+``_wedge_gather(n, a + b, n - a - b)``; on int64 residues that is exact
+while T * p < 2^63 (``_exact_top``), and past it the two steps stay two.
+The wedge of the rows of a matrix, the Plucker vector of
+``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
+``_wedge_rows``: the fold of ``wedge`` over the rows as degree-1 vectors.  Outputs are built through
 ``ExteriorVector._trusted``, which skips the per-term checks of the public
 constructor, so nothing on these paths is boxed.
 
@@ -331,7 +336,7 @@ class ExteriorVector:
     def _check_compatible(self, other: "ExteriorVector"):
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("shape mismatch")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
 
     # Sums, negatives and multiples keep the unboxed coefficients reduced mod
@@ -482,6 +487,16 @@ def _exact(p, a: int, b: int) -> bool:
     return p is None or _residue_dtype(p) is not np.int64 or math.comb(a + b, a) * p < 2**63
 
 
+@lru_cache(maxsize=None)
+def _exact_top(p, n: int, a: int, b: int) -> bool:
+    """Whether the last two steps of a top wedge on n letters, a degree-a
+    running wedge by a degree-b slot and then the last slot, sum exactly as
+    one gather (see :func:`_gather_top`): always on Python ints, and on int64
+    residues while its T = C(n, a) * C(n - a, b) terms give T * p < 2^63."""
+    terms = math.comb(n, a) * math.comb(n - a, b)
+    return p is None or _residue_dtype(p) is not np.int64 or terms * p < 2**63
+
+
 def _gathers(p, n: int, a: int, b: int, nu: int, nv: int) -> bool:
     """Whether a wedge of an nu-term degree-a vector by an nv-term degree-b
     vector on n letters, over F_p (over Q when p is None), gathers through
@@ -557,6 +572,43 @@ def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarr
     return np.where(neg, p - prod, prod).sum(axis=1) % p
 
 
+@lru_cache(maxsize=None)
+def _top_gather(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """The T = C(n, a) * C(n - a, b) terms of the top coefficient of x ^ y ^ z,
+    for x of degree a, y of degree b and z of degree n - a - b, one row of
+    ``_wedge_gather(n, a, b)`` for each mask I | J: the positions of I in x
+    and of J in y, as in that table, a column with the position in z of each
+    row's complement (I | J)^c, and the sign, +-1, of e_I ^ e_J ^ e_{(I |
+    J)^c} for each term, flat in row-major order.
+
+    The one-row table ``_wedge_gather(n, a + b, n - a - b)`` lists the masks
+    I | J in lex order, the order of the rows, so its column K holds row K's
+    complement and sign.  Only the signs are a new array: T int64 entries.
+    """
+    u_at, v_at, neg = _wedge_gather(n, a, b)
+    _, w_at, w_neg = _wedge_gather(n, a + b, n - a - b)
+    return u_at, v_at, w_at.T, np.where(neg ^ w_neg.T, -1, 1).ravel()
+
+
+def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: int, p):
+    """The top coefficient of x ^ y ^ z (see :func:`_top_gather`), x, y and
+    z dense lex-order vectors, as a one-entry dense vector over the product
+    of their denominators; reduced mod p, or not at all when p is None.
+
+    Python ints are exact at any size.  Exactness in int64: x * y is reduced
+    mod p, then times z and reduced again, each product at most (p - 1)^2
+    < 2^63; each signed term lies in (-p, p), so every partial sum of the
+    signed dot product is below T * p in magnitude, and T * p < 2^63 by the
+    check in :func:`_exact_top`.
+    """
+    u_at, v_at, w_at, sign = _top_gather(n, a, b)
+    if x.dtype == object:
+        t = (x[u_at] * y[v_at] * z[w_at]).reshape(1, -1) @ sign
+        return t if p is None else t % p
+    prod = x[u_at] * y[v_at] % p * z[w_at] % p
+    return prod.reshape(1, -1) @ sign % p
+
+
 def _wedge_rows(rows: Sequence[Sequence], field: Field) -> ExteriorVector:
     """The wedge of the rows of an r x n matrix of unboxed entries (residues
     in [0, p), or Fractions), r >= 1: the degree-r vector whose coordinate
@@ -572,7 +624,7 @@ def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     """Bilinear wedge product, signed by the merge permutation parity."""
     if u.n != v.n:
         raise ValueError("ambient dimension mismatch")
-    if u.field != v.field:
+    if u.field is not v.field and u.field != v.field:
         raise ValueError("field mismatch")
     n, a, b = u.n, u.degree, v.degree
     if a + b > n:
@@ -609,7 +661,9 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     The degrees must add up to the ambient dimension exactly.  Each step of
     the fold that :func:`wedge` would gather gathers here too, and the
     running wedge stays a dense vector between such steps: only the final
-    coefficient is boxed.
+    coefficient is boxed.  When the step before last gathers, it and the
+    last step are one gather (:func:`_gather_top`), within the exactness
+    bound of :func:`_exact_top`.
     """
     if not vectors:
         raise ValueError("empty wedge")
@@ -619,11 +673,11 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     for v in vectors:
         if v.n != n:
             raise ValueError("ambient dimension mismatch")
-        if v.field != field:
+        if v.field is not field and v.field != field:
             raise ValueError("field mismatch")
     p = _modulus(field)
     acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
-    for v in vectors[1:]:
+    for k, v in enumerate(vectors[1:], 1):
         b = v.degree
         count = _term_count(acc) if x is None else int(np.count_nonzero(x))
         if not count:
@@ -632,6 +686,10 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
             if x is None:
                 x, d = _dense_vector(acc)
             y, dy = _dense_vector(v)
+            if k == len(vectors) - 2 and _exact_top(p, n, a, b):
+                z, dz = _dense_vector(vectors[-1])
+                x, d = _gather_top(x, y, z, n, a, b, p), d * dy * dz
+                break
             x, d = _gather(x, y, n, a, b, p), d * dy
         else:
             if x is not None:

@@ -59,7 +59,7 @@ class PointTuple:
         for s in slots:
             if s.degree != r or s.n != n:
                 raise ValueError("all slots must share degree r and ambient r*m")
-            if s.field != field:
+            if s.field is not field and s.field != field:
                 raise ValueError("field mismatch between slots")
             if s.is_zero:
                 raise ValueError("slots must be nonzero")
@@ -153,7 +153,7 @@ def polar(k: int, w: PointTuple, t: Sequence[ExteriorVector]) -> Scalar:
     for ti in t:
         if ti.n != w.n or ti.degree != w.r:
             raise ValueError("direction slots must share degree r and ambient r*m")
-        if ti.field != w.field:
+        if ti.field is not w.field and ti.field != w.field:
             raise ValueError("field mismatch")
     total = w.field.zero()
     for S in itertools.combinations(range(m), k):

@@ -414,7 +414,11 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     reduced row echelon form by one rank-1 update per pivot: with T[i, c]
     the pivot and inv its inverse, T[:, c:] -= f T[i, c:] for f = T[:, c]
     inv, except f_i = 1 - inv, which clears column c off row i and scales
-    row i by inv in the same step.
+    row i by inv in the same step.  f is zero off the rows that are nonzero
+    in column c, read with one ``nonzero``, so only those rows are updated:
+    the panel in place when that is every row, the pivot row alone, scaled
+    by inv, when it is the only one, and otherwise those rows gathered and
+    written back.  A sparse panel skips most of the work.
 
     The int64 bound of this panel step: f is reduced from products of two
     residues, and every updated entry is s - f y with s, f and y in [0, p),
@@ -441,22 +445,30 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     rank = 0
     while A.shape[0] and A.shape[1]:
         T, rest = A[:_PANEL], A[_PANEL:]
-        pivots = []
+        pivots, rows = [], T.shape[0]
         for c in range(T.shape[1]):
             i = len(pivots)
-            if i == T.shape[0]:
+            if i == rows:
                 break
-            nz = T[i:, c].nonzero()[0]
-            if not nz.size:
+            nz = T[:, c].nonzero()[0]
+            whole = nz.size == rows
+            at = i if whole else int(nz.searchsorted(i))
+            if at == nz.size:
                 continue
-            if nz[0]:
-                T[[i, i + nz[0]]] = T[[i + nz[0], i]]
+            if nz[at] != i:
+                T[[i, nz[at]]] = T[[nz[at], i]]
+                nz[at] = i
             inv = pow(int(T[i, c]), -1, p)
-            f = T[:, c] * inv % p
-            f[i] = (1 - inv) % p
-            tail = T[:, c:]
-            tail -= f[:, None] * tail[i]
-            _mod_p(tail, p)
+            if nz.size == 1:
+                T[i, c:] = _mod_p(T[i, c:] * inv, p)
+            else:
+                tail = T[:, c:] if whole else T[nz, c:]
+                f = tail[:, 0] * inv % p
+                f[at] = (1 - inv) % p
+                tail -= f[:, None] * tail[at]
+                _mod_p(tail, p)
+                if not whole:
+                    T[nz, c:] = tail
             pivots.append(c)
         k = len(pivots)
         if not k:

@@ -8,8 +8,10 @@ matrix through the library's one rank entry, so the row loop
 ``_eliminate`` (fraction-free over Q) and the array kernel ``rank_mod_p``
 (over F_p) can be checked against each other on the same integer matrix;
 ``loop_rank_mod_p`` is the unblocked, one-pivot-at-a-time Gaussian
-elimination that ``rank_mod_p`` ran before it was blocked into panels.
-None of them is part of the package's API.
+elimination that ``rank_mod_p`` ran before it was blocked into panels;
+``reference_wedge`` signs each pair of index tuples by counting the
+inversions of their concatenation, and ``reference_top_wedge`` folds it over
+the slots of a top wedge.  None of them is part of the package's API.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from pluckerlab.bundle_pairs_p1 import BundlePairP1, P1Point, _section_values
-from pluckerlab.exterior import ExteriorVector, _wedge_array, lex_masks
+from pluckerlab.exterior import ExteriorVector, MultiIndex, _wedge_array, lex_masks
 from pluckerlab.plucker_form import PointTuple, _tangent_array
 from pluckerlab.scalars import (
     DenseMatrix,
@@ -85,6 +87,40 @@ def loop_rank_mod_p(A: np.ndarray, p: int) -> int:
             A[r + 1 + nzb, c:] = _mod_p(A[r + 1 + nzb, c:] - np.outer(f, A[r, c:]), p)
         r += 1
     return r
+
+
+def inversions(seq) -> int:
+    """Number of pairs out of order in seq."""
+    return sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
+
+
+def reference_wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
+    """Wedge from index tuples: the sign of e_I ^ e_J is the parity of the
+    inversions of the concatenation I + J, with no masks and no tables."""
+    field, n = u.field, u.n
+    acc = {}
+    for I, cu in ((MultiIndex(m, n).indices, c) for m, c in u.terms.items()):
+        for J, cv in ((MultiIndex(m, n).indices, c) for m, c in v.terms.items()):
+            if set(I) & set(J):
+                continue
+            c = cu * cv
+            if inversions(I + J) % 2:
+                c = -c
+            K = tuple(sorted(I + J))
+            acc[K] = acc[K] + c if K in acc else c
+    out = ExteriorVector.zero(n, u.degree + v.degree, field)
+    for K, c in acc.items():
+        out = out + ExteriorVector.basis(n, K, field).scale(c)
+    return out
+
+
+def reference_top_wedge(slots: Sequence[ExteriorVector]) -> Scalar:
+    """Coefficient of e_{1..n} in the ordered wedge of the slots, folded
+    left to right by :func:`reference_wedge`."""
+    acc = slots[0]
+    for v in slots[1:]:
+        acc = reference_wedge(acc, v)
+    return acc.coefficient((1 << acc.n) - 1)
 
 
 def mat_vec(M: DenseMatrix, v: Sequence[Scalar]) -> list[Scalar]:

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficient_vector, from_coefficients, mat_rank, mat_vec, wedge_matrix
+from oracles import (
+    coefficient_vector,
+    from_coefficients,
+    inversions,
+    mat_rank,
+    mat_vec,
+    reference_top_wedge,
+    reference_wedge,
+    wedge_matrix,
+)
 from pluckerlab import exterior
 from pluckerlab.exterior import (
     ExteriorVector,
@@ -24,6 +33,7 @@ from pluckerlab.exterior import (
     wedge_rank,
 )
 from pluckerlab.grassmann import plucker_embed, random_grass_point
+from pluckerlab.plucker_form import PointTuple, polar
 from pluckerlab.scalars import (
     QQ,
     DenseMatrix,
@@ -145,30 +155,6 @@ def test_sum_negative_and_multiple_drop_zero_terms(field):
 # -- the kernel against an independent reference --------------------------------
 
 
-def _inversions(seq):
-    return sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
-
-
-def reference_wedge(u, v):
-    """Wedge from index tuples: the sign of e_I ^ e_J is the parity of the
-    inversions of the concatenation I + J, with no masks and no tables."""
-    field, n = u.field, u.n
-    acc = {}
-    for I, cu in ((MultiIndex(m, n).indices, c) for m, c in u.terms.items()):
-        for J, cv in ((MultiIndex(m, n).indices, c) for m, c in v.terms.items()):
-            if set(I) & set(J):
-                continue
-            c = cu * cv
-            if _inversions(I + J) % 2:
-                c = -c
-            K = tuple(sorted(I + J))
-            acc[K] = acc[K] + c if K in acc else c
-    out = ExteriorVector.zero(n, u.degree + v.degree, field)
-    for K, c in acc.items():
-        out = out + ExteriorVector.basis(n, K, field).scale(c)
-    return out
-
-
 # 3037000493 is the largest prime with (p - 1)^2 < 2^63: the edge of the
 # int64 residue kernels.  2^61 - 1 is above it, so it takes the int path.
 KERNEL_FIELDS = [
@@ -235,12 +221,9 @@ def top_wedge_slots(draw):
 @given(top_wedge_slots())
 @settings(max_examples=150, deadline=None)
 def test_top_wedge_coefficient_matches_reference_fold(slots):
-    acc = slots[0]
-    for v in slots[1:]:
-        acc = reference_wedge(acc, v)
     c = top_wedge_coefficient(slots)
-    assert c == acc.coefficient((1 << acc.n) - 1)
-    assert acc.field.is_element(c)
+    assert c == reference_top_wedge(slots)
+    assert slots[0].field.is_element(c)
 
 
 @pytest.mark.parametrize("n, a, b", [(6, 2, 2), (9, 3, 3), (9, 3, 6)])
@@ -296,6 +279,159 @@ def test_route_floors_bound_the_table_by_one_dense_operand():
     # C(64, 6) * 20, about 1.5e9 masks, for 3844 term pairs.
     assert not exterior._gathers(F.p, 64, 3, 3, 62, 62)
     assert exterior._gather_floor(64, 3, 3) == (35990, 35990)
+
+
+# -- the last two steps of a top wedge as one gather ------------------------------
+
+# Small, mid-size, the int64 edge, object arrays, and Q.
+FUSED_FIELDS = [PrimeField(7), F, PrimeField(3037000493), PrimeField(2**61 - 1), QQ]
+
+
+def full_vector(n, k, field, rng):
+    """A degree-k vector with every coefficient nonzero, so its term count,
+    and the route of each wedge it enters, does not depend on the draw."""
+    draws = (field.sample(rng) for _ in lex_masks(n, k))
+    return ExteriorVector(n, k, {m: c or field.one() for m, c in zip(lex_masks(n, k), draws)}, field)
+
+
+def top_wedge_cases(field, rng):
+    """(label, slots, fuses): fuses says whether the step before last
+    gathers, so that the last two steps are one gather."""
+    full = lambda n, k: full_vector(n, k, field, rng)
+    sparse = lambda n, idx: ExteriorVector.basis(n, idx, field).scale(field.from_int(3))
+    u = full(3, 1)
+    return [
+        ("m=2", [full(4, 2), full(4, 2)], False),
+        ("m=3", [full(6, 2), full(6, 2), full(6, 2)], True),
+        # Step 1 gathers, so the fused step starts from a running wedge
+        # born dense.
+        ("m=4", [full(8, 2), full(8, 2), full(8, 2), full(8, 2)], True),
+        ("(1,2,3)", [full(6, 1), full(6, 2), full(6, 3)], True),
+        ("(2,1,1)", [full(4, 2), full(4, 1), full(4, 1)], True),
+        # A one-term slot walks step 1 and leaves 15 terms, the floor of step 2.
+        ("sparse slot walks first", [full(8, 2), sparse(8, (3, 5)), full(8, 2), full(8, 2)], True),
+        # The one-term slot walks the step before last, so nothing fuses.
+        ("sparse slot before last", [full(6, 2), sparse(6, (1, 4)), full(6, 2)], False),
+        # Slots born dense, from sums and multiples of dense operands.
+        ("dense-born slots", [full(6, 2) + full(6, 2), full(6, 2).scale(field.from_int(5)), -full(6, 2)], True),
+        # u ^ u = 0 for odd degree: the product is zero before the last slot.
+        ("zero before last", [u, u, full(3, 1)], True),
+    ]
+
+
+@pytest.mark.parametrize("field", FUSED_FIELDS, ids=str)
+def test_fused_top_step_matches_reference_fold(field, monkeypatch):
+    calls = []
+    real = exterior._gather_top
+    monkeypatch.setattr(exterior, "_gather_top", lambda *args: calls.append(args[3:6]) or real(*args))
+    rng = random.Random(21)
+    for label, slots, fuses in top_wedge_cases(field, rng):
+        calls.clear()
+        got = top_wedge_coefficient(slots)
+        assert got == reference_top_wedge(slots), label
+        assert field.is_element(got), label
+        assert len(calls) == fuses, label
+        if label == "zero before last":
+            assert got == field.zero()
+
+
+def test_fused_table_signs_every_term_by_its_inversions():
+    # Each of the T = C(n, a) * C(n - a, b) entries is a disjoint pair (I, J)
+    # and the complement of I | J, once each, signed by the parity of the
+    # permutation I + J + complement; the one-row table it reads lists the
+    # degree-(a + b) masks in lex order.
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for a in range(n + 1):
+            assert (exterior._wedge_gather(n, a, n - a)[0] == np.arange(math.comb(n, a))).all()
+            for b in range(n - a + 1):
+                u_at, v_at, w_at, sign = exterior._top_gather(n, a, b)
+                assert u_at.shape == v_at.shape and w_at.shape == (u_at.shape[0], 1)
+                assert sign.size == u_at.size == math.comb(n, a) * math.comb(n - a, b)
+                w_at = np.broadcast_to(w_at, u_at.shape)
+                seen = set()
+                for i, j, k, s in zip(u_at.ravel(), v_at.ravel(), w_at.ravel(), sign):
+                    I, J = lex_masks(n, a)[i], lex_masks(n, b)[j]
+                    K = lex_masks(n, n - a - b)[k]
+                    assert not I & J and I | J | K == full and (I | J) & K == 0
+                    order = [MultiIndex(m, n).indices for m in (I, J, K)]
+                    assert s == (-1) ** inversions(sum(order, ()))
+                    seen.add((I, J))
+                assert len(seen) == sign.size
+
+
+def test_fused_top_guard_at_the_int64_edge():
+    # T * p < 2^63 for the T = C(n, a) * C(n - a, b) terms: (30, 2, 9) sits
+    # 1% under it and (34, 10, 1) 4% over it at the largest int64 residue
+    # prime, although both of (34, 10, 1)'s two steps would gather, so that
+    # top wedge falls back to them.  Python ints have no such bound, and the
+    # guard implies the guards of both steps.  Only shapes are read.
+    p = 3037000493
+    under, over = math.comb(30, 2) * math.comb(28, 9), math.comb(34, 10) * math.comb(24, 1)
+    assert under * p < 2**63 <= over * p
+    assert exterior._exact_top(p, 30, 2, 9) and not exterior._exact_top(p, 34, 10, 1)
+    assert exterior._exact(p, 10, 1) and exterior._exact(p, 11, 23)
+    for q in (2**61 - 1, None):
+        assert exterior._exact_top(q, 34, 10, 1)
+    for n in range(2, 40):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                if exterior._exact_top(p, n, a, b):
+                    assert exterior._exact(p, a, b) and exterior._exact(p, a + b, n - a - b)
+
+
+# -- refusals of operands that do not match ---------------------------------------
+
+# Each checked operation on two degree-2 vectors; polar takes the first as
+# the point, twice, and the second as both directions, at order 0, which
+# wedges no direction, so only its own checks can refuse one.
+CHECKED_OPS = {
+    "top_wedge_coefficient": lambda u, v: top_wedge_coefficient([u, v]),
+    "wedge": wedge,
+    "add": lambda u, v: u + v,
+    "polar": lambda u, v: polar(0, PointTuple.of([u, u]), [v, v]),
+    "PointTuple.of": lambda u, v: PointTuple.of([u, v]),
+}
+
+
+@pytest.mark.parametrize("op", CHECKED_OPS)
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        (ev(4, (1, 2), field=F), ev(6, (3, 4), field=F), "mismatch|must share"),
+        (ev(4, (1, 2), field=PrimeField(7)), ev(4, (3, 4), field=PrimeField(11)), "field mismatch"),
+        (ev(4, (1, 2), field=F), ev(4, (3, 4), field=QQ), "field mismatch"),
+    ],
+    ids=["n", "F7-F11", "Fp-Q"],
+)
+def test_mismatched_operands_are_refused(op, u, v, message):
+    with pytest.raises(ValueError, match=message):
+        CHECKED_OPS[op](u, v)
+
+
+def test_empty_operands_are_refused():
+    w = PointTuple.of([ev(4, (1, 2)), ev(4, (3, 4))])
+    with pytest.raises(ValueError, match="empty wedge"):
+        top_wedge_coefficient([])
+    with pytest.raises(ValueError, match="wrong length"):
+        polar(1, w, [])
+    with pytest.raises(ValueError, match="empty tuple"):
+        PointTuple.of([])
+
+
+@pytest.mark.parametrize("op", CHECKED_OPS)
+def test_equal_fields_that_are_distinct_objects_are_accepted(op):
+    # Two PrimeField(7) objects compare equal: the checks compare identity
+    # first and fall back to equality, so the result is the one computed
+    # with a single field object.
+    f, g = PrimeField(7), PrimeField(7)
+    assert f is not g and f == g
+    u = ev(4, (1, 2), (1, 3), field=f)
+    vg, vf = ev(4, (3, 4), (2, 4), field=g), ev(4, (3, 4), (2, 4), field=f)
+    assert CHECKED_OPS[op](u, vg) == CHECKED_OPS[op](u, vf)
+    if op == "polar":
+        w = PointTuple.of([u, u])
+        assert [polar(k, w, [vg, vg]) for k in range(3)] == [polar(k, w, [vf, vf]) for k in range(3)]
 
 
 @pytest.mark.parametrize("field", [F, PrimeField(2**61 - 1)])
@@ -584,7 +720,7 @@ def test_odd_above_gives_merge_parity_exhaustively():
             sub = rest
             while True:
                 J = MultiIndex(sub, n).indices
-                assert (sub & _odd_above(mu)).bit_count() & 1 == _inversions(I + J) & 1
+                assert (sub & _odd_above(mu)).bit_count() & 1 == inversions(I + J) & 1
                 if not sub:
                     break
                 sub = (sub - 1) & rest

@@ -336,6 +336,36 @@ def crafted_43_schur(p, rng):
     return [wedge_schur_complement(w)]
 
 
+def sparse_rows(p, rng):
+    # Pivot columns with a few nonzero rows, one nonzero row, or none: at
+    # most three entries a row, then a single one a row.
+    shapes = ((2 * B + 1, 2 * B + 3), (B + 5, 3 * B))
+    out = []
+    for per_row in (3, 1):
+        for m, n in shapes:
+            rows = [[0] * n for _ in range(m)]
+            for row in rows:
+                for j in rng.sample(range(n), per_row):
+                    row[j] = rng.randrange(1, p)
+            out.append(rows)
+    return out
+
+
+def permutation_like(p, rng):
+    # A scaled permutation, the same with rows repeated (rank drops), and one
+    # with a dense last row: every column but those of the repeats has a
+    # single nonzero row until the last.  Then a dense matrix whose first
+    # column is zero on the first row alone: its first pivot is a swap.
+    m = 2 * B + 1
+    perm = rng.sample(range(m), m)
+    scaled = [[rng.randrange(1, p) if j == perm[i] else 0 for j in range(m)] for i in range(m)]
+    repeated = scaled[: m - 5] + scaled[:5]
+    swap = random_rows(m, m, p, rng)
+    for i, row in enumerate(swap):
+        row[0] = rng.randrange(1, p) if i else 0
+    return [scaled, repeated, scaled[:-1] + random_rows(1, m, p, rng), swap]
+
+
 RANK_FAMILIES = [
     edge_shapes,
     tall_and_wide,
@@ -344,6 +374,8 @@ RANK_FAMILIES = [
     low_rank_products,
     classify_33_schur,
     crafted_43_schur,
+    sparse_rows,
+    permutation_like,
 ]
 
 
