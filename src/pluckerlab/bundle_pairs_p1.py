@@ -4,24 +4,31 @@ A pair is a splitting type (d_1, ..., d_r) with sum r*(m-1) together with the
 complete monomial section basis: component i carries the forms u^a v^(d_i-a).
 Binary forms are coefficient tuples; points of the line are stored with the
 canonical representative (u, 1), or (1, 0) at infinity.  Every evaluation of
-a section at a point goes through one kernel, :func:`_section_values`, which
-takes the monomial values u^a v^(d-a) once per point and degree.
+a section at a point goes through one kernel, :func:`_term_values`, which
+takes the monomial values u^a v^(d-a) once per point and degree and gives
+each nonzero term of each section as (section s, component j, value).
 
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
-terms a pair stores; ``divisor_value`` passes its rows straight to
+terms a pair stores, and its triples are laid out two ways.  Dense:
+:func:`_section_values` adds them into one row per section, r columns a
+point, for ``divisor_value``, which passes the rows straight to
 ``scalars._det``, the determinant of the one row-elimination loop
-(``scalars._eliminate``), and ``classify_point`` hands its r value rows to
-``exterior._wedge_rows``, the Plucker vector of a matrix that
-``grassmann.plucker_embed`` also uses: the fold of ``wedge`` over the rows,
-each step scanning its term pairs or gathering on dense vectors as
-``exterior._gathers`` rules.  ``span_dimension`` ranks the points' dense
-vectors.  Only returned scalars are boxed.
+(``scalars._eliminate``, whose residue update touches only the pivot row's
+nonzeros), and for ``two_point_surjectivity``.  Sparse: ``classify_point``
+adds them into r row dicts, component j's mapping the bit 1 << s of each
+section to its value, zeros dropped, so a point's rows never pass through
+an r x rm array of mostly zeros.  It hands them to ``exterior._wedge_rows``,
+the Plucker vector of a matrix that ``grassmann.plucker_embed`` also uses:
+the fold of ``wedge`` over the rows, each step scanning its term pairs or
+gathering on dense vectors as ``exterior._gathers`` rules.
+``span_dimension`` ranks the points' dense vectors.  Only returned scalars
+are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
 determinant map d_E, at m points the coefficient tensor of the symbolic
 witness.  It never evaluates a section, so both stay checks independent of
-``_section_values``.  d_E is built once per pair and cached unboxed,
+``_term_values``.  d_E is built once per pair and cached unboxed,
 :func:`_det_map_rows`: ``det_map_rank`` ranks it as it is, ``lambda_image``
 multiplies it by the unboxed functional, and only ``det_map_matrix`` boxes it.
 
@@ -164,24 +171,25 @@ def is_balanced(pair: BundlePairP1) -> bool:
     return all(d == pair.m - 1 for d in pair.splitting)
 
 
+def _term_values(pair: BundlePairP1, pt: P1Point) -> list[tuple]:
+    """The evaluation kernel: per nonzero term c u^a v^(d_j - a) of each
+    section s, the triple (s, j, c * u^a v^(d_j - a)) at pt, unboxed and
+    unreduced; several terms of one section may share a component."""
+    table = {d: _monomials(pt, d, pair.field) for d in set(pair.splitting)}
+    at = [table[d] for d in pair.splitting]
+    return [(s, j, c * at[j][a]) for s, terms in enumerate(pair.terms) for j, a, c in terms]
+
+
 def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]:
     """One row per section: its r component values at each point in turn,
     unboxed (residues in [0, p), or Fractions)."""
     field, r, p = pair.field, pair.r, _modulus(pair.field)
-    values = []  # per point, the monomial values of each component's degree
-    for pt in points:
-        table = {d: _monomials(pt, d, field) for d in set(pair.splitting)}
-        values.append([table[d] for d in pair.splitting])
-    blank = [field.unbox(field.zero())] * (r * len(points))
-    at_points = list(zip(range(0, len(blank), r), values))
-    rows = []
-    for terms in pair.terms:
-        row = blank.copy()
-        for base, at in at_points:
-            for j, a, c in terms:
-                row[base + j] += c * at[j][a]
-        rows.append(row if p is None else [x % p for x in row])
-    return rows
+    zero = field.unbox(field.zero())
+    rows = [[zero] * (r * len(points)) for _ in pair.terms]
+    for base, pt in zip(range(0, r * len(points), r), points):
+        for s, j, x in _term_values(pair, pt):
+            rows[s][base + j] += x
+    return rows if p is None else [[x % p for x in row] for row in rows]
 
 
 def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:
@@ -349,8 +357,14 @@ def det_map_rank(pair: BundlePairP1) -> int:
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
-    r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
-    vec = _wedge_rows(list(zip(*_section_values(pair, [x]))), pair.field)
+    r x r minors (:func:`pluckerlab.exterior._wedge_rows`).  Row j maps the
+    bit of each section to its component-j value, zeros dropped."""
+    p = _modulus(pair.field)
+    rows: list[dict] = [{} for _ in range(pair.r)]
+    for s, j, y in _term_values(pair, x):
+        rows[j][1 << s] = rows[j].get(1 << s, 0) + y
+    rows = [{b: z for b, y in row.items() if (z := y if p is None else y % p)} for row in rows]
+    vec = _wedge_rows(rows, pair.r * pair.m, pair.field)
     if vec.is_zero:
         raise ValueError("evaluation drops rank: not globally generated here")
     return vec
@@ -459,9 +473,7 @@ def symbolic_diagonal_witness(pair: BundlePairP1):
     full coefficient tensors.  Returns (holds, c)."""
     div = divisor_coefficient_tensor(pair)
     diag = diagonal_power_tensor(pair.r, pair.m, pair.field)
-    if not div:
-        return False, None
-    key = sorted(diag)[0]
+    key = sorted(diag)[0]  # an identically vanishing divisor lacks it too
     if key not in div:
         return False, None
     c = div[key] / diag[key]

@@ -59,7 +59,8 @@ the last step are one gather (``_gather_top``): the sum of sign * x_I * y_J
 while T * p < 2^63 (``_exact_top``), and past it the two steps stay two.
 The wedge of the rows of a matrix, the Plucker vector of
 ``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
-``_wedge_rows``: the fold of ``wedge`` over the rows as degree-1 vectors.  Outputs are built through
+``_wedge_rows``: the fold of ``wedge`` over the rows, each given as the
+dict of its nonzero entries, as degree-1 vectors.  Outputs are built through
 ``ExteriorVector._trusted``, which skips the per-term checks of the public
 constructor, so nothing on these paths is boxed.
 
@@ -609,15 +610,14 @@ def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: 
     return prod.reshape(1, -1) @ sign % p
 
 
-def _wedge_rows(rows: Sequence[Sequence], field: Field) -> ExteriorVector:
-    """The wedge of the rows of an r x n matrix of unboxed entries (residues
-    in [0, p), or Fractions), r >= 1: the degree-r vector whose coordinate
-    on each r-subset of the columns is that r x r minor.  It folds
-    :func:`wedge` over the rows as degree-1 vectors, so each step takes the
-    route :func:`_gathers` picks."""
-    n = len(rows[0])
-    terms = ({1 << j: c for j, c in enumerate(row) if c} for row in rows)
-    return functools.reduce(wedge, (ExteriorVector._trusted(n, 1, t, field) for t in terms))
+def _wedge_rows(rows: Sequence[dict], n: int, field: Field) -> ExteriorVector:
+    """The wedge of the rows of an r x n matrix, r >= 1, each row given as
+    a dict from column bit 1 << j to its nonzero unboxed entry (a residue
+    in [0, p), or a Fraction): the degree-r vector whose coordinate on each
+    r-subset of the columns is that r x r minor.  It folds :func:`wedge`
+    over the rows as degree-1 vectors, so each step takes the route
+    :func:`_gathers` picks."""
+    return functools.reduce(wedge, (ExteriorVector._trusted(n, 1, row, field) for row in rows))
 
 
 def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:

@@ -47,7 +47,7 @@ def plucker_embed(A: DenseMatrix) -> GrassPoint:
     if not 0 < r <= n <= 64:
         raise ValueError("need 1 <= rows <= cols <= 64")
     field, rows = _unboxed_rows(A)
-    vec = _wedge_rows(rows, field)
+    vec = _wedge_rows([{1 << j: c for j, c in enumerate(row) if c} for row in rows], n, field)
     if vec.is_zero:
         raise ValueError("matrix is rank deficient")
     return GrassPoint(r, n, A, vec)

@@ -334,15 +334,22 @@ def _eliminate(rows: list[list[int]], p) -> tuple[int, int]:
     the minor on the rows and pivot columns eliminated so far: over Z the
     last pivot of fraction-free (Bareiss) elimination, which divides the
     next update exactly (Bareiss, Math. Comp. 22, 1968); mod p the product
-    of the pivots of Gaussian elimination, whose update skips rows that are
-    zero in the pivot column.
+    of the pivots of Gaussian elimination.  The residue update lists the
+    nonzero entries of the pivot row's tail once, as (column, value) pairs,
+    and changes each row that is nonzero in the pivot column at those
+    columns only, so a sparse matrix (a P^1 value matrix has m nonzeros in
+    each of its rm-entry rows) costs its nonzeros, not its area (Duff,
+    Erisman and Reid, Direct Methods for Sparse Matrices, 1986).  The
+    Bareiss update scales every entry, so it takes whole row tails.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     r, sign, d = 0, 1, 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
@@ -355,10 +362,12 @@ def _eliminate(rows: list[list[int]], p) -> tuple[int, int]:
             d = pv
         else:
             inv = pow(pv, -1, p)
+            nonzero = [(j, y) for j, y in enumerate(tail, c + 1) if y]
             for ri in rows[r + 1 :]:
                 if ri[c]:
                     f = ri[c] * inv % p
-                    ri[c + 1 :] = [(x - f * y) % p for x, y in zip(ri[c + 1 :], tail)]
+                    for j, y in nonzero:
+                        ri[j] = (ri[j] - f * y) % p
             d = d * pv % p
         r += 1
     return r, sign * d if r == n else 0

@@ -15,6 +15,7 @@ from oracles import (
     rows_of,
     transpose,
 )
+from pluckerlab import bundle_pairs_p1
 from pluckerlab.bundle_pairs_p1 import (
     BundlePairP1,
     DivisorReport,
@@ -263,6 +264,30 @@ def test_symbolic_witness():
     assert holds2
     with pytest.raises(ValueError):
         symbolic_diagonal_witness(make_pair((2, 2, 2), 3, F))
+
+
+def test_symbolic_witness_refuses_an_identically_vanishing_divisor():
+    # (3,1) with m = 3 is unbalanced: every term of the determinant cancels.
+    assert symbolic_diagonal_witness(make_pair((3, 1), 3, QQ)) == (False, None)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp"])
+def test_symbolic_witness_refuses_a_tensor_that_differs_from_the_power(field, monkeypatch):
+    pair = make_pair((2, 2), 3, field)
+    tensor = divisor_coefficient_tensor(pair)
+    holds, c = symbolic_diagonal_witness(pair)
+    assert holds
+    leading = min(tensor)  # the key the constant is fitted at
+    without = {k: x for k, x in tensor.items() if k != leading}
+    monkeypatch.setattr(bundle_pairs_p1, "divisor_coefficient_tensor", lambda _: without)
+    assert symbolic_diagonal_witness(pair) == (False, None)
+    # One corrupted coefficient past the leading key: the constant is still
+    # fitted there, and the comparison fails elsewhere.
+    corrupted = dict(tensor)
+    key = max(tensor)
+    corrupted[key] = tensor[key] + field.one()
+    monkeypatch.setattr(bundle_pairs_p1, "divisor_coefficient_tensor", lambda _: corrupted)
+    assert symbolic_diagonal_witness(pair) == (False, c)
 
 
 def test_symbolic_constant_matches_sampled_constant():

@@ -18,6 +18,7 @@ from pluckerlab.scalars import (
     _PANEL,
     _eliminate,
     _residue_dtype,
+    field_from_name,
     mat_det,
     poly_interpolate,
     rank_mod_p,
@@ -388,6 +389,97 @@ def test_blocked_rank_matches_the_loop_kernel_and_the_row_loop(p, family):
         want = _eliminate([list(r) for r in rows], p)[0]
         assert loop_rank_mod_p(A.copy(), p) == want
         assert rank_mod_p(A, p) == want, (family.__name__, A.shape)
+
+
+# The residue determinant of _eliminate, which updates each row at the pivot
+# row's nonzeros only, against fraction-free elimination over Z of the same
+# integer rows: det mod p must agree, and the rank with the loop kernel.
+DET_PRIMES = [2, 3, 7, 2**31 - 1, 3037000493, 2**61 - 1]
+
+
+def integer_rows(m, n, rng, bound=2**70):
+    return [[rng.randrange(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def dense_squares(rng):
+    return [integer_rows(n, n, rng) for n in (1, 2, 5, 12)]
+
+
+def block_sparse(rng):
+    # A P^1 value matrix up to order: r blocks of m x m, one per component,
+    # on the diagonal, then rows and columns permuted; the first blocks are
+    # Vandermonde, as at m distinct points, the last one random.
+    out = []
+    for r, m in ((2, 3), (3, 4), (4, 3)):
+        n = r * m
+        rows = [[0] * n for _ in range(n)]
+        for k in range(r):
+            xs = rng.sample(range(-50, 50), m)
+            block = [[x**a for x in xs] for a in range(m)] if k < r - 1 else integer_rows(m, m, rng)
+            for i in range(m):
+                rows[k * m + i][k * m : (k + 1) * m] = block[i]
+        perm = rng.sample(range(n), n)
+        out.append([[row[j] for j in perm] for row in rng.sample(rows, n)])
+    return out
+
+
+def row_swaps(rng):
+    # A zero first pivot, and a leading 2 x 2 minor of zero: the second
+    # column is zero below the first pivot once the first column is cleared.
+    first = integer_rows(6, 6, rng)
+    first[0][0] = 0
+    second = integer_rows(6, 6, rng)
+    second[1] = [2 * x for x in second[0][:2]] + second[1][2:]
+    return [first, second]
+
+
+def zero_column(rng):
+    rows = integer_rows(7, 7, rng)
+    for row in rows:
+        row[3] = 0
+    return [rows]
+
+
+def rank_deficient(rng):
+    def product(n, k):
+        X, Y = integer_rows(n, k, rng, 2**20), integer_rows(k, n, rng, 2**20)
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    return [product(6, 4), product(9, 8)]
+
+
+DET_FAMILIES = [dense_squares, block_sparse, row_swaps, zero_column, rank_deficient]
+
+
+@pytest.mark.parametrize("family", DET_FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", DET_PRIMES)
+def test_sparse_residue_det_matches_bareiss_over_the_integers(p, family):
+    rng = random.Random(p)
+    for rows in family(rng):
+        _, det = _eliminate([row[:] for row in rows], None)
+        residues = [[x % p for x in row] for row in rows]
+        A = np.array(residues, dtype=_residue_dtype(p))
+        rank, det_p = _eliminate(residues, p)
+        assert det_p % p == det % p, (family.__name__, len(rows))
+        assert rank == loop_rank_mod_p(A, p)
+        assert (rank == len(rows)) == (det % p != 0)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: mat_det(DenseMatrix.from_rows([[F.one(), F.zero(), F.one()], [F.one()] * 3])), "non-square"),
+        # Six entries for 3 x 2, so only the row check can refuse them.
+        (lambda: DenseMatrix.from_rows([[F.one()] * 2, [F.one()], [F.one()] * 3]), "ragged"),
+        (lambda: DenseMatrix(2, 2, (F.one(),) * 3), "entries length"),
+        (lambda: poly_interpolate([F.zero(), F.one()], [F.one()]), "equally many"),
+        (lambda: field_from_name("r"), "unknown field tag"),
+    ],
+    ids=["non-square det", "ragged rows", "entries length", "unequal interpolation", "unknown field"],
+)
+def test_determinant_path_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 def test_prime_field_rejects_non_primes():
