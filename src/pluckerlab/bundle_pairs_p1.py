@@ -182,14 +182,16 @@ def _term_values(pair: BundlePairP1, pt: P1Point) -> list[tuple]:
 
 def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]:
     """One row per section: its r component values at each point in turn,
-    unboxed (residues in [0, p), or Fractions)."""
+    unboxed (residues in [0, p), or Fractions).  Only the entries a term
+    adds to are reduced; the rest stay zero."""
     field, r, p = pair.field, pair.r, _modulus(pair.field)
     zero = field.unbox(field.zero())
     rows = [[zero] * (r * len(points)) for _ in pair.terms]
     for base, pt in zip(range(0, r * len(points), r), points):
         for s, j, x in _term_values(pair, pt):
-            rows[s][base + j] += x
-    return rows if p is None else [[x % p for x in row] for row in rows]
+            x += rows[s][base + j]
+            rows[s][base + j] = x if p is None else x % p
+    return rows
 
 
 def divisor_value(pair: BundlePairP1, points: Sequence[P1Point]) -> Scalar:

@@ -45,18 +45,23 @@ vector times the other's term count; sparse vectors, and large n, scan
 their pairs (``_wedge_walk``), signing each one off ``_odd_above``, and
 never build a table.  The gather reads every disjoint pair from
 ``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
-coordinate) and sums the signed products by output coordinate, over the
-product dx * dy of the inputs' denominators.  On int64 residues each
-product is reduced mod p before the sum; Python ints are signed and summed
-as they are and reduced once mod p.  The summed vector is the result, born
+coordinate, with each pair's sign as an int64 +-1 rather than a flag) and
+sums the signed products by output coordinate, over the product dx * dy of
+the inputs' denominators: one multiply by the sign array signs every
+product.  On int64 residues each product is reduced mod p before it is
+signed, so each term lies in (-p, p); Python ints are signed and summed as
+they are and reduced once mod p.  Every reduction of an int64 array goes
+through :func:`pluckerlab.scalars._mod_p`, which picks ``%`` or the floor
+remainder by the array's size.  The summed vector is the result, born
 dense (``_from_dense``).  ``top_wedge_coefficient`` folds its slots by the
 same rule, but keeps the running wedge a dense vector between gather steps
 and boxes only the final scalar.  When the step before last gathers, it and
 the last step are one gather (``_gather_top``): the sum of sign * x_I * y_J
 * z_{(I | J)^c} over the T = C(n, a) * C(n - a, b) disjoint pairs (I, J) of
 ``_wedge_gather(n, a, b)``, each complement read off the one-row table
-``_wedge_gather(n, a + b, n - a - b)``; on int64 residues that is exact
-while T * p < 2^63 (``_exact_top``), and past it the two steps stay two.
+``_wedge_gather(n, a + b, n - a - b)`` and each sign the product of the
+two tables' signs; on int64 residues that is exact while T * p < 2^63
+(``_exact_top``), and past it the two steps stay two.
 The wedge of the rows of a matrix, the Plucker vector of
 ``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
 ``_wedge_rows``: the fold of ``wedge`` over the rows, each given as the
@@ -215,7 +220,8 @@ def _wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     ``row``, and each degree-(a + b) mask splits in C(a + b, a) such pairs.
     Row K of each returned array lists the pairs of output coordinate K: the
     lex position of the degree-a mask, that of the degree-b mask, and the
-    scatter table's sign flag.
+    sign of the pair, -1 where the scatter table's flag is set and +1
+    elsewhere (int64), so one multiply signs a row of products.
     """
     flat, neg = _wedge_scatter(n, a, b)
     out_row, v_col = np.divmod(flat, math.comb(n, b))
@@ -224,7 +230,7 @@ def _wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return (
         (order // flat.shape[1]).reshape(shape),
         v_col.ravel()[order].reshape(shape),
-        neg.ravel()[order].reshape(shape),
+        np.where(neg.ravel()[order], -1, 1).reshape(shape),
     )
 
 
@@ -347,7 +353,7 @@ class ExteriorVector:
     # multiple over the product of the denominators.  Otherwise they walk the
     # dicts, drop zeros themselves and build through ``_trusted``.  On int64
     # residues a sum is below 2p and a product below (p - 1)^2 < 2^63, both
-    # inside the dtype.
+    # inside the dtype; dense results are reduced by ``_mod_p``.
 
     def _dense_result(self, z: np.ndarray, d: int) -> "ExteriorVector":
         return _from_dense(z, d, self.n, self.degree, self.field)
@@ -360,9 +366,7 @@ class ExteriorVector:
             if p is None:
                 L = math.lcm(dx, dy)
                 return self._dense_result(x * (L // dx) + y * (L // dy), L)
-            z = x + y
-            z[z >= p] -= p
-            return self._dense_result(z, 1)
+            return self._dense_result(_mod_p(x + y, p), 1)
         coeffs = dict(self._coeffs)
         for m, c in other._coeffs.items():
             total = coeffs.pop(m, 0) + c
@@ -379,11 +383,7 @@ class ExteriorVector:
         p = _modulus(self.field)
         if self._dense is not None:
             x, d = self._dense
-            if p is None:
-                return self._dense_result(-x, d)
-            z = p - x
-            z[z == p] = 0
-            return self._dense_result(z, 1)
+            return self._dense_result(-x if p is None else _mod_p(-x, p), d)
         items = self._coeffs.items()
         coeffs = {m: -c for m, c in items} if p is None else {m: p - c for m, c in items}
         return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
@@ -556,21 +556,22 @@ def _gather(x: np.ndarray, y: np.ndarray, n: int, a: int, b: int, p) -> np.ndarr
     denominators; reduced mod p, or not at all when p is None (over Q).
 
     Output coordinate K sums the C(a + b, a) pairs of row K of
-    ``_wedge_gather(n, a, b)``.  Python ints (p above 2^31.5, or Q) are
-    exact at any size: the products are signed, summed, and reduced once.
-    Exactness in int64: x and y hold residues in [0, p), so each product is
-    at most (p - 1)^2 < 2^63, which ``_residue_dtype(p) is np.int64``
-    guarantees; reduced mod p and signed as p - x, each term lies in [0, p];
-    so a row's sum is at most C(a + b, a) * p, below 2^63 by the check in
+    ``_wedge_gather(n, a, b)``, each product times its sign, +-1.  Python
+    ints (p above 2^31.5, or Q) are exact at any size: the products are
+    signed, summed, and reduced once.  Exactness in int64: x and y hold
+    residues in [0, p), so each product is at most (p - 1)^2 < 2^63, which
+    ``_residue_dtype(p) is np.int64`` guarantees; reduced mod p and signed,
+    each term lies in (-p, p); so every partial sum of a row is below
+    C(a + b, a) * p in magnitude, below 2^63 by the check in
     :func:`_exact`.
     """
-    u_at, v_at, neg = _wedge_gather(n, a, b)
-    if x.dtype == object:
-        prod = x[u_at] * y[v_at]
-        z = np.where(neg, -prod, prod).sum(axis=1)
-        return z if p is None else z % p
-    prod = x[u_at] * y[v_at] % p
-    return np.where(neg, p - prod, prod).sum(axis=1) % p
+    u_at, v_at, sign = _wedge_gather(n, a, b)
+    prod = x[u_at] * y[v_at]
+    if x.dtype != object:
+        _mod_p(prod, p)
+    prod *= sign
+    z = prod.sum(axis=1)
+    return z if p is None else _mod_p(z, p)
 
 
 @lru_cache(maxsize=None)
@@ -586,15 +587,16 @@ def _top_gather(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
     I | J in lex order, the order of the rows, so its column K holds row K's
     complement and sign.  Only the signs are a new array: T int64 entries.
     """
-    u_at, v_at, neg = _wedge_gather(n, a, b)
-    _, w_at, w_neg = _wedge_gather(n, a + b, n - a - b)
-    return u_at, v_at, w_at.T, np.where(neg ^ w_neg.T, -1, 1).ravel()
+    u_at, v_at, sign = _wedge_gather(n, a, b)
+    _, w_at, w_sign = _wedge_gather(n, a + b, n - a - b)
+    return u_at, v_at, w_at.T, (sign * w_sign.T).ravel()
 
 
 def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: int, p):
     """The top coefficient of x ^ y ^ z (see :func:`_top_gather`), x, y and
-    z dense lex-order vectors, as a one-entry dense vector over the product
-    of their denominators; reduced mod p, or not at all when p is None.
+    z dense lex-order vectors, as a one-entry array over the product of
+    their denominators.  The sum is not reduced mod p: its one caller,
+    :func:`top_wedge_coefficient`, boxes it, and ``PrimeField.box`` reduces.
 
     Python ints are exact at any size.  Exactness in int64: x * y is reduced
     mod p, then times z and reduced again, each product at most (p - 1)^2
@@ -604,10 +606,9 @@ def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: 
     """
     u_at, v_at, w_at, sign = _top_gather(n, a, b)
     if x.dtype == object:
-        t = (x[u_at] * y[v_at] * z[w_at]).reshape(1, -1) @ sign
-        return t if p is None else t % p
-    prod = x[u_at] * y[v_at] % p * z[w_at] % p
-    return prod.reshape(1, -1) @ sign % p
+        return (x[u_at] * y[v_at] * z[w_at]).reshape(1, -1) @ sign
+    prod = _mod_p(_mod_p(x[u_at] * y[v_at], p) * z[w_at], p)
+    return prod.reshape(1, -1) @ sign
 
 
 def _wedge_rows(rows: Sequence[dict], n: int, field: Field) -> ExteriorVector:

@@ -387,13 +387,26 @@ def _dtype(field: Field):
     return object if p is None else _residue_dtype(p)
 
 
+# Entries from which _mod_p takes the floor remainder instead of ``%``.  Best
+# times on a 2-vCPU VM, numpy 2.4, p = 2^31 - 1, int64 in (-(p-1)^2, (p-1)^2),
+# for ``%`` and the floor remainder: 15 entries 0.8 and 2.0 us, 128 1.3 and
+# 2.1 us, 512 2.8 and 3.0 us, 2048 8.8 and 7.3 us, 65536 245 and 90 us.
+_FLOOR_FROM = 512
+
+
 def _mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p in place.  On int64 arrays as a - (a // p) p, the floor
-    remainder, equal to ``a % p``: numpy divides by a scalar without a
-    hardware division in ``//`` but not in ``%``, so on the 64 x 425 blocks
-    of a (4,3) wedge map this is about five times faster.  Object arrays,
-    where each operation is a Python call, take ``%``."""
-    if a.dtype == object:
+    """a mod p in place, in [0, p) for any sign of a; returns a.
+
+    The reduction depends on the size of a.  Int64 arrays of at least
+    ``_FLOOR_FROM`` entries take the floor remainder a - (a // p) p, equal to
+    ``a % p``: numpy divides by a scalar without a hardware division in
+    ``//`` but not in ``%``, so on the 64 x 425 blocks of a (4,3) wedge map
+    it is about five times faster.  But it makes three passes and a
+    temporary, so smaller ones, the 15- to 84-entry vectors of a dense
+    ``wedge`` sum, multiple or gather, take ``%`` in one pass; the two cost
+    the same near 512 entries.  Object arrays, where each operation is a
+    Python call, take ``%``."""
+    if a.size < _FLOOR_FROM or a.dtype == object:
         a %= p
     else:
         a -= a // p * p
@@ -431,8 +444,9 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
 
     The int64 bound of this panel step: f is reduced from products of two
     residues, and every updated entry is s - f y with s, f and y in [0, p),
-    so it lies in [-(p - 1)^2, p), inside int64 by the dtype rule.  The
-    floor remainder of :func:`_mod_p` takes it back to [0, p) through
+    so it lies in [-(p - 1)^2, p), inside int64 by the dtype rule.
+    :func:`_mod_p` takes it back to [0, p): ``%`` cannot overflow, and the
+    floor remainder of a large panel passes through
     a // p * p >= a - p + 1 >= -p (p - 1) > -2^63, since p (p - 1) < 2^63
     holds up to 3037000493, the largest prime with int64 residues.
 
@@ -472,7 +486,7 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
                 T[i, c:] = _mod_p(T[i, c:] * inv, p)
             else:
                 tail = T[:, c:] if whole else T[nz, c:]
-                f = tail[:, 0] * inv % p
+                f = _mod_p(tail[:, 0] * inv, p)
                 f[at] = (1 - inv) % p
                 tail -= f[:, None] * tail[at]
                 _mod_p(tail, p)

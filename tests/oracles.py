@@ -30,7 +30,6 @@ from pluckerlab.scalars import (
     Field,
     Scalar,
     _boxed,
-    _mod_p,
     _rank,
     _residue_dtype,
     _unboxed_rows,
@@ -60,7 +59,9 @@ def loop_rank_mod_p(A: np.ndarray, p: int) -> int:
 
     Any other dtype, or an entry outside [0, p), is refused: int64
     arithmetic on arrays wraps around without a warning, so the dtype and
-    the range are what keep every product of two residues exact.
+    the range are what keep every product of two residues exact.  It
+    reduces with plain ``%``, not the kernel's ``_mod_p``, so a fault in
+    that reduction cannot hide in the reference as well.
     """
     dtype = np.dtype(_residue_dtype(p))
     if A.dtype != dtype:
@@ -79,12 +80,12 @@ def loop_rank_mod_p(A: np.ndarray, p: int) -> int:
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
         inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = _mod_p(A[r, c:] * inv, p)
+        A[r, c:] = A[r, c:] * inv % p
         below = A[r + 1 :, c]
         nzb = np.nonzero(below)[0]
         if nzb.size:
             f = below[nzb]
-            A[r + 1 + nzb, c:] = _mod_p(A[r + 1 + nzb, c:] - np.outer(f, A[r, c:]), p)
+            A[r + 1 + nzb, c:] = (A[r + 1 + nzb, c:] - np.outer(f, A[r, c:])) % p
         r += 1
     return r
 

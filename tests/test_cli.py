@@ -125,6 +125,19 @@ def test_trials_below_one_exit_two(trials, capsys):
     assert "trials >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_r_below_one_exits_two(r, capsys):
+    assert main(["taylor-check", "--r", r, "--trials", "1"]) == 2
+    assert "need r >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["1", "2", "3"])
+def test_rank_bound_below_2r_plus_1_letters_exits_two(r, capsys):
+    # At m = 2 the ambient dimension 2r is one short of 2r + 1.
+    assert main(["rank-bound", "--r", r, "--m", "2", "--trials", "1"]) == 2
+    assert "at least 2r + 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

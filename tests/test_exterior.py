@@ -670,6 +670,64 @@ def test_wedges_agree_whichever_form_each_operand_holds(slots):
             assert top_wedge_coefficient([f(w) for f, w in zip(forms, slots)]) == top
 
 
+# -- dense arithmetic at the smallest primes against the dict walk ---------------
+
+# Over F_2 and F_3 sums cancel and signs fold onto few residues.  C(6, 2) = 15
+# coordinates reduce by ``%`` and C(12, 6) = 924 by the floor remainder, on
+# either side of ``_mod_p``'s size rule.
+SMALL_PRIMES = [PrimeField(2), PrimeField(3)]
+
+
+def walked(u, v):
+    """u ^ v by the dict walk alone, whatever route ``wedge`` takes."""
+    p = exterior._modulus(u.field)
+    terms = exterior._wedge_walk(u._coeffs, v._coeffs, p)
+    return ExteriorVector._trusted(u.n, u.degree + v.degree, terms, u.field)
+
+
+@pytest.mark.parametrize("field", SMALL_PRIMES, ids=str)
+@pytest.mark.parametrize("n, k", [(6, 2), (12, 6)])
+def test_dense_sums_and_multiples_at_p_2_and_3_match_the_dict_walk(field, n, k):
+    rng = random.Random(n * field.p)
+    masks = lex_masks(n, k)
+    for _ in range(2):
+        u, v = (ExteriorVector(n, k, {m: field.sample(rng) for m in masks}, field) for _ in "uv")
+        for s in range(field.p):
+            for name, op in CROSS_OPS:
+                want = op(dict_born(u), dict_born(v), field.from_int(s))
+                got = op(dense_born(u), dense_born(v), field.from_int(s))
+                assert got._dict is None and want._dense is None, name
+                assert observed(got) == observed(want), (name, s)
+
+
+@pytest.mark.parametrize("field", SMALL_PRIMES, ids=str)
+@pytest.mark.parametrize("n, a, b", [(6, 2, 2), (10, 3, 4), (12, 3, 3)])
+def test_dense_wedge_at_p_2_and_3_matches_the_dict_walk(field, n, a, b):
+    # (6, 2, 2) gathers 90 products into 15 sums, (10, 3, 4) 4200 into 120
+    # and (12, 3, 3) 18480 into 924.
+    rng = random.Random(n * field.p)
+    u, v = full_vector(n, a, field, rng), full_vector(n, b, field, rng)
+    for x, y in [(u, v), (-u, v), (u, -v)]:
+        got = wedge(dense_born(x), dense_born(y))
+        assert got._dict is None
+        assert observed(got) == observed(walked(x, y))
+
+
+@pytest.mark.parametrize("field", SMALL_PRIMES, ids=str)
+@pytest.mark.parametrize("n, k", [(6, 2), (9, 3)])
+def test_fused_top_wedge_at_p_2_and_3_matches_the_dict_walk(field, n, k, monkeypatch):
+    # Three dense degree-k slots: T = 90 signed terms at (6, 2) and 1680 at
+    # (9, 3), one gather.
+    calls = []
+    real = exterior._gather_top
+    monkeypatch.setattr(exterior, "_gather_top", lambda *args: calls.append(args[3:6]) or real(*args))
+    rng = random.Random(n * field.p)
+    slots = [full_vector(n, k, field, rng) for _ in range(3)]
+    want = walked(walked(*slots[:2]), slots[2]).coefficient((1 << n) - 1)
+    assert top_wedge_coefficient([dense_born(w) for w in slots]) == want
+    assert calls == [(n, k, k)]
+
+
 def test_a_chain_of_dense_sums_over_q_stays_over_the_lcm():
     # Summed over the product of the denominators, 40 sums of (6,3) vectors
     # carried a 401-bit denominator against a 12-bit lcm.
@@ -1162,3 +1220,16 @@ def test_top_wedge_coefficient():
 def test_ambient_dimension_cap():
     with pytest.raises(ValueError):
         ExteriorVector.zero(65, 1, QQ)
+
+
+@pytest.mark.parametrize("n", [0, -1, 65])
+def test_multi_index_refuses_an_ambient_dimension_outside_1_to_64(n):
+    with pytest.raises(ValueError, match="ambient dimension must be in 1..64"):
+        MultiIndex(0, n)
+
+
+@pytest.mark.parametrize("mask, n", [(1 << 3, 3), (0b1001, 3), (1 << 64, 64), (-1, 5)])
+def test_multi_index_refuses_a_mask_with_bits_beyond_n(mask, n):
+    with pytest.raises(ValueError, match="bits outside the ambient dimension"):
+        MultiIndex(mask, n)
+    assert MultiIndex((1 << n) - 1, n).degree == n

@@ -15,8 +15,10 @@ from pluckerlab.scalars import (
     Fp,
     PrimeField,
     QQ,
+    _FLOOR_FROM,
     _PANEL,
     _eliminate,
+    _mod_p,
     _residue_dtype,
     field_from_name,
     mat_det,
@@ -146,6 +148,81 @@ def test_rank_above_int64_safe_primes():
         B = random_matrix(4, 6, big, rng)
         prod = [mat_vec(transpose(B), a) for a in rows_of(A)]
         assert mat_rank(DenseMatrix.from_rows(prod)) == 4
+
+
+# -- _mod_p against Python's % ----------------------------------------------------
+
+# The int64 primes span p = 2 to 3037000493, the largest whose products of
+# two residues fit (p - 1)^2 < 2^63; 2^61 - 1 takes object arrays.
+MOD_PRIMES = [2, 3, 2**31 - 1, 3037000493, 2**61 - 1]
+
+
+def products_and_edges(p, size, rng):
+    """``size`` Python ints in [-(p - 1)^2, (p - 1)^2], among them both
+    ends, zero, +-1 and the multiples of p next to them."""
+    top = (p - 1) ** 2
+    edges = [-top, top, 0, 1, -1, p, -p, p - 1, 1 - p, top - top % p, -(top - top % p)]
+    return (edges + [rng.randint(-top, top) for _ in range(size)])[:size]
+
+
+def check_mod_p(a, p):
+    """_mod_p(a) reduces a in place, and every entry is Python's v % p."""
+    want = [v % p for v in a.ravel().tolist()]
+    assert _mod_p(a, p) is a
+    assert a.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("p", MOD_PRIMES)
+@pytest.mark.parametrize("size", [1, 15, _FLOOR_FROM - 1, _FLOOR_FROM, 4 * _FLOOR_FROM])
+def test_mod_p_matches_python_on_both_sides_of_the_size_rule(p, size):
+    rng = random.Random(size)
+    check_mod_p(np.array(products_and_edges(p, size, rng), dtype=_residue_dtype(p)), p)
+
+
+@pytest.mark.parametrize("p", MOD_PRIMES)
+@pytest.mark.parametrize("rows, cols", [(3, 5), (_PANEL, 12), (_PANEL, 40), (64, 64)])
+def test_mod_p_matches_python_on_2d_strided_and_fancy_indexed_arrays(p, rows, cols):
+    rng = random.Random(rows * cols)
+    dtype = _residue_dtype(p)
+    values = products_and_edges(p, rows * cols, rng)
+    check_mod_p(np.array(values, dtype=dtype).reshape(rows, cols), p)
+    # The trailing columns of a panel, as rank_mod_p reduces them: a strided
+    # view, reduced in place, its other columns untouched.
+    for c in (1, cols // 2):
+        T = np.array(values, dtype=dtype).reshape(rows, cols)
+        head = T[:, :c].copy()
+        check_mod_p(T[:, c:], p)
+        assert (T[:, :c] == head).all()
+    # A fancy-indexed gather, as _gather reduces it: rows of pair products.
+    x = np.array(values, dtype=dtype)
+    at = np.array([rng.randrange(x.size) for _ in range(rows * cols)]).reshape(cols, rows)
+    check_mod_p(x[at], p)
+
+
+@pytest.mark.parametrize("p", MOD_PRIMES)
+@pytest.mark.parametrize("n, a, b", [(6, 2, 2), (9, 3, 3), (12, 3, 3)])
+def test_mod_p_of_signed_gather_sums(p, n, a, b):
+    # The row sums of a wedge gather, and of the same gather with every sign
+    # flipped: products reduced mod p, then signed, so the rows of one or the
+    # other sum below zero.  C(6, 4) = 15 rows fall below the size rule's
+    # constant and C(12, 6) = 924 above it.
+    u_at, v_at, sign = exterior._wedge_gather(n, a, b)
+    rng = random.Random(n)
+    dtype = _residue_dtype(p)
+    x = [rng.randrange(p) for _ in range(u_at.max() + 1)]
+    y = [rng.randrange(p) for _ in range(v_at.max() + 1)]
+    prod = _mod_p(np.array(x, dtype=dtype)[u_at] * np.array(y, dtype=dtype)[v_at], p)
+    negative = 0
+    for signs in (sign, -sign):
+        sums = (prod * signs).sum(axis=1)
+        negative += int((sums < 0).sum())
+        want = [
+            sum(s * (x[i] * y[j] % p) for i, j, s in zip(*row)) % p
+            for row in zip(u_at.tolist(), v_at.tolist(), signs.tolist())
+        ]
+        check_mod_p(sums, p)
+        assert sums.tolist() == want
+    assert negative
 
 
 def test_rank_mod_p_refuses_a_dtype_other_than_the_residue_dtype():
