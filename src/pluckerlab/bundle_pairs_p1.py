@@ -451,22 +451,14 @@ def diagonal_power_tensor(r: int, m: int, field: Field) -> dict:
     """Symbolic expansion of prod_{i<j} (u_i v_j - u_j v_i)^r with the same
     u-exponent keys as :func:`divisor_coefficient_tensor`."""
     acc = {(0,) * m: field.one()}
-    for i in range(m):
-        for j in range(i + 1, m):
-            for _ in range(r):
-                new: dict = {}
-                for key, c in acc.items():
-                    for idx, val in ((i, c), (j, -c)):
-                        k2 = list(key)
-                        k2[idx] += 1
-                        k2 = tuple(k2)
-                        prev = new.get(k2)
-                        total = val if prev is None else prev + val
-                        if total:
-                            new[k2] = total
-                        elif prev is not None:
-                            del new[k2]
-                acc = new
+    for i, j in itertools.combinations(range(m), 2):
+        for _ in range(r):
+            new: dict = {}
+            for key, c in acc.items():
+                for idx, val in ((i, c), (j, -c)):
+                    k2 = key[:idx] + (key[idx] + 1,) + key[idx + 1 :]
+                    new[k2] = new[k2] + val if k2 in new else val
+            acc = {k: c for k, c in new.items() if c}
     return acc
 
 

@@ -33,8 +33,9 @@ the shuffle expansion of the wedge form) is read off this one mask.
 ``wedge`` has two paths: a scan of its own term pairs, and a gather on the
 inputs' cached dense vectors.  The rule that picks one (``_gathers``) reads
 only the operands' shapes and term counts, never which form they hold.  On
-int64 residues the gather is exact only while C(a + b, a) * p < 2^63
-(proved in ``_gather``, checked by ``_exact``), so past that bound every
+int64 residues a signed sum of T reduced products is exact only while T *
+p < 2^63 (``_exact``, the one statement of that bound), and a gather row
+sums C(a + b, a) of them (proved in ``_gather``), so past that bound every
 wedge scans its pairs.  Otherwise a degree-a by degree-b wedge gathers when
 u has at least C(n - b, a) terms and v at least C(n - a, b): as many as the
 masks disjoint from one term of the other, the length of a table row.
@@ -45,23 +46,23 @@ vector times the other's term count; sparse vectors, and large n, scan
 their pairs (``_wedge_walk``), signing each one off ``_odd_above``, and
 never build a table.  The gather reads every disjoint pair from
 ``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
-coordinate, with each pair's sign as an int64 +-1 rather than a flag) and
-sums the signed products by output coordinate, over the product dx * dy of
-the inputs' denominators: one multiply by the sign array signs every
-product.  On int64 residues each product is reduced mod p before it is
+coordinate, each pair with its int64 +-1 sign) and sums the signed products
+by output coordinate, over the product dx * dy of the inputs' denominators:
+one multiply by the sign array signs every product.  On int64 residues each product is reduced mod p before it is
 signed, so each term lies in (-p, p); Python ints are signed and summed as
 they are and reduced once mod p.  Every reduction of an int64 array goes
 through :func:`pluckerlab.scalars._mod_p`, which picks ``%`` or the floor
 remainder by the array's size.  The summed vector is the result, born
-dense (``_from_dense``).  ``top_wedge_coefficient`` folds its slots by the
-same rule, but keeps the running wedge a dense vector between gather steps
-and boxes only the final scalar.  When the step before last gathers, it and
-the last step are one gather (``_gather_top``): the sum of sign * x_I * y_J
-* z_{(I | J)^c} over the T = C(n, a) * C(n - a, b) disjoint pairs (I, J) of
-``_wedge_gather(n, a, b)``, each complement read off the one-row table
-``_wedge_gather(n, a + b, n - a - b)`` and each sign the product of the
-two tables' signs; on int64 residues that is exact while T * p < 2^63
-(``_exact_top``), and past it the two steps stay two.
+dense (``_from_dense``).  ``top_wedge_coefficient`` checks its slots once
+and folds ``wedge`` over all but the last two, so each head step takes the
+route ``_gathers`` picks.  When ``wedge`` would gather the step before
+last, it and the last step are one gather (``_gather_top``), boxing only
+the final scalar: the sum of sign * x_I * y_J * z_{(I | J)^c} over the
+T = C(n, a) * C(n - a, b) disjoint pairs (I, J) of ``_wedge_gather(n, a,
+b)``, each complement read off the one-row table ``_wedge_gather(n, a + b,
+n - a - b)`` and each sign the product of the two tables' signs.  On int64
+residues that is exact while T * p < 2^63 (``_exact`` again), and past it,
+or when the step before last scans, the last two steps are two wedges.
 The wedge of the rows of a matrix, the Plucker vector of
 ``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
 ``_wedge_rows``: the fold of ``wedge`` over the rows, each given as the
@@ -72,12 +73,14 @@ constructor, so nothing on these paths is boxed.
 Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``lex_masks``
 and ``_odd_above``, lists for each degree-a mask (in lex order) the flat
 row-major positions of the nonzero entries of the matrix of t |-> e_mu ^ t
-on wedge^s(V), with one sign flag each: one 2-D int array and one bool
-array, C(n - a, s) entries a row.  ``_wedge_array`` fills an array of
-unboxed entries from it with one fancy-index assignment of u's coefficient
-column (``_column``: residues over F_p, Fractions over Q): ``wedge_rank``
-over Q ranks that array unboxed, and the blocks of the tangent systems of
-``plucker_form.tangent_codim`` are such arrays, each with its sign.  The
+on wedge^s(V), with the int64 sign, +-1, of each: two 2-D int arrays,
+C(n - a, s) entries a row.  ``_wedge_array`` fills an array of unboxed
+entries from it with one fancy-index assignment of u's coefficient column
+(``_column``: residues over F_p, Fractions over Q) times the signs of each
+term's row, one multiply, reduced mod p by ``_mod_p`` over F_p:
+``wedge_rank`` over Q ranks that array unboxed, and the blocks of the
+tangent systems of ``plucker_form.tangent_codim`` are such arrays, each
+with its sign.  The
 gather in ``wedge`` reads the same table through
 ``_wedge_gather``, and ``wedge_rank`` over F_p through ``_schur_scatter``
 (below), so every wedge kernel shares one index table.
@@ -90,7 +93,7 @@ block (``_wedge_schur``) to :func:`pluckerlab.scalars.rank_mod_p`.  The
 wedge matrix itself is never built: ``_schur_scatter(n, a, s, i0)``, cached
 per pivot row in a bounded cache, maps every scatter-table entry to its
 place in S, in X (the pivot columns) or in Y (the pivot rows), so one
-fancy-index assignment of c or p - c fills all three, and
+fancy-index assignment of the signed residues of c fills all three, and
 :func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  This is the
 panel step of :func:`pluckerlab.scalars.rank_mod_p`, taken once on a panel
 whose pivot block is known without elimination; ``rank_mod_p`` then takes
@@ -194,20 +197,20 @@ def _wedge_scatter(n: int, a: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     Row i of the table belongs to the i-th mask mu of ``lex_masks(n, a)``:
     ``flat[i]`` holds the flat positions ``row * ncols + col`` of its
     C(n - a, s) nonzero entries, one per degree-s mask t disjoint from mu,
-    and ``neg[i]`` marks those where e_mu ^ e_t = -e_{mu|t}.  The matrix of
-    t |-> u ^ t puts c_mu, negated where marked, at the positions of row
-    i for each term c_mu e_mu of u; no two terms share a position, because
-    mu = (mu|t) minus t is fixed by the entry's row and column.
+    and ``sign[i]`` their signs, int64 +-1: e_mu ^ e_t = sign * e_{mu|t}.
+    The matrix of t |-> u ^ t puts sign * c_mu at the positions of row i for
+    each term c_mu e_mu of u; no two terms share a position, because mu =
+    (mu|t) minus t is fixed by the entry's row and column.
     """
     row_pos, col_pos = _lex_position(n, a + s), _lex_position(n, s)
     ts, ncols = lex_masks(n, s), len(col_pos)
-    flat, neg = [], []
+    flat, sign = [], []
     for mu in lex_masks(n, a):
         odd = _odd_above(mu)
         row = [t for t in ts if not mu & t]
         flat.append([row_pos[mu | t] * ncols + col_pos[t] for t in row])
-        neg.append([(t & odd).bit_count() & 1 for t in row])
-    return np.array(flat, dtype=np.intp), np.array(neg, dtype=bool)
+        sign.append([1 - 2 * ((t & odd).bit_count() & 1) for t in row])
+    return np.array(flat, dtype=np.intp), np.array(sign, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -220,17 +223,17 @@ def _wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     ``row``, and each degree-(a + b) mask splits in C(a + b, a) such pairs.
     Row K of each returned array lists the pairs of output coordinate K: the
     lex position of the degree-a mask, that of the degree-b mask, and the
-    sign of the pair, -1 where the scatter table's flag is set and +1
-    elsewhere (int64), so one multiply signs a row of products.
+    sign of the pair, int64 +-1 as in the scatter table, so one multiply
+    signs a row of products.
     """
-    flat, neg = _wedge_scatter(n, a, b)
+    flat, sign = _wedge_scatter(n, a, b)
     out_row, v_col = np.divmod(flat, math.comb(n, b))
     order = np.argsort(out_row, axis=None, kind="stable")
     shape = (-1, math.comb(a + b, a))
     return (
         (order // flat.shape[1]).reshape(shape),
         v_col.ravel()[order].reshape(shape),
-        np.where(neg.ravel()[order], -1, 1).reshape(shape),
+        sign.ravel()[order].reshape(shape),
     )
 
 
@@ -355,18 +358,14 @@ class ExteriorVector:
     # residues a sum is below 2p and a product below (p - 1)^2 < 2^63, both
     # inside the dtype; dense results are reduced by ``_mod_p``.
 
-    def _dense_result(self, z: np.ndarray, d: int) -> "ExteriorVector":
-        return _from_dense(z, d, self.n, self.degree, self.field)
-
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_compatible(other)
         p = _modulus(self.field)
         if self._dense is not None and other._dense is not None:
             (x, dx), (y, dy) = self._dense, other._dense
-            if p is None:
-                L = math.lcm(dx, dy)
-                return self._dense_result(x * (L // dx) + y * (L // dy), L)
-            return self._dense_result(_mod_p(x + y, p), 1)
+            L = math.lcm(dx, dy)  # 1 over F_p
+            z = x * (L // dx) + y * (L // dy) if p is None else _mod_p(x + y, p)
+            return _from_dense(z, L, self.n, self.degree, self.field)
         coeffs = dict(self._coeffs)
         for m, c in other._coeffs.items():
             total = coeffs.pop(m, 0) + c
@@ -383,7 +382,8 @@ class ExteriorVector:
         p = _modulus(self.field)
         if self._dense is not None:
             x, d = self._dense
-            return self._dense_result(-x if p is None else _mod_p(-x, p), d)
+            z = -x if p is None else _mod_p(-x, p)
+            return _from_dense(z, d, self.n, self.degree, self.field)
         items = self._coeffs.items()
         coeffs = {m: -c for m, c in items} if p is None else {m: p - c for m, c in items}
         return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
@@ -392,9 +392,8 @@ class ExteriorVector:
         s, p = self.field.unbox(scalar), _modulus(self.field)
         if self._dense is not None:
             x, d = self._dense
-            if p is None:
-                return self._dense_result(x * s.numerator, d * s.denominator)
-            return self._dense_result(_mod_p(x * s, p), 1)
+            z, d = (x * s.numerator, d * s.denominator) if p is None else (_mod_p(x * s, p), d)
+            return _from_dense(z, d, self.n, self.degree, self.field)
         items = self._coeffs.items() if s else ()  # s * c is nonzero for nonzero s, c
         coeffs = {m: s * c for m, c in items} if p is None else {m: s * c % p for m, c in items}
         return ExteriorVector._trusted(self.n, self.degree, coeffs, self.field)
@@ -480,21 +479,18 @@ def _gather_floor(n: int, a: int, b: int) -> tuple[int, int]:
     return math.comb(n - b, a), math.comb(n - a, b)
 
 
-@lru_cache(maxsize=None)
-def _exact(p, a: int, b: int) -> bool:
-    """Whether the gather of a degree-a by a degree-b wedge is exact over F_p
-    (over Q when p is None): always on Python ints, and on int64 residues
-    while C(a + b, a) * p < 2^63 (see :func:`_gather`)."""
-    return p is None or _residue_dtype(p) is not np.int64 or math.comb(a + b, a) * p < 2**63
+# math.comb cached per shape: the term counts that the exactness checks of
+# every wedge and top wedge read.
+_comb = lru_cache(maxsize=None)(math.comb)
 
 
 @lru_cache(maxsize=None)
-def _exact_top(p, n: int, a: int, b: int) -> bool:
-    """Whether the last two steps of a top wedge on n letters, a degree-a
-    running wedge by a degree-b slot and then the last slot, sum exactly as
-    one gather (see :func:`_gather_top`): always on Python ints, and on int64
-    residues while its T = C(n, a) * C(n - a, b) terms give T * p < 2^63."""
-    terms = math.comb(n, a) * math.comb(n - a, b)
+def _exact(p, terms: int) -> bool:
+    """Whether a signed sum of ``terms`` products, each reduced mod p, is
+    exact over F_p (over Q when p is None): always on Python ints, and on
+    int64 residues while terms * p < 2^63, as each signed term lies in
+    (-p, p).  A gather row sums C(a + b, a) terms (:func:`_gather`), the
+    fused top step T = C(n, a) * C(n - a, b) (:func:`_gather_top`)."""
     return p is None or _residue_dtype(p) is not np.int64 or terms * p < 2**63
 
 
@@ -503,18 +499,17 @@ def _gathers(p, n: int, a: int, b: int, nu: int, nv: int) -> bool:
     vector on n letters, over F_p (over Q when p is None), gathers through
     the cached tables; it reads only shapes and term counts.
 
-    First the exactness guard (:func:`_exact`): past it the wedge scans its
-    pairs.  Then it gathers when nu >= C(n - b, a) and nv >= C(n - a, b).
+    It gathers when nu >= C(n - b, a) and nv >= C(n - a, b), and the
+    C(a + b, a)-term row sums are exact (:func:`_exact`): past that guard
+    the wedge scans its pairs.
     The table's C(n, a) * C(n - a, b) = C(n, b) * C(n - b, a) pairs are
     then at most C(n, a) * nv and nu * C(n, b): it is never larger than one
     operand's dense vector times the other's term count, and every wedge
     with at least as many term pairs as the table meets both floors.
     Sparse wedges, and at n = 64 the table can reach 10^9 masks, scan their
     own pairs instead."""
-    if not _exact(p, a, b):
-        return False
     fu, fv = _gather_floor(n, a, b)
-    return nu >= fu and nv >= fv
+    return nu >= fu and nv >= fv and _exact(p, _comb(a + b, a))
 
 
 def _term_positions(u: ExteriorVector) -> np.ndarray:
@@ -602,7 +597,7 @@ def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: 
     mod p, then times z and reduced again, each product at most (p - 1)^2
     < 2^63; each signed term lies in (-p, p), so every partial sum of the
     signed dot product is below T * p in magnitude, and T * p < 2^63 by the
-    check in :func:`_exact_top`.
+    check of :func:`_exact`.
     """
     u_at, v_at, w_at, sign = _top_gather(n, a, b)
     if x.dtype == object:
@@ -659,12 +654,11 @@ def _wedge_walk(ut: dict, vt: dict, p) -> dict:
 def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
     """Coefficient of e_{1..n} in the ordered wedge of the given vectors.
 
-    The degrees must add up to the ambient dimension exactly.  Each step of
-    the fold that :func:`wedge` would gather gathers here too, and the
-    running wedge stays a dense vector between such steps: only the final
-    coefficient is boxed.  When the step before last gathers, it and the
-    last step are one gather (:func:`_gather_top`), within the exactness
-    bound of :func:`_exact_top`.
+    The degrees must add up to the ambient dimension exactly.  It folds
+    :func:`wedge` over all but the last two slots.  When :func:`wedge` would
+    gather the step before last and the sum of its T terms is exact
+    (:func:`_exact`), the last two steps are one gather (:func:`_gather_top`)
+    and only that scalar is boxed; otherwise they are two more wedges.
     """
     if not vectors:
         raise ValueError("empty wedge")
@@ -676,30 +670,17 @@ def top_wedge_coefficient(vectors: Sequence[ExteriorVector]) -> Scalar:
             raise ValueError("ambient dimension mismatch")
         if v.field is not field and v.field != field:
             raise ValueError("field mismatch")
-    p = _modulus(field)
-    acc, x, d, a = vectors[0], None, 1, vectors[0].degree  # x / d: acc dense, or x None
-    for k, v in enumerate(vectors[1:], 1):
-        b = v.degree
-        count = _term_count(acc) if x is None else int(np.count_nonzero(x))
-        if not count:
-            return field.zero()
-        if _gathers(p, n, a, b, count, _term_count(v)):
-            if x is None:
-                x, d = _dense_vector(acc)
-            y, dy = _dense_vector(v)
-            if k == len(vectors) - 2 and _exact_top(p, n, a, b):
-                z, dz = _dense_vector(vectors[-1])
-                x, d = _gather_top(x, y, z, n, a, b, p), d * dy * dz
-                break
-            x, d = _gather(x, y, n, a, b, p), d * dy
-        else:
-            if x is not None:
-                acc, x = _from_dense(x, d, n, a, field), None
-            acc = wedge(acc, v)
-        a += b
-    if x is None:
-        return acc.coefficient((1 << n) - 1)
-    return field.box(int(x[0]) if p is not None else Fraction(x[0], d))
+    if len(vectors) < 3:
+        return functools.reduce(wedge, vectors).coefficient((1 << n) - 1)
+    *head, v, w = vectors
+    u = functools.reduce(wedge, head)
+    p, a, b = _modulus(field), u.degree, v.degree
+    terms = _comb(n, a) * _comb(n - a, b)
+    if _gathers(p, n, a, b, _term_count(u), _term_count(v)) and _exact(p, terms):
+        (x, dx), (y, dy), (z, dz) = _dense_vector(u), _dense_vector(v), _dense_vector(w)
+        top = _gather_top(x, y, z, n, a, b, p)[0]
+        return field.box(int(top) if p is not None else Fraction(top, dx * dy * dz))
+    return wedge(wedge(u, v), w).coefficient((1 << n) - 1)
 
 
 def _contract_mask(phi_mask: int, w: ExteriorVector) -> ExteriorVector:
@@ -771,29 +752,25 @@ def _check_wedge_degree(n: int, a: int, s: int) -> None:
         raise ValueError("degree overflow")
 
 
-def _column(u: ExteriorVector) -> tuple[np.ndarray, np.ndarray]:
-    """u's unboxed coefficients in coefficient order as a column c of dtype
-    ``_dtype(u.field)``, and the column of -c (p - c over F_p)."""
-    p = _modulus(u.field)
-    c = np.array(list(u._coeffs.values()), dtype=_dtype(u.field)).reshape(-1, 1)
-    return c, -c if p is None else p - c
+def _column(u: ExteriorVector) -> np.ndarray:
+    """u's unboxed coefficients in coefficient order as a column of dtype
+    ``_dtype(u.field)``."""
+    return np.array(list(u._coeffs.values()), dtype=_dtype(u.field)).reshape(-1, 1)
 
 
 def _wedge_array(u: ExteriorVector, s: int, sign: int = 1) -> np.ndarray:
     """The matrix of t |-> sign * u ^ t on wedge^s(V) as an array of unboxed
     entries, zero where empty (``Fraction(0)`` over Q), scattered from
-    ``_wedge_scatter``: the i-th term's coefficient, or its negative, at the
-    positions of its table row, as its sign flags say."""
-    n, a = u.n, u.degree
+    ``_wedge_scatter``: the i-th term's coefficient times sign and the signs
+    of its table row at that row's positions, reduced mod p over F_p."""
+    n, a, p = u.n, u.degree, _modulus(u.field)
     _check_wedge_degree(n, a, s)
-    c, minus_c = _column(u)
-    if sign < 0:
-        c, minus_c = minus_c, c
-    rows = _term_positions(u)
-    flat, neg = _wedge_scatter(n, a, s)
+    c, rows = _column(u), _term_positions(u)
+    flat, signs = _wedge_scatter(n, a, s)
     nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
     A = np.full(nrows * ncols, u.field.unbox(u.field.zero()), dtype=c.dtype)
-    A[flat[rows]] = np.where(neg[rows], minus_c, c)
+    entries = c * (signs[rows] * sign)
+    A[flat[rows]] = entries if p is None else _mod_p(entries, p)
     return A.reshape(nrows, ncols)
 
 
@@ -840,7 +817,7 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
     Let c_0 e_mu0 be u's first term, at row i0 of ``_wedge_scatter``, and A
     the matrix of the map.  The term's C(n - a, s) entries sit at rows R0 =
     {mu0 | t} and columns C0 = {t}, t disjoint from mu0, and the block
-    A[R0, C0] is diagonal with entries +-c_0 (the table's sign flags): an
+    A[R0, C0] is diagonal with entries +-c_0 (the table's signs): an
     entry at row mu0 | t, column t' in C0 needs t' inside mu0 | t, and as t'
     misses mu0 that means t' = t.  So k = |C0| and S is the Schur complement
     A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the other rows and
@@ -852,20 +829,18 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
     n, a, p = u.n, u.degree, u.field.p
     rows = _term_positions(u)
     i0 = int(rows[0])
-    _, neg = _wedge_scatter(n, a, s)
-    k = neg.shape[1]
+    _, sign = _wedge_scatter(n, a, s)
+    k = sign.shape[1]
     mr, mc = math.comb(n, a + s) - k, math.comb(n, s) - k
-    c, minus_c = _column(u)
+    c = _column(u)
     buf = np.zeros(mr * mc + (mr + mc) * k, dtype=c.dtype)
     rest = rows[1:]
-    buf[_schur_scatter(n, a, s, i0)[rest]] = np.where(neg[rest], minus_c[1:], c[1:])
+    buf[_schur_scatter(n, a, s, i0)[rest]] = _mod_p(c[1:] * sign[rest], p)
     S = buf[: mr * mc].reshape(mr, mc)
     X = buf[mr * mc : mr * (mc + k)].reshape(mr, k)
     Y = buf[mr * (mc + k) :].reshape(k, mc)
-    inv = pow(int(c[0, 0]), -1, p)
-    d_inv = np.full(k, inv, dtype=buf.dtype)
-    d_inv[neg[i0]] = p - inv
-    X *= d_inv  # products of two residues, which the dtype holds
+    X *= sign[i0]  # times D^-1: (-p, p) times a residue, which the dtype holds
+    X *= pow(int(c[0, 0]), -1, p)
     _mod_p(X, p)
     submul_mod_p(S, X, Y, p)
     return k, S

@@ -63,6 +63,16 @@ def test_exit_code_zero_on_pass(tmp_path, capsys):
     assert "wall_time_s" in data
 
 
+@pytest.mark.parametrize("suite", ["taylor-check", "expand-check"])
+def test_verbose_prints_one_json_line_per_case(suite, capsys):
+    report = run(ExperimentConfig(command=suite, r=2, m=3, seed=1, trials=3))
+    assert main([suite, "--trials", "3", "--seed", "1", "-v"]) == 0
+    *cases, status = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in cases] == report.cases
+    assert cases == [json.dumps(case, sort_keys=True) for case in report.cases]
+    assert status.startswith(f"{suite}: PASS ({len(report.cases)} passed")
+
+
 def test_exit_code_nonzero_on_failing_suite(capsys):
     # p1-divisor on a degenerate splitting cannot verify the factorization
     code = main(

@@ -256,7 +256,7 @@ def test_int64_gather_guard_at_its_edge():
     ]:
         full = math.comb(n, 17), math.comb(n, b)
         assert exterior._gathers(q, n, 17, b, *full) is gathers, (q, n, b)
-        assert exterior._exact(q, 17, b) is gathers, (q, n, b)
+        assert exterior._exact(q, math.comb(17 + b, 17)) is gathers, (q, n, b)
 
 
 def test_route_floors_bound_the_table_by_one_dense_operand():
@@ -299,7 +299,7 @@ def top_wedge_cases(field, rng):
     gathers, so that the last two steps are one gather."""
     full = lambda n, k: full_vector(n, k, field, rng)
     sparse = lambda n, idx: ExteriorVector.basis(n, idx, field).scale(field.from_int(3))
-    u = full(3, 1)
+    u, u5 = full(3, 1), full(5, 1)
     return [
         ("m=2", [full(4, 2), full(4, 2)], False),
         ("m=3", [full(6, 2), full(6, 2), full(6, 2)], True),
@@ -316,6 +316,15 @@ def top_wedge_cases(field, rng):
         ("dense-born slots", [full(6, 2) + full(6, 2), full(6, 2).scale(field.from_int(5)), -full(6, 2)], True),
         # u ^ u = 0 for odd degree: the product is zero before the last slot.
         ("zero before last", [u, u, full(3, 1)], True),
+        # Five slots: the head fold makes two wedge calls before the tail.
+        ("m=5", [full(10, 2) for _ in range(5)], True),
+        ("(1,1,1,1,1)", [full(5, 1) for _ in range(5)], True),
+        # Both head steps scan their pairs (a one-term slot, then 28 terms
+        # below the floor of 70) and leave 70 terms, past the tail's floor
+        # of 28.
+        ("sparse slot in the head", [full(10, 2), sparse(10, (1, 2))] + [full(10, 2)] * 3, True),
+        # The head is zero after its first step; zero terms never gather.
+        ("zero in the head", [u5, u5] + [full(5, 1) for _ in range(3)], False),
     ]
 
 
@@ -333,6 +342,30 @@ def test_fused_top_step_matches_reference_fold(field, monkeypatch):
         assert len(calls) == fuses, label
         if label == "zero before last":
             assert got == field.zero()
+
+
+@pytest.mark.parametrize("field", FUSED_FIELDS + [PrimeField(2), PrimeField(3)], ids=str)
+def test_unfused_tail_matches_reference_fold(field, monkeypatch):
+    # With the tail's exactness check forced False, the last two steps are
+    # two wedges, and the step before last still gathers where it fuses.
+    def no_fused_step(*args):
+        raise AssertionError("fused step taken")
+
+    gathered = []
+    real_exact, real_gather = exterior._exact, exterior._gather
+    monkeypatch.setattr(exterior, "_gather_top", no_fused_step)
+    monkeypatch.setattr(
+        exterior, "_gather", lambda *args: gathered.append(args[2:5]) or real_gather(*args)
+    )
+    for label, slots, fuses in top_wedge_cases(field, random.Random(21)):
+        n, a, b = slots[0].n, sum(v.degree for v in slots[:-2]), slots[-2].degree
+        tail = math.comb(n, a) * math.comb(n - a, b)
+        exact = lambda p, terms: terms != tail and real_exact(p, terms)
+        monkeypatch.setattr(exterior, "_exact", exact)
+        gathered.clear()
+        assert top_wedge_coefficient(slots) == reference_top_wedge(slots), label
+        if field in FUSED_FIELDS and len(slots) > 2:
+            assert ((n, a, b) in gathered) == fuses, label
 
 
 def test_fused_table_signs_every_term_by_its_inversions():
@@ -369,15 +402,16 @@ def test_fused_top_guard_at_the_int64_edge():
     p = 3037000493
     under, over = math.comb(30, 2) * math.comb(28, 9), math.comb(34, 10) * math.comb(24, 1)
     assert under * p < 2**63 <= over * p
-    assert exterior._exact_top(p, 30, 2, 9) and not exterior._exact_top(p, 34, 10, 1)
-    assert exterior._exact(p, 10, 1) and exterior._exact(p, 11, 23)
+    assert exterior._exact(p, under) and not exterior._exact(p, over)
+    assert exterior._exact(p, math.comb(11, 10)) and exterior._exact(p, math.comb(34, 11))
     for q in (2**61 - 1, None):
-        assert exterior._exact_top(q, 34, 10, 1)
+        assert exterior._exact(q, over)
     for n in range(2, 40):
         for a in range(n + 1):
             for b in range(n - a + 1):
-                if exterior._exact_top(p, n, a, b):
-                    assert exterior._exact(p, a, b) and exterior._exact(p, a + b, n - a - b)
+                if exterior._exact(p, math.comb(n, a) * math.comb(n - a, b)):
+                    assert exterior._exact(p, math.comb(a + b, a))
+                    assert exterior._exact(p, math.comb(n, a + b))
 
 
 # -- refusals of operands that do not match ---------------------------------------
@@ -886,12 +920,13 @@ def reference_rank_mod_p(rows, p):
 
 def reference_wedge_columns(u, s):
     """The matrix of t |-> u ^ t as its columns u ^ e_t, one per degree-s
-    mask t in lex order, each from :func:`reference_wedge`."""
+    mask t in lex order, each from :func:`reference_wedge`, as unboxed
+    entries: residues over F_p, Fractions over Q."""
     field = u.field
     columns = []
     for t in lex_masks(u.n, s):
         image = reference_wedge(u, ExteriorVector(u.n, s, {t: field.one()}, field))
-        columns.append([c.v for c in coefficient_vector(image)])
+        columns.append([field.unbox(c) for c in coefficient_vector(image)])
     return columns
 
 
@@ -915,6 +950,36 @@ def rank_inputs(draw, fields, max_n=9):
 def test_wedge_rank_matches_reference_rank_mod_p(case):
     u, s = case
     assert wedge_rank(u, s) == reference_rank_mod_p(reference_wedge_columns(u, s), u.field.p)
+
+
+# Residues mod 2, 3 and 2^31 - 1 in int64, mod 2^61 - 1 in object arrays, and Q.
+SIGN_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ]
+
+
+@given(rank_inputs(SIGN_FIELDS, max_n=7), st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+def test_wedge_array_is_the_signed_matrix_of_reference_columns(case, sign):
+    # One multiply by the scatter table's signs and the map's sign, then a
+    # reduction mod p, against the columns u ^ e_t of the dict walk.
+    u, s = case
+    p = getattr(u.field, "p", None)
+    columns = reference_wedge_columns(u, s)
+    want = [[sign * c if p is None else sign * c % p for c in col] for col in columns]
+    A = exterior._wedge_array(u, s, sign)
+    assert A.dtype == (object if p is None else _residue_dtype(p))
+    assert A.T.tolist() == want
+
+
+def test_scatter_signs_are_the_int64_parities_of_odd_above():
+    for n in range(1, 8):
+        for a in range(n + 1):
+            for s in range(n - a + 1):
+                flat, sign = exterior._wedge_scatter(n, a, s)
+                assert sign.dtype == np.int64 and sign.shape == flat.shape
+                ts = lex_masks(n, s)
+                for mu, cols, signs in zip(lex_masks(n, a), flat % len(ts), sign):
+                    odd = _odd_above(mu)
+                    assert signs.tolist() == [(-1) ** (ts[t] & odd).bit_count() for t in cols]
 
 
 # Bareiss on 2^70-sized entries: n <= 7 keeps the matrices at 35 x 35 or less.
@@ -1020,12 +1085,12 @@ def reference_schur(u, s):
     p = u.field.p
     A = exterior._wedge_array(u, s)
     mu0, c0 = next(iter(u._coeffs.items()))
-    flat, neg = exterior._wedge_scatter(u.n, u.degree, s)
+    flat, sign = exterior._wedge_scatter(u.n, u.degree, s)
     i0 = exterior._lex_position(u.n, u.degree)[mu0]
     rows0, cols0 = np.divmod(flat[i0], A.shape[1])
     inv = pow(c0, -1, p)
     d_inv = np.full(len(cols0), inv, dtype=A.dtype)
-    d_inv[neg[i0]] = p - inv
+    d_inv[sign[i0] < 0] = p - inv
     rest_rows = np.delete(np.arange(A.shape[0]), rows0)
     rest_cols = np.delete(np.arange(A.shape[1]), cols0)
     S = A[np.ix_(rest_rows, rest_cols)]
@@ -1157,6 +1222,14 @@ def test_random_exterior_refuses_ambient_dimension_before_sampling(n):
     for field in (F, QQ):
         with pytest.raises(ValueError, match="1..64"):
             random_exterior(n, 4, field, NoDraws(0))
+
+
+def test_repr_lists_terms_in_lex_order():
+    F7 = PrimeField(7)
+    assert repr(ExteriorVector.zero(4, 2, F7)) == "ExteriorVector(0; n=4, k=2)"
+    u = ExteriorVector(4, 2, {0b1100: F7.from_int(1), 0b0011: F7.from_int(3)}, F7)
+    assert repr(u) == "Fp(3 mod 7)*e[1, 2] + Fp(1 mod 7)*e[3, 4]"
+    assert repr(ev(4, (2, 3))) == "Fraction(1, 1)*e[2, 3]"
 
 
 def test_json_roundtrip_exact():

@@ -68,6 +68,15 @@ def test_mixed_modulus_rejected():
         Fp(1, 7) + Fp(1, 11)
 
 
+def test_int_minus_fp_and_division_by_zero():
+    assert 5 - Fp(3, 7) == Fp(2, 7) and 1 - Fp(3, 7) == Fp(5, 7)
+    with pytest.raises(TypeError):
+        1.5 - Fp(3, 7)
+    for zero in (Fp(0, 7), 0, 7):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            Fp(3, 7) / zero
+
+
 def test_rank_identity():
     for field in (QQ, F):
         rows = [[field.one() if i == j else field.zero() for j in range(3)] for i in range(3)]
