@@ -42,15 +42,19 @@ masks disjoint from one term of the other, the length of a table row.
 Then the C(n, a) * C(n - a, b) disjoint pairs of the tables are no more
 than v's terms paired with every coordinate of u, nor u's terms with every
 coordinate of v, so the table is never larger than one operand's dense
-vector times the other's term count; sparse vectors, and large n, scan
-their pairs (``_wedge_walk``), signing each one off ``_odd_above``, and
-never build a table.  The gather reads every disjoint pair from
-``_wedge_gather(n, a, b)`` (the scatter table below, grouped by output
-coordinate, each pair with its int64 +-1 sign) and sums the signed products
-by output coordinate, over the product dx * dy of the inputs' denominators:
-one multiply by the sign array signs every product.  On int64 residues each product is reduced mod p before it is
-signed, so each term lies in (-p, p); Python ints are signed and summed as
-they are and reduced once mod p.  Every reduction of an int64 array goes
+vector times the other's term count.  Their term pairs must also number
+at least max(C(n, a), C(n, b)), the longer dense vector: at top degree, a
++ b = n, both floors are 1, and the one-term vectors e_{1..20} and
+e_{21..40} would otherwise build dense vectors of C(40, 20) entries.
+Sparse vectors, and large n, scan their pairs (``_wedge_walk``), signing
+each one off ``_odd_above``, and never build a table.  The gather reads
+every disjoint pair from ``_wedge_gather(n, a, b)`` (the wedge table below,
+one row per output coordinate, each pair with its int64 +-1 sign) and sums
+the signed products by output coordinate, over the product dx * dy of the
+inputs' denominators: one multiply by the sign array signs every product.
+On int64 residues each product is reduced mod p before it is signed, so
+each term lies in (-p, p); Python ints are signed and summed as they are
+and reduced once mod p.  Every reduction of an int64 array goes
 through :func:`pluckerlab.scalars._mod_p`, which picks ``%`` or the floor
 remainder by the array's size.  The summed vector is the result, born
 dense (``_from_dense``).  ``top_wedge_coefficient`` checks its slots once
@@ -70,30 +74,33 @@ dict of its nonzero entries, as degree-1 vectors.  Outputs are built through
 ``ExteriorVector._trusted``, which skips the per-term checks of the public
 constructor, so nothing on these paths is boxed.
 
-Scatter table.  ``_wedge_scatter(n, a, s)``, built once from ``lex_masks``
-and ``_odd_above``, lists for each degree-a mask (in lex order) the flat
-row-major positions of the nonzero entries of the matrix of t |-> e_mu ^ t
-on wedge^s(V), with the int64 sign, +-1, of each: two 2-D int arrays,
-C(n - a, s) entries a row.  ``_wedge_array`` fills an array of unboxed
-entries from it with one fancy-index assignment of u's coefficient column
-(``_column``: residues over F_p, Fractions over Q) times the signs of each
-term's row, one multiply, reduced mod p by ``_mod_p`` over F_p:
-``wedge_rank`` over Q ranks that array unboxed, and the blocks of the
-tangent systems of ``plucker_form.tangent_codim`` are such arrays, each
-with its sign.  The
-gather in ``wedge`` reads the same table through
-``_wedge_gather``, and ``wedge_rank`` over F_p through ``_schur_scatter``
-(below), so every wedge kernel shares one index table.
+Wedge table.  ``_wedge_gather(n, a, b)``, built once per shape straight
+from its entries, has one row per degree-(a + b) mask K in lex order, and
+lists the C(a + b, a) splittings of K as I | J, from
+``itertools.combinations`` over K's bits with I in lex order: the lex
+position of I, that of J, and the int64 sign, +-1, off ``_odd_above(I)``.
+It is the one cached table that enumerates masks; every other wedge table
+is derived from it.  In the matrix of t |-> u ^ t on wedge^s(V), each
+entry (I, J, sign) of row K of ``_wedge_gather(n, a, s)`` puts sign * u_I
+at row K, column J, and every other entry is zero: ``_wedge_array`` fills
+an array of unboxed entries with one fancy-index assignment of u's dense
+vector (x / d as Fractions over Q) times the signs, one multiply, reduced
+mod p by ``_mod_p`` over F_p.  ``wedge_rank`` over Q ranks that array unboxed, and
+the blocks of the tangent systems of ``plucker_form.tangent_codim`` are
+such arrays, each with its sign.  The gather in ``wedge``, the fused top
+step (``_top_gather``) and ``wedge_rank`` over F_p (``_schur_scatter``,
+below) read the same table.
 
-Rank over F_p.  The table row i0 of u's first term c_0 e_mu0 is also a
+Rank over F_p.  The table entries of u's lex-first term c_0 e_mu0 form a
 diagonal block of the wedge matrix: rows mu0 | t and columns t for the
 C(n - a, s) masks t disjoint from mu0, entries +-c_0.  So ``wedge_rank``
 counts those pivots at once and hands only the Schur complement S of that
 block (``_wedge_schur``) to :func:`pluckerlab.scalars.rank_mod_p`.  The
 wedge matrix itself is never built: ``_schur_scatter(n, a, s, i0)``, cached
-per pivot row in a bounded cache, maps every scatter-table entry to its
-place in S, in X (the pivot columns) or in Y (the pivot rows), so one
-fancy-index assignment of the signed residues of c fills all three, and
+per pivot mask in a bounded cache, maps every table entry to its place in
+S, in X (the pivot columns), in Y (the pivot rows) or, for the pivot's own
+entries, in a trailing block D, so one fancy-index assignment of the
+signed residues of u's dense vector fills them all, and
 :func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  This is the
 panel step of :func:`pluckerlab.scalars.rank_mod_p`, taken once on a panel
 whose pivot block is known without elimination; ``rank_mod_p`` then takes
@@ -190,50 +197,30 @@ def _lex_position(n: int, k: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _wedge_scatter(n: int, a: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each basis vector e_mu of degree a lands in the matrix of
-    t |-> e_mu ^ t on wedge^s(V), lex bases on both sides, stored row-major.
-
-    Row i of the table belongs to the i-th mask mu of ``lex_masks(n, a)``:
-    ``flat[i]`` holds the flat positions ``row * ncols + col`` of its
-    C(n - a, s) nonzero entries, one per degree-s mask t disjoint from mu,
-    and ``sign[i]`` their signs, int64 +-1: e_mu ^ e_t = sign * e_{mu|t}.
-    The matrix of t |-> u ^ t puts sign * c_mu at the positions of row i for
-    each term c_mu e_mu of u; no two terms share a position, because mu =
-    (mu|t) minus t is fixed by the entry's row and column.
-    """
-    row_pos, col_pos = _lex_position(n, a + s), _lex_position(n, s)
-    ts, ncols = lex_masks(n, s), len(col_pos)
-    flat, sign = [], []
-    for mu in lex_masks(n, a):
-        odd = _odd_above(mu)
-        row = [t for t in ts if not mu & t]
-        flat.append([row_pos[mu | t] * ncols + col_pos[t] for t in row])
-        sign.append([1 - 2 * ((t & odd).bit_count() & 1) for t in row])
-    return np.array(flat, dtype=np.intp), np.array(sign, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
 def _wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_wedge_scatter(n, a, b)`` split and grouped by output coordinate,
-    for the wedge of a degree-a by a degree-b vector.
+    """The disjoint pairs of the wedge of a degree-a by a degree-b vector,
+    grouped by output coordinate: the one index table of every wedge kernel.
 
-    A scatter entry ``row * ncols + col`` of table row i is the disjoint pair
-    (i-th degree-a mask, col-th degree-b mask) landing on output coordinate
-    ``row``, and each degree-(a + b) mask splits in C(a + b, a) such pairs.
-    Row K of each returned array lists the pairs of output coordinate K: the
-    lex position of the degree-a mask, that of the degree-b mask, and the
-    sign of the pair, int64 +-1 as in the scatter table, so one multiply
-    signs a row of products.
+    Row K belongs to the K-th mask of ``lex_masks(n, a + b)`` and lists its
+    C(a + b, a) splittings I | J, with I in lex order: the lex position of
+    I, that of J, and the sign of e_I ^ e_J = sign * e_{I|J}, int64 +-1 off
+    ``_odd_above(I)``, so one multiply signs a row of products.  It is
+    built entry by entry, C(n, a) * C(n - a, b) of them.
     """
-    flat, sign = _wedge_scatter(n, a, b)
-    out_row, v_col = np.divmod(flat, math.comb(n, b))
-    order = np.argsort(out_row, axis=None, kind="stable")
+    u_pos, v_pos = _lex_position(n, a), _lex_position(n, b)
+    u_at, v_at, sign = [], [], []
+    for K in lex_masks(n, a + b):
+        for I in itertools.combinations([1 << i for i in range(n) if K >> i & 1], a):
+            mu = sum(I)
+            mv = K ^ mu
+            u_at.append(u_pos[mu])
+            v_at.append(v_pos[mv])
+            sign.append(1 - 2 * ((mv & _odd_above(mu)).bit_count() & 1))
     shape = (-1, math.comb(a + b, a))
     return (
-        (order // flat.shape[1]).reshape(shape),
-        v_col.ravel()[order].reshape(shape),
-        sign.ravel()[order].reshape(shape),
+        np.array(u_at, dtype=np.intp).reshape(shape),
+        np.array(v_at, dtype=np.intp).reshape(shape),
+        np.array(sign, dtype=np.int64).reshape(shape),
     )
 
 
@@ -471,12 +458,13 @@ def _term_count(u: ExteriorVector) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gather_floor(n: int, a: int, b: int) -> tuple[int, int]:
-    """(C(n - b, a), C(n - a, b)): the degree-a masks disjoint from one
-    degree-b mask, and the degree-b masks disjoint from one degree-a mask,
-    the least term counts of a degree-a by degree-b wedge on n letters that
-    gathers (:func:`_gathers`)."""
-    return math.comb(n - b, a), math.comb(n - a, b)
+def _gather_floor(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """(C(n - b, a), C(n - a, b), max(C(n, a), C(n, b))): the least term
+    count of u, that of v, and the least term-pair count with which a
+    degree-a by degree-b wedge u ^ v on n letters gathers
+    (:func:`_gathers`).  The first two are the masks disjoint from one term
+    of the other operand, the third the length of the longer dense vector."""
+    return math.comb(n - b, a), math.comb(n - a, b), max(math.comb(n, a), math.comb(n, b))
 
 
 # math.comb cached per shape: the term counts that the exactness checks of
@@ -499,23 +487,19 @@ def _gathers(p, n: int, a: int, b: int, nu: int, nv: int) -> bool:
     vector on n letters, over F_p (over Q when p is None), gathers through
     the cached tables; it reads only shapes and term counts.
 
-    It gathers when nu >= C(n - b, a) and nv >= C(n - a, b), and the
-    C(a + b, a)-term row sums are exact (:func:`_exact`): past that guard
-    the wedge scans its pairs.
+    It gathers when nu >= C(n - b, a), nv >= C(n - a, b) and nu * nv >=
+    max(C(n, a), C(n, b)), and the C(a + b, a)-term row sums are exact
+    (:func:`_exact`): past that guard the wedge scans its pairs.
     The table's C(n, a) * C(n - a, b) = C(n, b) * C(n - b, a) pairs are
     then at most C(n, a) * nv and nu * C(n, b): it is never larger than one
     operand's dense vector times the other's term count, and every wedge
     with at least as many term pairs as the table meets both floors.
     Sparse wedges, and at n = 64 the table can reach 10^9 masks, scan their
-    own pairs instead."""
-    fu, fv = _gather_floor(n, a, b)
-    return nu >= fu and nv >= fv and _exact(p, _comb(a + b, a))
-
-
-def _term_positions(u: ExteriorVector) -> np.ndarray:
-    """Lex position of each term of u, in the order of its coefficients."""
-    coeffs, at = u._coeffs, _lex_position(u.n, u.degree)
-    return np.fromiter(map(at.__getitem__, coeffs), dtype=np.intp, count=len(coeffs))
+    own pairs instead.  At top degree, a + b = n, both floors are 1, and the
+    third keeps two one-term vectors from building dense vectors of C(n, a)
+    entries: no dense vector is longer than the pairs scanned instead."""
+    fu, fv, fd = _gather_floor(n, a, b)
+    return nu >= fu and nv >= fv and nu * nv >= fd and _exact(p, _comb(a + b, a))
 
 
 def _dense_vector(u: ExteriorVector) -> tuple[np.ndarray, int]:
@@ -531,7 +515,8 @@ def _dense_vector(u: ExteriorVector) -> tuple[np.ndarray, int]:
             d = math.lcm(*(c.denominator for c in cs))
             cs = [c.numerator * (d // c.denominator) for c in cs]
         x = np.zeros(math.comb(u.n, u.degree), dtype=_dtype(u.field))
-        x[_term_positions(u)] = cs
+        at = _lex_position(u.n, u.degree)
+        x[np.fromiter(map(at.__getitem__, u._dict), dtype=np.intp, count=len(cs))] = cs
         x.flags.writeable = False
         u._dense = x, d
     return u._dense
@@ -752,95 +737,100 @@ def _check_wedge_degree(n: int, a: int, s: int) -> None:
         raise ValueError("degree overflow")
 
 
-def _column(u: ExteriorVector) -> np.ndarray:
-    """u's unboxed coefficients in coefficient order as a column of dtype
-    ``_dtype(u.field)``."""
-    return np.array(list(u._coeffs.values()), dtype=_dtype(u.field)).reshape(-1, 1)
-
-
 def _wedge_array(u: ExteriorVector, s: int, sign: int = 1) -> np.ndarray:
     """The matrix of t |-> sign * u ^ t on wedge^s(V) as an array of unboxed
-    entries, zero where empty (``Fraction(0)`` over Q), scattered from
-    ``_wedge_scatter``: the i-th term's coefficient times sign and the signs
-    of its table row at that row's positions, reduced mod p over F_p."""
+    entries, zero where empty (``Fraction(0)`` over Q).  Each entry (I, J)
+    of row K of ``_wedge_gather(n, a, s)`` puts u_I, read off u's dense
+    vector (x / d as Fractions over Q), times sign and the entry's sign at
+    row K, column J; reduced mod p over F_p."""
     n, a, p = u.n, u.degree, _modulus(u.field)
     _check_wedge_degree(n, a, s)
-    c, rows = _column(u), _term_positions(u)
-    flat, signs = _wedge_scatter(n, a, s)
-    nrows, ncols = len(lex_masks(n, a + s)), len(lex_masks(n, s))
-    A = np.full(nrows * ncols, u.field.unbox(u.field.zero()), dtype=c.dtype)
-    entries = c * (signs[rows] * sign)
-    A[flat[rows]] = entries if p is None else _mod_p(entries, p)
-    return A.reshape(nrows, ncols)
+    x, d = _dense_vector(u)
+    if p is None:
+        x = x / Fraction(d)
+    u_at, v_at, signs = _wedge_gather(n, a, s)
+    A = np.full((len(u_at), _comb(n, s)), u.field.unbox(u.field.zero()), dtype=x.dtype)
+    entries = x[u_at] * (signs * sign)
+    A[np.arange(len(u_at))[:, None], v_at] = entries if p is None else _mod_p(entries, p)
+    return A
 
 
 @lru_cache(maxsize=16)
-def _schur_scatter(n: int, a: int, s: int, i0: int) -> np.ndarray:
-    """Where each entry of ``_wedge_scatter(n, a, s)`` lands when the pivot is
-    the block of table row i0 (see :func:`_wedge_schur`): its position in one
-    flat buffer laid out S | X | Y, with S = A[R', C'] (mr x mc), X =
-    A[R', C0] (mr x k) and Y = A[R0, C'] (k x mc), all row-major.
+def _schur_scatter(n: int, a: int, s: int, i0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of ``_wedge_gather(n, a, s)`` lands when the pivot is
+    the block of the i0-th degree-a mask (see :func:`_wedge_schur`), and the
+    signs of that block's entries.
 
-    R' and C' keep their ascending order; the columns of X and the rows of Y
-    follow ``flat[i0]``, so pivot j sits at row ``rows0[j]``, column
-    ``cols0[j]``.  Row i0's own entries form the diagonal block itself, and
-    their positions are never used.  The cache is bounded: one table costs
-    277 KB at (12, 4, 4) and about 6 MB at (15, 5, 5).
+    The first array gives each entry's position in one flat buffer laid out
+    S | X | Y | D, with S = A[R', C'] (mr x mc), X = A[R', C0] (mr x k), Y =
+    A[R0, C'] (k x mc), all row-major, and D the k pivots.  R' and C' keep
+    their ascending order; pivot j is the j-th table entry of I = i0 in
+    row-major order, at row ``R0[j]`` and column ``C0[j]``, and sits at
+    position j of X's columns, of Y's rows and of D.  The second array holds
+    the pivots' signs, int64 +-1, in that order.  The cache is bounded: one
+    entry costs 277 KB at (12, 4, 4) and about 6 MB at (15, 5, 5), beside
+    the 832 KB and 18 MB of the ``_wedge_gather`` table it indexes.
     """
-    flat, _ = _wedge_scatter(n, a, s)
-    nrows, ncols, k = math.comb(n, a + s), math.comb(n, s), flat.shape[1]
+    u_at, v_at, sign = _wedge_gather(n, a, s)
+    nrows, ncols = u_at.shape[0], _comb(n, s)
+    pivot = u_at == i0
+    rows0, cols0 = np.flatnonzero(pivot.any(axis=1)), v_at[pivot]
+    k = len(cols0)
     mr, mc = nrows - k, ncols - k
-    rows0, cols0 = np.divmod(flat[i0], ncols)
     maps = []
     for size, pivots in ((nrows, rows0), (ncols, cols0)):
         # Each row (column) -> its index among the non-pivot ones, or, for
-        # a pivot, its index j in ``flat[i0]``.
+        # a pivot, its index j.
         is_pivot = np.zeros(size, dtype=bool)
         is_pivot[pivots] = True
         at = np.cumsum(~is_pivot) - 1
         at[pivots] = np.arange(k)
         maps.append((is_pivot, at))
     (row_piv, row_at), (col_piv, col_at) = maps
-    row, col = np.divmod(flat, ncols)
-    i, j = row_at[row], col_at[col]
-    return np.where(
-        row_piv[row],
+    i, j = row_at[:, None], col_at[v_at]
+    where = np.where(
+        row_piv[:, None],
         mr * (mc + k) + i * mc + j,
-        np.where(col_piv[col], mr * mc + i * k + j, i * mc + j),
+        np.where(col_piv[v_at], mr * mc + i * k + j, i * mc + j),
     )
+    # The pivots' own entries, the only ones in a pivot row and a pivot
+    # column (see :func:`_wedge_schur`), are pivots 0 to k - 1 in row-major
+    # order.
+    where[pivot] = mr * (mc + k) + k * mc + np.arange(k)
+    return where, sign[pivot]
 
 
 def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
     """Over F_p and for nonzero u, (k, S) with rank(t |-> u ^ t on
     wedge^s(V)) = k + rank(S).
 
-    Let c_0 e_mu0 be u's first term, at row i0 of ``_wedge_scatter``, and A
-    the matrix of the map.  The term's C(n - a, s) entries sit at rows R0 =
-    {mu0 | t} and columns C0 = {t}, t disjoint from mu0, and the block
-    A[R0, C0] is diagonal with entries +-c_0 (the table's signs): an
-    entry at row mu0 | t, column t' in C0 needs t' inside mu0 | t, and as t'
-    misses mu0 that means t' = t.  So k = |C0| and S is the Schur complement
-    A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the other rows and
-    columns (rank additivity, Guttman 1946).  A itself is never built: the
-    other terms' entries are scattered straight into S, X = A[R', C0] and
-    Y = A[R0, C'] through the cached ``_schur_scatter(n, a, s, i0)``, X is
-    scaled by D^-1, and :func:`pluckerlab.scalars.submul_mod_p` forms S.
+    Let c_0 e_mu0 be u's lex-first term, the first nonzero entry of its
+    dense vector, and A the matrix of the map.  The term's C(n - a, s)
+    entries sit at rows R0 = {mu0 | t} and columns C0 = {t}, t disjoint from
+    mu0, and the block D = A[R0, C0] is diagonal with entries +-c_0 (the
+    table's signs): an entry at row mu0 | t, column t' in C0 needs t' inside
+    mu0 | t, and as t' misses mu0 that means t' = t.  So k = |C0| and S is
+    the Schur complement A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the
+    other rows and columns (rank additivity, Guttman 1946).  A itself is
+    never built: every entry of ``_wedge_gather`` is signed and reduced at
+    once and scattered straight into S, X = A[R', C0], Y = A[R0, C'] and D
+    through the cached ``_schur_scatter(n, a, s, i0)``, X is scaled by D^-1,
+    and :func:`pluckerlab.scalars.submul_mod_p` forms S.
     """
     n, a, p = u.n, u.degree, u.field.p
-    rows = _term_positions(u)
-    i0 = int(rows[0])
-    _, sign = _wedge_scatter(n, a, s)
-    k = sign.shape[1]
-    mr, mc = math.comb(n, a + s) - k, math.comb(n, s) - k
-    c = _column(u)
-    buf = np.zeros(mr * mc + (mr + mc) * k, dtype=c.dtype)
-    rest = rows[1:]
-    buf[_schur_scatter(n, a, s, i0)[rest]] = _mod_p(c[1:] * sign[rest], p)
+    x, _ = _dense_vector(u)
+    i0 = int(np.flatnonzero(x)[0])
+    u_at, _, sign = _wedge_gather(n, a, s)
+    where, d_sign = _schur_scatter(n, a, s, i0)
+    k = len(d_sign)
+    mr, mc = u_at.shape[0] - k, _comb(n, s) - k
+    buf = np.zeros(mr * mc + (mr + mc) * k + k, dtype=x.dtype)
+    buf[where] = _mod_p(x[u_at] * sign, p)
     S = buf[: mr * mc].reshape(mr, mc)
     X = buf[mr * mc : mr * (mc + k)].reshape(mr, k)
-    Y = buf[mr * (mc + k) :].reshape(k, mc)
-    X *= sign[i0]  # times D^-1: (-p, p) times a residue, which the dtype holds
-    X *= pow(int(c[0, 0]), -1, p)
+    Y = buf[mr * (mc + k) : mr * (mc + k) + k * mc].reshape(k, mc)
+    X *= d_sign  # times D^-1: (-p, p) times a residue, which the dtype holds
+    X *= pow(int(x[i0]), -1, p)
     _mod_p(X, p)
     submul_mod_p(S, X, Y, p)
     return k, S
@@ -853,7 +843,7 @@ def wedge_rank(u: ExteriorVector, s: int) -> int:
     The matrix is never boxed.  A zero u has rank 0, returned before
     anything is allocated.  Over Q it is Bareiss elimination on the unboxed
     array of ``_wedge_array``.  Over F_p the matrix is not even built: u's
-    first term's diagonal block gives C(n - a, s) pivots at once, and the
+    lex-first term's diagonal block gives C(n - a, s) pivots at once, and the
     Schur complement S of that block, scattered straight from u's residues
     and formed by :func:`pluckerlab.scalars.submul_mod_p`
     (:func:`_wedge_schur`), is all that is left to

@@ -11,19 +11,29 @@ matrix through the library's one rank entry, so the row loop
 elimination that ``rank_mod_p`` ran before it was blocked into panels;
 ``reference_wedge`` signs each pair of index tuples by counting the
 inversions of their concatenation, and ``reference_top_wedge`` folds it over
-the slots of a top wedge.  None of them is part of the package's API.
+the slots of a top wedge; ``reference_wedge_gather`` builds the wedge's index
+table by scanning every pair of masks and sorting the disjoint ones by
+output coordinate.  None of them is part of the package's API.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Sequence
 
 import numpy as np
 
 from pluckerlab.bundle_pairs_p1 import BundlePairP1, P1Point, _section_values
-from pluckerlab.exterior import ExteriorVector, MultiIndex, _wedge_array, lex_masks
+from pluckerlab.exterior import (
+    ExteriorVector,
+    MultiIndex,
+    _lex_position,
+    _odd_above,
+    _wedge_array,
+    lex_masks,
+)
 from pluckerlab.plucker_form import PointTuple, _tangent_array
 from pluckerlab.scalars import (
     DenseMatrix,
@@ -122,6 +132,25 @@ def reference_top_wedge(slots: Sequence[ExteriorVector]) -> Scalar:
     for v in slots[1:]:
         acc = reference_wedge(acc, v)
     return acc.coefficient((1 << acc.n) - 1)
+
+
+def reference_wedge_gather(n: int, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """``exterior._wedge_gather(n, a, b)`` the long way: scan all C(n, a) *
+    C(n, b) pairs of a degree-a mask I and a degree-b mask J, keep the
+    disjoint ones with the output coordinate of I | J, the positions of I
+    and J and the sign off ``_odd_above(I)``, and sort them by output
+    coordinate with a stable argsort, so each row lists I in lex order."""
+    out_pos = _lex_position(n, a + b)
+    rows = [
+        (out_pos[mu | mv], i, j, 1 - 2 * ((mv & _odd_above(mu)).bit_count() & 1))
+        for i, mu in enumerate(lex_masks(n, a))
+        for j, mv in enumerate(lex_masks(n, b))
+        if not mu & mv
+    ]
+    out, u_at, v_at, sign = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    order = np.argsort(out, kind="stable")
+    shape = (-1, math.comb(a + b, a))
+    return tuple(t[order].reshape(shape) for t in (u_at, v_at, sign))
 
 
 def mat_vec(M: DenseMatrix, v: Sequence[Scalar]) -> list[Scalar]:

@@ -17,6 +17,7 @@ from oracles import (
     mat_vec,
     reference_top_wedge,
     reference_wedge,
+    reference_wedge_gather,
     wedge_matrix,
 )
 from pluckerlab import exterior
@@ -261,24 +262,45 @@ def test_int64_gather_guard_at_its_edge():
 
 def test_route_floors_bound_the_table_by_one_dense_operand():
     # A wedge gathers once each operand has as many terms as a table row:
-    # the masks disjoint from one term of the other.  Then the table is at
+    # the masks disjoint from one term of the other, and once its term pairs
+    # are as many as the longer dense vector's entries.  Then the table is at
     # most one operand's dense length times the other's term count, and
-    # every wedge the pair count sends to the tables meets both floors.
+    # every wedge the pair count sends to the tables meets all three floors.
     for n in range(1, 10):
         for a in range(n + 1):
             for b in range(n - a + 1):
-                fu, fv = exterior._gather_floor(n, a, b)
+                fu, fv, fd = exterior._gather_floor(n, a, b)
                 table = math.comb(n, a) * math.comb(n - a, b)
                 assert table <= math.comb(n, a) * fv and table <= fu * math.comb(n, b)
+                assert fd == max(math.comb(n, a), math.comb(n, b)) <= table
                 for nu in range(1, math.comb(n, a) + 1):
                     for nv in range(1, math.comb(n, b) + 1):
                         gathers = exterior._gathers(None, n, a, b, nu, nv)
-                        assert gathers == (nu >= fu and nv >= fv)
+                        assert gathers == (nu >= fu and nv >= fv and nu * nv >= fd)
                         assert gathers or nu * nv < table
     # 62-term degree-3 vectors on 64 letters scan: the table would hold
     # C(64, 6) * 20, about 1.5e9 masks, for 3844 term pairs.
     assert not exterior._gathers(F.p, 64, 3, 3, 62, 62)
-    assert exterior._gather_floor(64, 3, 3) == (35990, 35990)
+    assert exterior._gather_floor(64, 3, 3) == (35990, 35990, 41664)
+
+
+@pytest.mark.parametrize("n, field", [(18, F), (40, QQ)], ids=["fp", "q"])
+def test_one_term_wedge_at_top_degree_skips_the_table(n, field, monkeypatch):
+    # Both floors of C(n - b, a) and C(n - a, b) terms are 1 at a + b = n,
+    # but one term pair is fewer than the C(n, n / 2) entries of either
+    # dense vector: over Q the dense vectors at n = 40 would hold 1.4e11.
+    def no_table(*args):
+        raise AssertionError(f"wedge table {args} built for a one-term wedge")
+
+    monkeypatch.setattr(exterior, "_wedge_gather", no_table)
+    half = range(1, n // 2 + 1)
+    u = ExteriorVector.basis(n, half, field)
+    v = ExteriorVector.basis(n, [i + n // 2 for i in half], field)
+    assert wedge(u, v) == ExteriorVector.basis(n, range(1, n + 1), field)
+    # (n/2)^2 inversions: odd at n = 18, even at n = 40.
+    assert wedge(v, u) == ExteriorVector.basis(n, range(1, n + 1), field).scale(
+        field.from_int((-1) ** (n // 2))
+    )
 
 
 # -- the last two steps of a top wedge as one gather ------------------------------
@@ -822,9 +844,9 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
     # The table for (64, 3, 3) would hold about 1.5e9 masks, so building it
     # is refused here rather than attempted.
     def no_table(*args):
-        raise AssertionError(f"scatter table {args} built for a sparse wedge")
+        raise AssertionError(f"wedge table {args} built for a sparse wedge")
 
-    monkeypatch.setattr(exterior, "_wedge_scatter", no_table)
+    monkeypatch.setattr(exterior, "_wedge_gather", no_table)
     u = ExteriorVector.basis(64, (1, 5, 64), F)
     v = ExteriorVector.basis(64, (2, 3, 4), F) + ExteriorVector.basis(64, (5, 6, 7), F)
     # (1, 5, 64, 2, 3, 4) has six inversions; e_{5,6,7} meets u.
@@ -832,15 +854,15 @@ def test_sparse_wedge_in_large_dimension_skips_the_table(monkeypatch):
 
 
 def _no_table_on(monkeypatch, n):
-    """Make building any scatter table on n letters fail."""
-    table = exterior._wedge_scatter
+    """Make building any wedge table on n letters fail."""
+    table = exterior._wedge_gather
 
     def no_table(*args):
         if args[0] == n:
-            raise AssertionError(f"scatter table {args} built for a sparse wedge")
+            raise AssertionError(f"wedge table {args} built for a sparse wedge")
         return table(*args)
 
-    monkeypatch.setattr(exterior, "_wedge_scatter", no_table)
+    monkeypatch.setattr(exterior, "_wedge_gather", no_table)
 
 
 def _minor(rows, cols):
@@ -971,15 +993,29 @@ def test_wedge_array_is_the_signed_matrix_of_reference_columns(case, sign):
 
 
 def test_scatter_signs_are_the_int64_parities_of_odd_above():
+    # Each row of the wedge table lists every splitting of its mask once,
+    # with the int64 sign that _wedge_array and _wedge_schur scatter.
     for n in range(1, 8):
         for a in range(n + 1):
             for s in range(n - a + 1):
-                flat, sign = exterior._wedge_scatter(n, a, s)
-                assert sign.dtype == np.int64 and sign.shape == flat.shape
-                ts = lex_masks(n, s)
-                for mu, cols, signs in zip(lex_masks(n, a), flat % len(ts), sign):
-                    odd = _odd_above(mu)
-                    assert signs.tolist() == [(-1) ** (ts[t] & odd).bit_count() for t in cols]
+                u_at, v_at, sign = exterior._wedge_gather(n, a, s)
+                assert sign.dtype == np.int64 and sign.shape == u_at.shape == v_at.shape
+                mus, ts = lex_masks(n, a), lex_masks(n, s)
+                for K, row in zip(lex_masks(n, a + s), zip(u_at, v_at, sign)):
+                    pairs = [(mus[i], ts[t], int(c)) for i, t, c in zip(*row)]
+                    assert all(mu | t == K and not mu & t for mu, t, _ in pairs)
+                    assert len({mu for mu, _, _ in pairs}) == math.comb(a + s, a)
+                    for mu, t, c in pairs:
+                        assert c == (-1) ** (t & _odd_above(mu)).bit_count()
+
+
+def test_wedge_table_is_the_sorted_pair_scan():
+    for n in range(1, 10):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                got, want = exterior._wedge_gather(n, a, b), reference_wedge_gather(n, a, b)
+                assert [t.shape for t in got] == [t.shape for t in want], (n, a, b)
+                assert all((g == w).all() for g, w in zip(got, want)), (n, a, b)
 
 
 # Bareiss on 2^70-sized entries: n <= 7 keeps the matrices at 35 x 35 or less.
@@ -1018,12 +1054,15 @@ def test_wedge_rank_matches_rank_of_the_whole_array(case, data):
     u, s = case
     assert wedge_rank(u, s) == full_rank_mod_p(u, s)
     if not u.is_zero:
-        # Another term as the pivot: the rank must not depend on the choice.
+        # Another lex-first term, so another pivot, against the whole array;
+        # moving a term to the front of the dict does not choose the pivot.
         first = data.draw(st.sampled_from(sorted(u._coeffs)))
+        v = with_pivot(u, first)
+        assert wedge_rank(v, s) == full_rank_mod_p(v, s)
         moved = {first: u._coeffs[first], **u._coeffs}
-        v = ExteriorVector._trusted(u.n, u.degree, moved, u.field)
-        assert next(iter(v._coeffs)) == first
-        assert wedge_rank(v, s) == wedge_rank(u, s)
+        w = ExteriorVector._trusted(u.n, u.degree, moved, u.field)
+        assert next(iter(w._coeffs)) == first
+        assert wedge_rank(w, s) == wedge_rank(u, s)
 
 
 # (4, 3) over 2^61 - 1 is left out: its 425 x 70 x 425 product of Python ints
@@ -1080,17 +1119,18 @@ def test_wedge_rank_with_an_inner_dimension_of_several_chunks():
 
 def reference_schur(u, s):
     """(k, S) as :func:`exterior._wedge_schur` defines them, cut out of the
-    whole residue matrix: ``_wedge_array``, then S, X and Y by ``np.ix_``,
-    then ``submul_mod_p``."""
-    p = u.field.p
+    whole residue matrix: ``_wedge_array``, then S, X and Y by ``np.ix_``
+    around the block of u's lex-first term, its rows and columns and signs
+    read off the masks, then ``submul_mod_p``."""
+    p, n = u.field.p, u.n
     A = exterior._wedge_array(u, s)
-    mu0, c0 = next(iter(u._coeffs.items()))
-    flat, sign = exterior._wedge_scatter(u.n, u.degree, s)
-    i0 = exterior._lex_position(u.n, u.degree)[mu0]
-    rows0, cols0 = np.divmod(flat[i0], A.shape[1])
+    mu0 = u.leading_mask()
+    c0, odd = u._coeffs[mu0], _odd_above(mu0)
+    ts = [t for t in lex_masks(n, s) if not t & mu0]
+    row_at, col_at = exterior._lex_position(n, u.degree + s), exterior._lex_position(n, s)
+    rows0, cols0 = [row_at[mu0 | t] for t in ts], [col_at[t] for t in ts]
     inv = pow(c0, -1, p)
-    d_inv = np.full(len(cols0), inv, dtype=A.dtype)
-    d_inv[sign[i0] < 0] = p - inv
+    d_inv = np.array([inv if (t & odd).bit_count() % 2 == 0 else p - inv for t in ts], dtype=A.dtype)
     rest_rows = np.delete(np.arange(A.shape[0]), rows0)
     rest_cols = np.delete(np.arange(A.shape[1]), cols0)
     S = A[np.ix_(rest_rows, rest_cols)]
@@ -1100,9 +1140,12 @@ def reference_schur(u, s):
 
 
 def with_pivot(u, mu, c=1):
-    """u with the term at mu moved to the front of its coefficients, so that
-    it is the pivot of ``_wedge_schur``; coefficient c if u has no such term."""
-    coeffs = {mu: u._coeffs.get(mu, c), **u._coeffs}
+    """u without its terms before mu in lex order, so that the term at mu,
+    its lex-first, is the pivot of ``_wedge_schur``; coefficient c if u has
+    no such term."""
+    position = exterior._lex_position(u.n, u.degree)
+    coeffs = {m: x for m, x in u._coeffs.items() if position[m] > position[mu]}
+    coeffs[mu] = u._coeffs.get(mu, c)
     return ExteriorVector._trusted(u.n, u.degree, coeffs, u.field)
 
 
@@ -1135,14 +1178,15 @@ def test_schur_scatter_matches_the_whole_array_construction(case):
 @pytest.mark.parametrize("field", KERNEL_PRIMES)
 def test_schur_scatter_for_every_pivot_and_at_the_edge_degrees(field):
     u = random_exterior(6, 2, field, random.Random(5))
-    for mu in lex_masks(6, 2):  # all 15 pivots of a dense (2, 3) vector
+    for mu in lex_masks(6, 2):  # all 15 lex-first pivots of a dense (2, 3) vector
         assert_schur_matches_reference(with_pivot(u, mu), 2)
     info = exterior._schur_scatter.cache_info()
     assert info.maxsize == 16 and info.currsize <= info.maxsize
-    # s = 0 (one column), a + s = n (one row), and degrees 0 and n.
+    # s = 0 (one column), a + s = n (one row), and degrees 0 and n, at every
+    # lex-first pivot.
     for a, s in [(2, 0), (2, 4), (0, 3), (6, 0)]:
         v = random_exterior(6, a, field, random.Random(a))
-        for mu in (lex_masks(6, a)[0], lex_masks(6, a)[-1]):
+        for mu in lex_masks(6, a):
             assert_schur_matches_reference(with_pivot(v, mu), s)
 
 
