@@ -93,9 +93,9 @@ _MAX_SLOT_COEFFICIENTS = 10**5
 # of one term's diagonal block, and holds S, the pivot columns X, the pivot
 # rows Y and the block's k pivots at once (``exterior._wedge_schur``); the
 # budget counts S + X + Y, to which the k pivots add as many cells as one row
-# of X.  Over Q it holds the whole map, S + X + Y cells plus the block.
-# (4,4) needs about 2.3 * 10^7 cells, 185 MB of int64; (6,3)'s 17640^2 S
-# alone would take 2.5 GB.
+# of X.  Over Q the same buffer holds Python ints: a pointer per cell, and
+# an int object of 28 bytes or more per nonzero.  (4,4) needs about 2.3 *
+# 10^7 cells, 185 MB of int64; (6,3)'s 17640^2 S alone would take 2.5 GB.
 _MAX_SCHUR_CELLS = 3 * 10**7
 
 

@@ -85,28 +85,32 @@ entry (I, J, sign) of row K of ``_wedge_gather(n, a, s)`` puts sign * u_I
 at row K, column J, and every other entry is zero: ``_wedge_array`` fills
 an array of unboxed entries with one fancy-index assignment of u's dense
 vector (x / d as Fractions over Q) times the signs, one multiply, reduced
-mod p by ``_mod_p`` over F_p.  ``wedge_rank`` over Q ranks that array unboxed, and
-the blocks of the tangent systems of ``plucker_form.tangent_codim`` are
-such arrays, each with its sign.  The gather in ``wedge``, the fused top
-step (``_top_gather``) and ``wedge_rank`` over F_p (``_schur_scatter``,
-below) read the same table.
+mod p by ``_mod_p`` over F_p.  The blocks of the tangent systems of
+``plucker_form.tangent_codim`` are such arrays, each with its sign.  The
+gather in ``wedge``, the fused top step (``_top_gather``) and
+``wedge_rank`` (``_schur_scatter``, below) read the same table.
 
-Rank over F_p.  The table entries of u's lex-first term c_0 e_mu0 form a
-diagonal block of the wedge matrix: rows mu0 | t and columns t for the
-C(n - a, s) masks t disjoint from mu0, entries +-c_0.  So ``wedge_rank``
-counts those pivots at once and hands only the Schur complement S of that
-block (``_wedge_schur``) to :func:`pluckerlab.scalars.rank_mod_p`.  The
-wedge matrix itself is never built: ``_schur_scatter(n, a, s, i0)``, cached
-per pivot mask in a bounded cache, maps every table entry to its place in
-S, in X (the pivot columns), in Y (the pivot rows) or, for the pivot's own
+Rank.  The table entries of u's lex-first term c_0 e_mu0 form a diagonal
+block of the wedge matrix: rows mu0 | t and columns t for the C(n - a, s)
+masks t disjoint from mu0, entries +-c_0.  So ``wedge_rank``, over either
+field, counts those pivots at once and hands only the Schur complement S
+of that block (``_wedge_schur``) to ``scalars._rank``.  The wedge matrix
+itself is never built: ``_schur_scatter(n, a, s, i0)``, cached per pivot
+mask in a bounded cache, maps every table entry to its place in S, in X
+(the pivot columns), in Y (the pivot rows) or, for the pivot's own
 entries, in a trailing block D, so one fancy-index assignment of the
-signed residues of u's dense vector fills them all, and
-:func:`pluckerlab.scalars.submul_mod_p` forms S -= X D^-1 Y.  This is the
-panel step of :func:`pluckerlab.scalars.rank_mod_p`, taken once on a panel
-whose pivot block is known without elimination; ``rank_mod_p`` then takes
-the same step, panel by panel, on S.  A decomposable u has rank C(n - a,
-s), so its S is zero (the Plucker relations in the chart c_0 != 0) and
-Grassmannian members get their rank with no elimination at all.
+signed entries of u's dense vector x fills them all, and
+:func:`pluckerlab.scalars.submul_mod_p` forms the complement.  Over F_p
+the entries are residues and it forms S -= X D^-1 Y: the panel step of
+:func:`pluckerlab.scalars.rank_mod_p`, taken once on a panel whose pivot
+block is known without elimination; ``rank_mod_p`` then takes the same
+step, panel by panel, on S.  Over Q, with u = x / d and c_0 = x[i0], the
+same buffer holds Python ints and S is scaled by c_0, so S' = c_0 S - X
+diag(sign) Y, c_0 times the complement of the map of x (d times u's), is
+an integer matrix formed with no division; Bareiss elimination ranks it.
+A decomposable u has rank C(n - a, s), so its S is zero (the Plucker
+relations in the chart c_0 != 0) and Grassmannian members get their rank
+with no elimination at all.
 
 The sign convention for contraction is fixed so that
 ``contract(phi, e_{phi + {j}}) = (-1)^pos e_j`` where pos is the 1-based
@@ -129,14 +133,12 @@ import numpy as np
 
 from .scalars import (
     Field,
-    PrimeField,
     Scalar,
     _dtype,
     _mod_p,
     _modulus,
     _rank,
     _residue_dtype,
-    rank_mod_p,
     submul_mod_p,
 )
 
@@ -801,23 +803,29 @@ def _schur_scatter(n: int, a: int, s: int, i0: int) -> tuple[np.ndarray, np.ndar
 
 
 def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
-    """Over F_p and for nonzero u, (k, S) with rank(t |-> u ^ t on
-    wedge^s(V)) = k + rank(S).
+    """For nonzero u, (k, S) with rank(t |-> u ^ t on wedge^s(V)) = k +
+    rank(S), over F_p or Q.
 
-    Let c_0 e_mu0 be u's lex-first term, the first nonzero entry of its
-    dense vector, and A the matrix of the map.  The term's C(n - a, s)
-    entries sit at rows R0 = {mu0 | t} and columns C0 = {t}, t disjoint from
-    mu0, and the block D = A[R0, C0] is diagonal with entries +-c_0 (the
-    table's signs): an entry at row mu0 | t, column t' in C0 needs t' inside
-    mu0 | t, and as t' misses mu0 that means t' = t.  So k = |C0| and S is
-    the Schur complement A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the
-    other rows and columns (rank additivity, Guttman 1946).  A itself is
-    never built: every entry of ``_wedge_gather`` is signed and reduced at
-    once and scattered straight into S, X = A[R', C0], Y = A[R0, C'] and D
-    through the cached ``_schur_scatter(n, a, s, i0)``, X is scaled by D^-1,
-    and :func:`pluckerlab.scalars.submul_mod_p` forms S.
+    Let u = x / d, x its dense vector (d = 1 over F_p), and A the matrix of
+    t |-> x ^ t, d times that of u, so of the same rank.  u's lex-first term
+    is c_0 / d e_mu0, c_0 = x[i0] the first nonzero entry of x.  The term's
+    C(n - a, s) entries sit at rows R0 = {mu0 | t} and columns C0 = {t}, t
+    disjoint from mu0, and the block D = A[R0, C0] is diagonal with entries
+    +-c_0 (the table's signs): an entry at row mu0 | t, column t' in C0
+    needs t' inside mu0 | t, and as t' misses mu0 that means t' = t.  So
+    k = |C0| and rank(A) is k plus the rank of the Schur complement
+    A[R', C'] - A[R', C0] D^-1 A[R0, C'], R' and C' the other rows and
+    columns (rank additivity, Guttman 1946), or of any nonzero multiple of
+    it.  A itself is never built: every entry of ``_wedge_gather`` is signed
+    at once and scattered straight into S = A[R', C'], X = A[R', C0],
+    Y = A[R0, C'] and D through the cached ``_schur_scatter(n, a, s, i0)``.
+    Over F_p the entries are reduced mod p, X is scaled by D^-1 and
+    :func:`pluckerlab.scalars.submul_mod_p` forms S - X D^-1 Y mod p.  Over
+    Q they stay Python ints, S is scaled by c_0 and the same call forms c_0
+    times the complement, S' = c_0 S - X diag(sign) Y, an integer matrix:
+    no division, no prime and no height bound.
     """
-    n, a, p = u.n, u.degree, u.field.p
+    n, a, p = u.n, u.degree, _modulus(u.field)
     x, _ = _dense_vector(u)
     i0 = int(np.flatnonzero(x)[0])
     u_at, _, sign = _wedge_gather(n, a, s)
@@ -825,37 +833,40 @@ def _wedge_schur(u: ExteriorVector, s: int) -> tuple[int, np.ndarray]:
     k = len(d_sign)
     mr, mc = u_at.shape[0] - k, _comb(n, s) - k
     buf = np.zeros(mr * mc + (mr + mc) * k + k, dtype=x.dtype)
-    buf[where] = _mod_p(x[u_at] * sign, p)
+    buf[where] = x[u_at] * sign if p is None else _mod_p(x[u_at] * sign, p)
     S = buf[: mr * mc].reshape(mr, mc)
     X = buf[mr * mc : mr * (mc + k)].reshape(mr, k)
     Y = buf[mr * (mc + k) : mr * (mc + k) + k * mc].reshape(k, mc)
-    X *= d_sign  # times D^-1: (-p, p) times a residue, which the dtype holds
-    X *= pow(int(x[i0]), -1, p)
-    _mod_p(X, p)
+    X *= d_sign  # c_0 D^-1; over F_p (-p, p) times a residue fits the dtype
+    if p is None:
+        S *= x[i0]
+    else:
+        X *= pow(int(x[i0]), -1, p)
+        _mod_p(X, p)
     submul_mod_p(S, X, Y, p)
     return k, S
 
 
 def wedge_rank(u: ExteriorVector, s: int) -> int:
     """Rank of the matrix of t |-> u ^ t on wedge^s(V), lex bases on both
-    sides.
+    sides, over F_p or Q.
 
-    The matrix is never boxed.  A zero u has rank 0, returned before
-    anything is allocated.  Over Q it is Bareiss elimination on the unboxed
-    array of ``_wedge_array``.  Over F_p the matrix is not even built: u's
-    lex-first term's diagonal block gives C(n - a, s) pivots at once, and the
-    Schur complement S of that block, scattered straight from u's residues
-    and formed by :func:`pluckerlab.scalars.submul_mod_p`
-    (:func:`_wedge_schur`), is all that is left to
-    :func:`pluckerlab.scalars.rank_mod_p`; when S is zero, as it is for a
-    decomposable u (the Plucker relations in the chart of that term),
-    nothing is eliminated.  A negative s is refused.
+    The matrix is never built, let alone boxed.  A zero u has rank 0,
+    returned before anything is allocated.  Otherwise u's lex-first term's
+    diagonal block gives C(n - a, s) pivots at once, and the Schur
+    complement S of that block (:func:`_wedge_schur`), scattered straight
+    from u's dense vector and formed by
+    :func:`pluckerlab.scalars.submul_mod_p`, is all that is left to
+    ``_rank``: blocked elimination mod p, or Bareiss over Q.  Over Q, with
+    u = x / d and c_0 = x[i0] the pivot's numerator, S is the integer
+    matrix S' = c_0 S - X diag(sign) Y on Python ints, c_0 times the
+    complement of the map of x, so no division is made.  When S is zero, as it is for a decomposable u (the
+    Plucker relations in the chart of that term), nothing is eliminated.
+    A negative s is refused.
     """
     _check_wedge_degree(u.n, u.degree, s)
     if u.is_zero:
         return 0
-    if not isinstance(u.field, PrimeField):
-        return _rank(_wedge_array(u, s), u.field)
     k, S = _wedge_schur(u, s)
     rows = S.any(axis=1)
     if not rows.any():
@@ -863,4 +874,4 @@ def wedge_rank(u: ExteriorVector, s: int) -> int:
     # Zero rows and columns add nothing to the rank; a sparse u leaves many.
     # Rebinding S frees the scatter buffer (S, X and Y) before elimination.
     S = S[rows].compress(S.any(axis=0), axis=1)
-    return k + rank_mod_p(S, u.field.p)
+    return k + _rank(S, u.field)

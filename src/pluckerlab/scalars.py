@@ -26,8 +26,10 @@ per-call overhead.  ``_boxed`` is the one way out to a ``DenseMatrix``, for
 ``bundle_pairs_p1.det_map_matrix``; ``mat_det`` unboxes a ``DenseMatrix``
 once (``_unboxed_rows``, which refuses entries that are no field element or
 of mixed fields), and so does
-``grassmann.plucker_embed``.  ``exterior.wedge_rank`` hands :func:`rank_mod_p` a Schur
-complement it scatters straight from a vector's residues.  The elimination
+``grassmann.plucker_embed``.  ``exterior.wedge_rank`` hands ``_rank`` a Schur
+complement it scatters straight from a vector's dense vector: residues over
+F_p, and over Q integers, c_0 times the complement, formed by
+:func:`submul_mod_p` over Z with no division.  The elimination
 update forms products of two residues, so the arrays are int64 only when
 (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
 elimination runs on an object array of Python ints, which cannot overflow.
@@ -513,9 +515,11 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     return rank
 
 
-def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
+def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p) -> None:
     """S <- (S - X Y) mod p in place, for residue arrays in [0, p) of dtype
-    ``_residue_dtype(p)``: S is m x n, X is m x k and Y is k x n.
+    ``_residue_dtype(p)``: S is m x n, X is m x k and Y is k x n.  With p
+    None, on object arrays of integers, S <- S - X Y over Z, unreduced: the
+    Schur step of ``exterior.wedge_rank`` over Q.
 
     Over int64 residues X is balanced into (-p/2, p/2], so |x| <= h =
     p // 2, and the product is exact on one of two routes.
@@ -541,10 +545,10 @@ def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
 
     Both routes update S 64 rows at a time, which bounds the temporaries,
     and skip a row block of X that is all zero.  Object arrays (p above
-    2^31.5) take the product in Python ints, which cannot overflow.
+    2^31.5, or None) take the product in Python ints, which cannot overflow.
     """
     if S.dtype == object:
-        S[...] = (S - (X @ Y) % p) % p
+        S[...] = S - X @ Y if p is None else (S - (X @ Y) % p) % p
         return
     h, k = p // 2, X.shape[1]
     Xb = np.where(X > h, X - p, X)

@@ -42,6 +42,7 @@ from pluckerlab.bundle_pairs_p1 import (
     symbolic_diagonal_witness,
     two_point_surjectivity,
 )
+from pluckerlab.cli import ExperimentConfig, main, run
 from pluckerlab.exterior import (
     ExteriorVector,
     plucker_relations_hold,
@@ -208,6 +209,42 @@ def test_diagonal_factor_refuses_fewer_than_one_trial(trials):
     # With no trial the identity would be reported as matched unchecked.
     with pytest.raises(ValueError, match="at least one trial"):
         diagonal_factor_check(make_pair((2, 2), 3, F), trials, 5)
+
+
+def pairwise_product_off_after_the_fit(monkeypatch):
+    """Patch ``pairwise_product`` to return twice its value after its first
+    call, which is the fit of ``diagonal_factor_check``; returns the list of
+    calls, to be cleared before the next check."""
+    real, calls = pairwise_product, []
+
+    def off(points, power, field):
+        calls.append(points)
+        value = real(points, power, field)
+        return value if len(calls) == 1 else value * field.from_int(2)
+
+    monkeypatch.setattr(bundle_pairs_p1, "pairwise_product", off)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp"])
+def test_diagonal_factor_check_fails_and_stops_at_the_first_mismatch(field, monkeypatch):
+    pair = make_pair((2, 2), 3, field)
+    c = diagonal_factor_check(pair, 5, 5).constant_c
+    calls = pairwise_product_off_after_the_fit(monkeypatch)
+    assert diagonal_factor_check(pair, 5, 5) == DivisorReport(c, 5, False)
+    assert len(calls) == 2  # the fit and the first trial, which fails
+
+
+@pytest.mark.parametrize("field", ["q", "fp"])
+def test_p1_divisor_suite_records_a_failing_factorization(field, monkeypatch, capsys):
+    calls = pairwise_product_off_after_the_fit(monkeypatch)
+    report = run(ExperimentConfig("p1-divisor", r=2, m=3, field=field, seed=0, trials=5))
+    assert report.failures == 1 and len(calls) == 2
+    [case] = [case for case in report.cases if not case["ok"]]
+    assert case["check"] == "factorization" and case["all_matched"] is False
+    calls.clear()
+    assert main(["p1-divisor", "--field", field, "--trials", "5"]) == 1
+    assert "p1-divisor: FAIL (1 passed, 1 failed" in capsys.readouterr().out
 
 
 # The sample-until-nonzero loops as they were written out in each caller

@@ -282,6 +282,18 @@ def test_report_bodies_over_q_at_three_three_match_golden_digests(command, trial
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODIES_Q_33[command, trials]
 
 
+# One (4,3) reconstruction trial over Q, recorded with Bareiss on the whole
+# 495 x 495 wedge map of its member (35 s on a 2-vCPU VM); the integer Schur
+# step gives the same body in under a second.
+GOLDEN_BODY_Q_43 = "cd41304d23af6e521d8ac3abd6c722c32e31e44fc80bec2e103b79e4a963ee20"
+
+
+def test_report_body_over_q_at_four_three_matches_golden_digest():
+    cfg = ExperimentConfig(command="reconstruction", r=4, m=3, field="q", seed=0, trials=1)
+    text = json.dumps(run(cfg).body(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODY_Q_43
+
+
 def _none(*args):
     return None
 

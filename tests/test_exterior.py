@@ -1119,20 +1119,30 @@ def test_wedge_rank_with_an_inner_dimension_of_several_chunks():
 
 def reference_schur(u, s):
     """(k, S) as :func:`exterior._wedge_schur` defines them, cut out of the
-    whole residue matrix: ``_wedge_array``, then S, X and Y by ``np.ix_``
-    around the block of u's lex-first term, its rows and columns and signs
-    read off the masks, then ``submul_mod_p``."""
-    p, n = u.field.p, u.n
+    whole matrix: ``_wedge_array``, then S, X and Y by ``np.ix_`` around the
+    block of u's lex-first term, its rows and columns and signs read off the
+    masks.  Over F_p, then ``submul_mod_p``.  Over Q, with u = x / d, the
+    Fraction complement S - X D^-1 Y of d times the array, times its pivot
+    c_0 = x[i0]."""
+    p, n = getattr(u.field, "p", None), u.n
     A = exterior._wedge_array(u, s)
     mu0 = u.leading_mask()
     c0, odd = u._coeffs[mu0], _odd_above(mu0)
     ts = [t for t in lex_masks(n, s) if not t & mu0]
     row_at, col_at = exterior._lex_position(n, u.degree + s), exterior._lex_position(n, s)
     rows0, cols0 = [row_at[mu0 | t] for t in ts], [col_at[t] for t in ts]
-    inv = pow(c0, -1, p)
-    d_inv = np.array([inv if (t & odd).bit_count() % 2 == 0 else p - inv for t in ts], dtype=A.dtype)
     rest_rows = np.delete(np.arange(A.shape[0]), rows0)
     rest_cols = np.delete(np.arange(A.shape[1]), cols0)
+    if p is None:
+        _, d = exterior._dense_vector(u)
+        A, c0 = A * d, c0 * d
+        signs = [(-1) ** (t & odd).bit_count() for t in ts]
+        d_inv = np.array([Fraction(sign, c0) for sign in signs], dtype=object)
+        S = A[np.ix_(rest_rows, rest_cols)]
+        X, Y = A[np.ix_(rest_rows, cols0)] * d_inv, A[np.ix_(rows0, rest_cols)]
+        return len(cols0), c0 * (S - X @ Y)
+    inv = pow(c0, -1, p)
+    d_inv = np.array([inv if (t & odd).bit_count() % 2 == 0 else p - inv for t in ts], dtype=A.dtype)
     S = A[np.ix_(rest_rows, rest_cols)]
     X, Y = A[np.ix_(rest_rows, cols0)] * d_inv % p, A[np.ix_(rows0, rest_cols)]
     submul_mod_p(S, X, Y, p)
@@ -1154,14 +1164,40 @@ def assert_schur_matches_reference(u, s):
     k_ref, S_ref = reference_schur(u, s)
     assert k == k_ref and S.dtype == S_ref.dtype and S.shape == S_ref.shape
     assert S.tolist() == S_ref.tolist()
+    if u.field == QQ:  # integers, not Fractions that equal them
+        assert all(type(e) is int for e in S.ravel().tolist())
+
+
+# Primes for the images mod p of the integer complement: int64 residues and
+# Python ints, then small ones in case c_0 or d is a multiple of the large.
+IMAGE_PRIMES = [2**31 - 1, 2**61 - 1, 3037000493, 1000003, 101, 103]
+
+
+def assert_integer_schur_reduces_to_the_prime_ones(u, s):
+    """S' mod p = c_0 d S_p, for the first two primes p of ``IMAGE_PRIMES``
+    that divide neither c_0 nor d: with u = x / d, the wedge map of x is d
+    times that of u, and S_p, the F_p complement of u mod p, is S' / (c_0 d).
+    """
+    k, S = exterior._wedge_schur(u, s)
+    x, d = exterior._dense_vector(u)
+    c0 = x[np.flatnonzero(x)[0]]
+    primes = [p for p in IMAGE_PRIMES if c0 % p and d % p][:2]
+    assert len(primes) == 2
+    for p in primes:
+        field = PrimeField(p)
+        terms = {m: Fp(c.numerator, p) / Fp(c.denominator, p) for m, c in u._coeffs.items()}
+        k_p, S_p = exterior._wedge_schur(ExteriorVector(u.n, u.degree, terms, field), s)
+        assert k_p == k and S_p.shape == S.shape
+        assert (S % p).tolist() == (S_p.astype(object) * (c0 * d) % p).tolist()
 
 
 @st.composite
-def schur_inputs(draw):
-    """A nonzero vector, dense or sparse, over a kernel prime, with a drawn
-    term as the pivot (so i0 varies), and s, drawn often at 0 and n - a."""
-    field = draw(st.sampled_from(KERNEL_PRIMES))
-    n = draw(st.integers(1, 9))
+def schur_inputs(draw, fields=KERNEL_PRIMES, max_n=9):
+    """A nonzero vector, dense or sparse, on at most max_n letters over one
+    of ``fields`` (the kernel primes by default), with a drawn term as the
+    pivot (so i0 varies), and s, drawn often at 0 and n - a."""
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, max_n))
     a = draw(st.integers(0, n))
     s = draw(st.sampled_from([0, n - a]) | st.integers(0, n - a))
     u = draw_vector(draw, field, n, a)
@@ -1188,6 +1224,39 @@ def test_schur_scatter_for_every_pivot_and_at_the_edge_degrees(field):
         v = random_exterior(6, a, field, random.Random(a))
         for mu in lex_masks(6, a):
             assert_schur_matches_reference(with_pivot(v, mu), s)
+
+
+# Over Q the complement is c_0 times the Fraction one, on Python ints; n <= 7
+# keeps the Fraction reference at 35 x 35 or less.
+@given(schur_inputs([QQ], max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_integer_schur_step_matches_the_fraction_complement(case):
+    assert_schur_matches_reference(*case)
+    assert_integer_schur_reduces_to_the_prime_ones(*case)
+
+
+def test_integer_schur_step_for_every_pivot_and_at_the_edge_degrees():
+    u = random_exterior(6, 2, QQ, random.Random(5))
+    for mu in lex_masks(6, 2):  # all 15 lex-first pivots of a dense (2, 3) vector
+        assert_schur_matches_reference(with_pivot(u, mu), 2)
+        assert_integer_schur_reduces_to_the_prime_ones(with_pivot(u, mu), 2)
+    # s = 0 (one column), a + s = n (one row), and degrees 0 and n, at every
+    # lex-first pivot.
+    for a, s in [(2, 0), (2, 4), (0, 3), (6, 0)]:
+        v = random_exterior(6, a, QQ, random.Random(a))
+        for mu in lex_masks(6, a):
+            assert_schur_matches_reference(with_pivot(v, mu), s)
+            assert_integer_schur_reduces_to_the_prime_ones(with_pivot(v, mu), s)
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_wedge_rank_over_q_is_bareiss_on_the_whole_map_at_three_three(member):
+    # The 84 x 84 map of t |-> w ^ t on wedge^3 of a 9-dimensional space.
+    rng = random.Random(9)
+    w = random_grass_point(3, 9, QQ, rng).plucker if member else random_exterior(9, 3, QQ, rng)
+    rank = mat_rank(wedge_matrix(w, 3))
+    assert wedge_rank(w, 3) == rank
+    assert (rank == math.comb(6, 3)) is member
 
 
 def test_wedge_rank_of_zero_builds_no_schur_complement(monkeypatch):
