@@ -9,20 +9,18 @@ takes the monomial values u^a v^(d-a) once per point and degree and gives
 each nonzero term of each section as (section s, component j, value).
 
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
-terms a pair stores, and its triples are laid out two ways.  Dense:
-:func:`_section_values` adds them into one row per section, r columns a
-point, for ``divisor_value``, which passes the rows straight to
+terms a pair stores, and its triples are added into dense rows, reduced
+mod p, in two layouts.  :func:`_section_values` gives one row per section,
+r columns a point, for ``divisor_value``, which passes the rows straight to
 ``scalars._det``, the determinant of the one row-elimination loop
 (``scalars._eliminate``, whose residue update touches only the pivot row's
-nonzeros), and for ``two_point_surjectivity``.  Sparse: ``classify_point``
-adds them into r row dicts, component j's mapping the bit 1 << s of each
-section to its value, zeros dropped, so a point's rows never pass through
-an r x rm array of mostly zeros.  It hands them to ``exterior._wedge_rows``,
-the Plucker vector of a matrix that ``grassmann.plucker_embed`` also uses:
-the fold of ``wedge`` over the rows, each step scanning its term pairs or
-gathering on dense vectors as ``exterior._gathers`` rules.
-``span_dimension`` ranks the points' dense vectors.  Only returned scalars
-are boxed.
+nonzeros), and for ``two_point_surjectivity``.  ``classify_point`` gives
+one row per component, of rm entries, the section values at one point, and
+hands them to ``exterior._wedge_rows``, the Plucker vector of a matrix that
+``grassmann.plucker_embed`` also uses: the rows become dense vectors and
+fold by gathers, so the image is born dense, and the fused top step of
+``top_wedge_coefficient`` and ``span_dimension``, which ranks the points'
+dense vectors, read it as it is.  Only returned scalars are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
@@ -359,14 +357,17 @@ def det_map_rank(pair: BundlePairP1) -> int:
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
     """Plucker vector of the row space of the r x rm section-value matrix:
     the image of the point under the classifying map, with coordinates the
-    r x r minors (:func:`pluckerlab.exterior._wedge_rows`).  Row j maps the
-    bit of each section to its component-j value, zeros dropped."""
-    p = _modulus(pair.field)
-    rows: list[dict] = [{} for _ in range(pair.r)]
+    r x r minors (:func:`pluckerlab.exterior._wedge_rows`).  Row j is dense,
+    each section's component-j value at its column, and is added into term
+    by term: several terms of one section may share a component.  The fold
+    gathers on the rows as dense vectors, so the image is born dense."""
+    field, r, p = pair.field, pair.r, _modulus(pair.field)
+    zero = field.unbox(field.zero())
+    rows = [[zero] * (r * pair.m) for _ in range(r)]
     for s, j, y in _term_values(pair, x):
-        rows[j][1 << s] = rows[j].get(1 << s, 0) + y
-    rows = [{b: z for b, y in row.items() if (z := y if p is None else y % p)} for row in rows]
-    vec = _wedge_rows(rows, pair.r * pair.m, pair.field)
+        y += rows[j][s]
+        rows[j][s] = y if p is None else y % p
+    vec = _wedge_rows(rows, r * pair.m, field)
     if vec.is_zero:
         raise ValueError("evaluation drops rank: not globally generated here")
     return vec

@@ -69,8 +69,10 @@ residues that is exact while T * p < 2^63 (``_exact`` again), and past it,
 or when the step before last scans, the last two steps are two wedges.
 The wedge of the rows of a matrix, the Plucker vector of
 ``grassmann.plucker_embed`` and of ``bundle_pairs_p1.classify_point``, is
-``_wedge_rows``: the fold of ``wedge`` over the rows, each given as the
-dict of its nonzero entries, as degree-1 vectors.  Outputs are built through
+``_wedge_rows``: the rows, given dense, become dense vectors and fold by
+``_gather`` alone, so the vector is born dense and no step walks term
+pairs; past ``_DENSE_ROWS_MAX`` table entries, as for a sparse 8 x 64
+matrix, the rows fold through ``wedge`` instead.  Outputs are built through
 ``ExteriorVector._trusted``, which skips the per-term checks of the public
 constructor, so nothing on these paths is boxed.
 
@@ -139,6 +141,7 @@ from .scalars import (
     _modulus,
     _rank,
     _residue_dtype,
+    _rows_as_integers,
     submul_mod_p,
 )
 
@@ -593,14 +596,43 @@ def _gather_top(x: np.ndarray, y: np.ndarray, z: np.ndarray, n: int, a: int, b: 
     return prod.reshape(1, -1) @ sign
 
 
-def _wedge_rows(rows: Sequence[dict], n: int, field: Field) -> ExteriorVector:
-    """The wedge of the rows of an r x n matrix, r >= 1, each row given as
-    a dict from column bit 1 << j to its nonzero unboxed entry (a residue
-    in [0, p), or a Fraction): the degree-r vector whose coordinate on each
-    r-subset of the columns is that r x r minor.  It folds :func:`wedge`
-    over the rows as degree-1 vectors, so each step takes the route
-    :func:`_gathers` picks."""
-    return functools.reduce(wedge, (ExteriorVector._trusted(n, 1, row, field) for row in rows))
+# Table entries that one step of the dense fold of _wedge_rows may read, the
+# same 10^5 as the CLI's budget of coefficients per vector.  The fold reads
+# its tables and allocates dense vectors whatever the rows hold, so past it,
+# where a sparse 8 x 64 matrix would allocate C(64, 8) = 4.4 * 10^9 entries
+# and a 64 x 64 one C(64, 32) = 1.8 * 10^18 on the way, the rows fold
+# through wedge instead.
+_DENSE_ROWS_MAX = 10**5
+
+
+def _wedge_rows(rows: Sequence[Sequence], n: int, field: Field) -> ExteriorVector:
+    """The wedge of the rows of an r x n matrix, r >= 1, given as rows of n
+    unboxed entries (residues in [0, p), or Fractions): the degree-r vector
+    whose coordinate on each r-subset of the columns is that r x r minor.
+
+    Each row becomes a dense vector x_k, residues, or over Q the numerators
+    over the row's lcm d_k, and the rows fold by :func:`_gather`: x_0 ^ ...
+    ^ x_k is gathered with x_{k + 1} through ``_wedge_gather(n, k + 1, 1)``,
+    whose C(n, k + 2) rows sum k + 2 signed terms each.  Every step is
+    exact: (k + 2) * p < 2^63 for every int64 residue prime, as k + 2 <= 64
+    (:func:`_exact`).  The result is born dense, over the product of the
+    d_k.  No step reads more than r * C(n, min(r, n // 2)) table entries,
+    C(n, min(r, n // 2)) being the largest C(n, j) with j <= r; past
+    ``_DENSE_ROWS_MAX`` of them the rows fold through :func:`wedge` as
+    degree-1 vectors, so each step takes the route :func:`_gathers` picks
+    and a sparse wide or large matrix never builds its dense vectors."""
+    r, p = len(rows), _modulus(field)
+    if r * _comb(n, min(r, n // 2)) > _DENSE_ROWS_MAX:
+        terms = ({1 << j: c for j, c in enumerate(row) if c} for row in rows)
+        return functools.reduce(wedge, (ExteriorVector._trusted(n, 1, t, field) for t in terms))
+    d = 1
+    if p is None:
+        rows, d = _rows_as_integers(rows)
+    X = np.array(rows, dtype=_dtype(field))
+    z = X[0]
+    for k in range(1, r):
+        z = _gather(z, X[k], n, k, 1, p)
+    return _from_dense(z, d, n, r, field)
 
 
 def wedge(u: ExteriorVector, v: ExteriorVector) -> ExteriorVector:

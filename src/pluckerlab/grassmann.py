@@ -42,12 +42,16 @@ class GrassPoint:
 
 def plucker_embed(A: DenseMatrix) -> GrassPoint:
     """Wedge of the rows of a full-rank r x n matrix: its C(n, r) coordinates
-    are the r x r minors (:func:`pluckerlab.exterior._wedge_rows`)."""
+    are the r x r minors.  The unboxed rows go to
+    :func:`pluckerlab.exterior._wedge_rows` as they are, which folds them as
+    dense vectors by gathers, so the point is born dense, sparse rows too;
+    only past its bound on table entries, as for a sparse 8 x 64 matrix,
+    does each step take the route of ``wedge``."""
     r, n = A.rows, A.cols
     if not 0 < r <= n <= 64:
         raise ValueError("need 1 <= rows <= cols <= 64")
     field, rows = _unboxed_rows(A)
-    vec = _wedge_rows([{1 << j: c for j, c in enumerate(row) if c} for row in rows], n, field)
+    vec = _wedge_rows(rows, n, field)
     if vec.is_zero:
         raise ValueError("matrix is rank deficient")
     return GrassPoint(r, n, A, vec)

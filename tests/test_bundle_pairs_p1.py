@@ -766,6 +766,66 @@ def test_classify_point_refuses_a_point_where_evaluation_drops_rank(field):
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_classify_point_is_born_dense(field):
+    # The rows fold by gathers on dense vectors, so the image holds its
+    # dense vector alone until something reads its terms.
+    rng = random.Random(47)
+    for pair in _kernel_pairs(field, rng):
+        for x in [P1Point.infinity(field)] + sample_distinct_points(2, field, rng):
+            assert classify_point(pair, x)._dict is None
+
+
+def _drop_constant_terms_of_the_last_component(pair):
+    """The pair with the terms u^0 v^d of its last component removed, so that
+    at u = 0 that component's value row is zero and every minor vanishes."""
+    last = pair.r - 1
+    terms = tuple(tuple(t for t in ts if t[:2] != (last, 0)) for ts in pair.terms)
+    object.__setattr__(pair, "terms", terms)
+    return pair
+
+
+def test_span_dimension_skips_the_points_where_classify_point_refuses(monkeypatch):
+    # Over F_17 the 15 samples of (2,2) at m = 3 take 15 of the 16 points
+    # other than 0; seed 3 draws u = 0, where classify_point refuses, sixth,
+    # and it is skipped.  The images at the rest still span the image of
+    # the determinant map.
+    pair = _drop_constant_terms_of_the_last_component(make_pair((2, 2), 3, PrimeField(17)))
+    with pytest.raises(ValueError, match="evaluation drops rank"):
+        classify_point(pair, affine(0, pair.field))
+    refused = []
+
+    def spy(pair, x):
+        try:
+            return classify_point(pair, x)
+        except ValueError:
+            refused.append(x)
+            raise
+
+    monkeypatch.setattr(bundle_pairs_p1, "classify_point", spy)
+    assert span_dimension(pair, 15, 3) == det_map_rank(pair)
+    assert refused == [affine(0, pair.field)]
+    # Over F_7 only six points are usable, fewer than the 15 samples.
+    pair = _drop_constant_terms_of_the_last_component(make_pair((2, 2), 3, PrimeField(7)))
+    with pytest.raises(ValueError, match="F_7 has fewer than 15 usable points"):
+        span_dimension(pair, 15, 7)
+
+
+def test_pair_refuses_the_wrong_number_of_sections():
+    pair = make_pair((2, 2), 3, F)
+    for sections in (pair.sections[:-1], pair.sections + pair.sections[:1]):
+        with pytest.raises(ValueError, match=f"need 6 sections, got {len(sections)}"):
+            BundlePairP1(2, 3, (2, 2), sections, F)
+
+
+def test_divisor_value_refuses_the_wrong_number_of_points():
+    pair = make_pair((2, 2), 3, F)
+    pts = sample_distinct_points(4, F, random.Random(3))
+    for points in (pts[:2], pts):
+        with pytest.raises(ValueError, match="need 3 points"):
+            divisor_value(pair, points)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_span_dimension_ranks_the_dense_points_over_every_field(field):
     # Over F_7 only shapes with at most 7 usable points fit.
     shapes = [((2, 2), 3, 30), ((2, 2, 2), 3, 90)]

@@ -919,6 +919,18 @@ def test_sparse_wide_matrix_embeds_without_the_tables(field, monkeypatch):
         plucker_embed(DenseMatrix.from_rows(rows))
 
 
+@pytest.mark.parametrize("field", [F, QQ], ids=["fp", "q"])
+def test_square_matrix_of_64_rows_embeds_without_the_tables(field, monkeypatch):
+    # At r = n = 64 the last step's table has one row, but the middle steps'
+    # would have C(64, 32) = 1.8e18, so the rows fold through wedge, each
+    # step scanning one term pair.  Row i is e_{i + 2}, and the last row e_1
+    # moves past 63 others.
+    _no_table_on(monkeypatch, 64)
+    rows = [[field.from_int(int(j == (i + 1) % 64)) for j in range(64)] for i in range(64)]
+    w = plucker_embed(DenseMatrix.from_rows(rows)).plucker
+    assert w == -ExteriorVector.basis(64, range(1, 65), field)
+
+
 # -- the residue rank kernel against plain row reduction --------------------------
 
 

@@ -118,6 +118,56 @@ def test_embed_rank_deficient_rejected():
         plucker_embed(rows_matrix([[1, 2, 3, 4], [2, 4, 6, 8]]))
 
 
+# F_7 makes zero minors common; 2^61 - 1 is above the int64 bound of the
+# residue arrays.
+KERNEL_FIELDS = [F, PrimeField(7), PrimeField(2**61 - 1), QQ]
+KERNEL_IDS = ["fp", "f7", "p61", "q"]
+
+
+def _sparse_matrices(field, rng):
+    """Sparse full-rank matrices: identity blocks, rows on disjoint column
+    sets, and a matrix with a zero column.  Entries are a / b with a and b
+    in 1..6, so each is nonzero in every field, with a denominator over Q."""
+    entry = lambda: field.from_int(rng.randrange(1, 7)) / field.from_int(rng.randrange(1, 7))
+    zero = field.zero()
+
+    def matrix(n, support):
+        return [[entry() if j in cols else zero for j in range(n)] for cols in support]
+
+    identity = lambda r, n, at: [[field.from_int(int(j == at + i)) for j in range(n)] for i in range(r)]
+    return [
+        identity(2, 6, 0),
+        identity(3, 8, 2),
+        identity(4, 9, 5),
+        matrix(8, [{0, 1, 2}, {3, 4}, {5, 6, 7}]),
+        matrix(9, [{0, 8}, {1, 2, 3, 4}, {5}, {6, 7}]),
+        matrix(7, [{0, 1, 3, 4, 5, 6}] * 3),
+    ]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_embed_sparse_matrices_match_the_boxed_wedge_fold(field):
+    # The dense fold of the rows against the public wedge of the rows as
+    # degree-1 vectors built from boxed entries, which scans the term pairs
+    # of these sparse rows.
+    rng = random.Random(61)
+    for rows in _sparse_matrices(field, rng):
+        n = len(rows[0])
+        got = plucker_embed(DenseMatrix.from_rows(rows)).plucker
+        assert got._dict is None
+        want = None
+        for row in rows:
+            v = ExteriorVector(n, 1, {1 << j: c for j, c in enumerate(row)}, field)
+            want = v if want is None else wedge(want, v)
+        assert got == want and got.degree == len(rows)
+        assert all(field.is_element(c) for c in got.terms.values())
+    # A zero row makes every minor vanish.
+    rows = _sparse_matrices(field, rng)[3]
+    rows[1] = [field.zero()] * len(rows[1])
+    with pytest.raises(ValueError, match="rank deficient"):
+        plucker_embed(DenseMatrix.from_rows(rows))
+
+
 def test_embed_coordinates_are_minors():
     rng = random.Random(43)
     gp = random_grass_point(2, 5, F, rng)

@@ -322,6 +322,32 @@ def test_submul_matches_python_ints_across_row_blocks_and_chunks(p):
     check_submul(S, X, Y, p)
 
 
+@pytest.mark.parametrize("p", [None, 2**61 - 1], ids=["z", "p61"])
+def test_object_submul_over_the_nonzeros_matches_the_dense_product(p):
+    # The object branch forms X Y over each inner index's nonzero rows of X
+    # and nonzero columns of Y; the oracle is numpy's dense product of the
+    # object arrays.  About 16% of X and Y is nonzero, as in the Schur blocks
+    # of a (4,3) member over Q, and one inner index has nonzero X entries
+    # but an all-zero row of Y.  Over Z the entries are signed and above
+    # 2^64; S is updated through a view, as rank_mod_p passes it.
+    rng = random.Random(67)
+    entry = (lambda: rng.randrange(-(2**70), 2**70)) if p is None else (lambda: rng.randrange(1, p))
+    sparse = lambda rows, cols: np.array(
+        [[entry() if rng.random() < 0.16 else 0 for _ in range(cols)] for _ in range(rows)],
+        dtype=object,
+    )
+    m, k, n = 40, 12, 30
+    X, Y = sparse(m, k), sparse(k, n)
+    X[:, 0], Y[0] = entry(), 0
+    base = np.array([[entry() for _ in range(n + 3)] for _ in range(m)], dtype=object)
+    if p is not None:
+        base %= p
+    S = base[:, :n]
+    want = S - X @ Y if p is None else (S - X @ Y) % p
+    submul_mod_p(S, X, Y, p)
+    assert S.dtype == object and (base[:, :n] == want).all()
+
+
 
 def largest_short_k(p):
     """The largest inner dimension k with k (p // 2)^2 + p < 2^63, the bound
