@@ -4,29 +4,30 @@ A pair is a splitting type (d_1, ..., d_r) with sum r*(m-1) together with the
 complete monomial section basis: component i carries the forms u^a v^(d_i-a).
 Binary forms are coefficient tuples; points of the line are stored with the
 canonical representative (u, 1), or (1, 0) at infinity.  Every evaluation of
-a section at a point goes through one kernel, :func:`_term_values`, which
-takes the monomial values u^a v^(d-a) once per point and degree and gives
-each nonzero term of each section as (section s, component j, value).
+a section at a point goes through one kernel, :func:`_section_values`, which
+takes the monomial values u^a v^(d-a) once per point and degree and adds
+each nonzero term of each section into the value matrix: row i*r + j holds
+component j at point i, one column per section, reduced mod p.
 
 The kernel works on unboxed coefficients (ints mod p, or Fractions) from the
-terms a pair stores, and its triples are added into dense rows, reduced
-mod p, in two layouts.  :func:`_section_values` gives one row per section,
-r columns a point, for ``divisor_value``, which passes the rows straight to
+terms a pair stores, and the matrix is read in one layout.  At m points it
+is the classifying rows stacked: ``divisor_value`` passes it straight to
 ``scalars._det``, the determinant of the one row-elimination loop
 (``scalars._eliminate``, whose residue update touches only the pivot row's
-nonzeros), and for ``two_point_surjectivity``.  ``classify_point`` gives
-one row per component, of rm entries, the section values at one point, and
-hands them to ``exterior._wedge_rows``, the Plucker vector of a matrix that
-``grassmann.plucker_embed`` also uses: the rows become dense vectors and
-fold by gathers, so the image is born dense, and the fused top step of
-``top_wedge_coefficient`` and ``span_dimension``, which ranks the points'
-dense vectors, read it as it is.  Only returned scalars are boxed.
+nonzeros), and ``two_point_surjectivity`` ranks it at two points.  At one
+point it is the r x rm matrix whose row space is the classifying map's
+image: ``classify_point`` hands it to ``exterior._wedge_rows``, the Plucker
+vector of a matrix that ``grassmann.plucker_embed`` also uses: the rows
+become dense vectors and fold by gathers, so the image is born dense, and
+the fused top step of ``top_wedge_coefficient`` and ``span_dimension``,
+which ranks the points' dense vectors, read it as it is.  Only returned
+scalars are boxed.
 
 The determinant of binary forms is expanded symbolically by one Leibniz fold,
 :func:`_leibniz`, on the same unboxed terms: at one point it gives the
 determinant map d_E, at m points the coefficient tensor of the symbolic
 witness.  It never evaluates a section, so both stay checks independent of
-``_term_values``.  d_E is built once per pair and cached unboxed,
+``_section_values``.  d_E is built once per pair and cached unboxed,
 :func:`_det_map_rows`: ``det_map_rank`` ranks it as it is, ``lambda_image``
 multiplies it by the unboxed functional, and only ``det_map_matrix`` boxes it.
 
@@ -169,26 +170,24 @@ def is_balanced(pair: BundlePairP1) -> bool:
     return all(d == pair.m - 1 for d in pair.splitting)
 
 
-def _term_values(pair: BundlePairP1, pt: P1Point) -> list[tuple]:
-    """The evaluation kernel: per nonzero term c u^a v^(d_j - a) of each
-    section s, the triple (s, j, c * u^a v^(d_j - a)) at pt, unboxed and
-    unreduced; several terms of one section may share a component."""
-    table = {d: _monomials(pt, d, pair.field) for d in set(pair.splitting)}
-    at = [table[d] for d in pair.splitting]
-    return [(s, j, c * at[j][a]) for s, terms in enumerate(pair.terms) for j, a, c in terms]
-
-
 def _section_values(pair: BundlePairP1, points: Sequence[P1Point]) -> list[list]:
-    """One row per section: its r component values at each point in turn,
-    unboxed (residues in [0, p), or Fractions).  Only the entries a term
-    adds to are reduced; the rest stay zero."""
+    """The value matrix: row i*r + j holds component j at point i, one
+    column per section, unboxed (residues in [0, p), or Fractions).  Each
+    section's nonzero terms c u^a v^(d_j - a) are added in, with the
+    monomial values taken once per point and degree; several terms of one
+    section may share a component.  Only the entries a term adds to are
+    reduced; the rest stay zero."""
     field, r, p = pair.field, pair.r, _modulus(pair.field)
     zero = field.unbox(field.zero())
-    rows = [[zero] * (r * len(points)) for _ in pair.terms]
+    rows = [[zero] * len(pair.terms) for _ in range(r * len(points))]
     for base, pt in zip(range(0, r * len(points), r), points):
-        for s, j, x in _term_values(pair, pt):
-            x += rows[s][base + j]
-            rows[s][base + j] = x if p is None else x % p
+        table = {d: _monomials(pt, d, field) for d in set(pair.splitting)}
+        at = [table[d] for d in pair.splitting]
+        for s, terms in enumerate(pair.terms):
+            for j, a, c in terms:
+                row = rows[base + j]
+                x = row[s] + c * at[j][a]
+                row[s] = x if p is None else x % p
     return rows
 
 
@@ -299,7 +298,8 @@ def diagonal_factor_check(pair: BundlePairP1, trials: int, seed: int) -> Divisor
 def _leibniz(rows: Sequence[tuple], r: int, points: int, p) -> dict:
     """Leibniz expansion of the determinant whose row k is the section with
     unboxed terms ``rows[k]`` at `points` symbolic points, column i*r + j
-    holding component j at point i.
+    holding component j at point i: the transpose of the value matrix of
+    :func:`_section_values`, which has the same determinant.
 
     The rows are placed one at a time; the state maps (mask of used columns,
     u-exponent per point) to a coefficient, and a term placed in a column
@@ -355,19 +355,13 @@ def det_map_rank(pair: BundlePairP1) -> int:
 
 
 def classify_point(pair: BundlePairP1, x: P1Point) -> ExteriorVector:
-    """Plucker vector of the row space of the r x rm section-value matrix:
-    the image of the point under the classifying map, with coordinates the
-    r x r minors (:func:`pluckerlab.exterior._wedge_rows`).  Row j is dense,
-    each section's component-j value at its column, and is added into term
-    by term: several terms of one section may share a component.  The fold
-    gathers on the rows as dense vectors, so the image is born dense."""
-    field, r, p = pair.field, pair.r, _modulus(pair.field)
-    zero = field.unbox(field.zero())
-    rows = [[zero] * (r * pair.m) for _ in range(r)]
-    for s, j, y in _term_values(pair, x):
-        y += rows[j][s]
-        rows[j][s] = y if p is None else y % p
-    vec = _wedge_rows(rows, r * pair.m, field)
+    """Plucker vector of the row space of the r x rm section-value matrix
+    at x, :func:`_section_values` at the one point: the image of the point
+    under the classifying map, with coordinates the r x r minors
+    (:func:`pluckerlab.exterior._wedge_rows`).  Row j holds each section's
+    component-j value at its column; the fold gathers on the rows as dense
+    vectors, so the image is born dense."""
+    vec = _wedge_rows(_section_values(pair, [x]), pair.r * pair.m, pair.field)
     if vec.is_zero:
         raise ValueError("evaluation drops rank: not globally generated here")
     return vec

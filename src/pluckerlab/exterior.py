@@ -515,10 +515,9 @@ def _dense_vector(u: ExteriorVector) -> tuple[np.ndarray, int]:
     first use, over the lcm of its denominators, and keeps it; a vector
     born dense holds x over whatever common denominator built it."""
     if u._dense is None:
-        p, cs, d = _modulus(u.field), list(u._dict.values()), 1
-        if p is None:
-            d = math.lcm(*(c.denominator for c in cs))
-            cs = [c.numerator * (d // c.denominator) for c in cs]
+        cs, d = list(u._dict.values()), 1
+        if _modulus(u.field) is None:
+            (cs,), d = _rows_as_integers([cs])
         x = np.zeros(math.comb(u.n, u.degree), dtype=_dtype(u.field))
         at = _lex_position(u.n, u.degree)
         x[np.fromiter(map(at.__getitem__, u._dict), dtype=np.intp, count=len(cs))] = cs

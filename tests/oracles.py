@@ -13,7 +13,9 @@ elimination that ``rank_mod_p`` ran before it was blocked into panels;
 inversions of their concatenation, and ``reference_top_wedge`` folds it over
 the slots of a top wedge; ``reference_wedge_gather`` builds the wedge's index
 table by scanning every pair of masks and sorting the disjoint ones by
-output coordinate.  None of them is part of the package's API.
+output coordinate; ``evaluation_matrix`` sums each section's boxed terms
+c u^a v^(d - a) at each point, straight from ``pair.sections``.  None of them
+is part of the package's API.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pluckerlab.bundle_pairs_p1 import BundlePairP1, P1Point, _section_values
+from pluckerlab.bundle_pairs_p1 import BundlePairP1, P1Point
 from pluckerlab.exterior import (
     ExteriorVector,
     MultiIndex,
@@ -177,10 +179,22 @@ def build_tangent_system(p: PointTuple, k: int) -> DenseMatrix:
 
 
 def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:
-    """Boxed rm x rm matrix: one row per section, an r-column block per point."""
+    """Boxed rm x rm matrix: one row per section, an r-column block per
+    point.  Entry (s, i*r + j) is component j of section s at point i,
+    sum_a c_a u^a v^(d_j - a) in boxed field arithmetic, read off
+    ``pair.sections`` and not off the terms the kernel keeps unboxed."""
     if len(points) != pair.m:
         raise ValueError(f"need {pair.m} points")
-    return _boxed(_section_values(pair, points), pair.field)
+    zero = pair.field.zero()
+    rows = [
+        [
+            sum((c * pt.u**a * pt.v ** (len(form) - 1 - a) for a, c in enumerate(form)), zero)
+            for pt in points
+            for form in section
+        ]
+        for section in pair.sections
+    ]
+    return DenseMatrix.from_rows(rows)
 
 
 def change_basis(pair: BundlePairP1, G: DenseMatrix) -> BundlePairP1:

@@ -22,6 +22,7 @@ from pluckerlab.bundle_pairs_p1 import (
     P1Point,
     _det_map_rows,
     _first_nonzero_sample,
+    _section_values,
     classify_point,
     det_map_matrix,
     det_map_rank,
@@ -710,6 +711,23 @@ def _kernel_points(pair, rng):
     repeated = sample_distinct_points(m, field, rng)
     repeated[-1] = repeated[0]
     return tuples + [repeated]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_section_values_are_the_transposed_boxed_evaluation(field):
+    # Row i*r + j of the value matrix is component j at point i, one column
+    # per section: the transpose of the oracle's rows, which sum the boxed
+    # terms of pair.sections.  The pairs include basis changes, whose
+    # sections have several terms per component, and the points include
+    # infinity and a repeated point.
+    rng = random.Random(53)
+    for pair in _kernel_pairs(field, rng):
+        for pts in _kernel_points(pair, rng):
+            rows = _section_values(pair, pts)
+            expect = transpose(evaluation_matrix(pair, pts))
+            assert _boxed(rows, field) == expect
+            # The m-point matrix is the classifying rows of its points stacked.
+            assert rows == [row for x in pts for row in _section_values(pair, [x])]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)

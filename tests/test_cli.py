@@ -294,6 +294,27 @@ def test_report_body_over_q_at_four_three_matches_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BODY_Q_43
 
 
+# P^1 suites at small primes, where zero pivots and row swaps are common in
+# the determinant's elimination: (command, prime, splitting) -> digest at
+# seed 0 and 10 trials.  Recorded with one row per section in the value
+# matrix, before it was laid out one row per (point, component).
+GOLDEN_BODIES_SMALL_PRIMES = {
+    ("p1-divisor", 3, (2, 2, 2)): "7a2548cd575a229723df6393ba9540f11f4ce549c29d96b549fe8f38aaaa5b62",
+    ("p1-lambda", 3, (2, 2, 2)): "365850544996986c28b753a1f56dbda7468f72f97ffe646c0777e43ce8ff2ba9",
+    ("p1-detmap", 101, (4, 1, 1)): "6a124c56633ce931387cdc2a96ada9093ea6ee9c82259662ea6af7bd0c2a285e",
+}
+
+
+@pytest.mark.parametrize("command,prime,splitting", sorted(GOLDEN_BODIES_SMALL_PRIMES))
+def test_p1_report_bodies_at_small_primes_match_golden_digests(command, prime, splitting):
+    cfg = ExperimentConfig(
+        command=command, r=3, m=3, splitting=splitting, prime=prime, seed=0, trials=10
+    )
+    text = json.dumps(run(cfg).body(), sort_keys=True, indent=2)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_BODIES_SMALL_PRIMES[command, prime, splitting]
+
+
 def _none(*args):
     return None
 
@@ -600,3 +621,10 @@ def test_parser_lists_all_suites():
         "p1-no-form",
     ):
         assert name in text
+
+
+def test_splitting_that_is_not_integers_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["p1-divisor", "--splitting", "2,x", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "splitting must be comma-separated integers" in capsys.readouterr().err

@@ -1431,3 +1431,57 @@ def test_multi_index_refuses_a_mask_with_bits_beyond_n(mask, n):
     with pytest.raises(ValueError, match="bits outside the ambient dimension"):
         MultiIndex(mask, n)
     assert MultiIndex((1 << n) - 1, n).degree == n
+
+
+# -- refusals and shortcuts -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [((0, 2), "index 0 out of range 1..4"), ((1, 5), "index 5 out of range 1..4"), ((2, 3, 2), "repeated index 2")],
+)
+def test_indices_out_of_range_or_repeated_are_refused(indices, message):
+    with pytest.raises(ValueError, match=message):
+        MultiIndex.from_indices(indices, 4)
+    with pytest.raises(ValueError, match=message):
+        ExteriorVector.basis(4, indices, QQ)
+
+
+@pytest.mark.parametrize("degree", [-1, 5])
+def test_exterior_vector_refuses_a_degree_out_of_range(degree):
+    with pytest.raises(ValueError, match="degree out of range"):
+        ExteriorVector(4, degree, {}, QQ)
+
+
+@pytest.mark.parametrize("mask", [0b111, 0b1, 0b10001])
+def test_exterior_vector_refuses_a_mask_of_the_wrong_degree_or_range(mask):
+    with pytest.raises(ValueError, match="has wrong degree or range"):
+        ExteriorVector(4, 2, {mask: QQ.one()}, QQ)
+
+
+def test_zero_vector_has_no_leading_mask():
+    with pytest.raises(ValueError, match="zero vector has no leading term"):
+        ExteriorVector.zero(4, 2, QQ).leading_mask()
+
+
+def test_contract_refuses_a_covector_on_another_ambient_dimension():
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        contract(MultiIndex.from_indices((1,), 5), ev(4, (1, 2)))
+
+
+def test_lex_masks_of_a_degree_outside_0_to_n_are_empty():
+    assert lex_masks(3, -1) == lex_masks(3, 4) == ()
+    assert lex_masks(3, 0) == (0,) and lex_masks(3, 3) == (0b111,)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp"])
+def test_plucker_relations_hold_below_degree_two_and_at_top_degree(field):
+    # Every vector of degree 0, 1 or n is decomposable, so the test returns
+    # True without contracting.
+    one = field.one()
+    for w in (
+        ExteriorVector(4, 0, {0: one}, field),
+        ExteriorVector(4, 1, {0b1: one, 0b10: one, 0b1000: one}, field),
+        ExteriorVector(3, 3, {0b111: one + one}, field),
+    ):
+        assert plucker_relations_hold(w)

@@ -444,3 +444,29 @@ def test_ev_det_shape_errors():
     pts = [random_grass_point(2, 6, F, rng) for _ in range(2)]
     with pytest.raises(ValueError):
         ev_m_det(pts)
+
+
+# -- refusals -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_mu_rank_refuses_s_below_one(s):
+    with pytest.raises(ValueError, match="s must be at least 1"):
+        mu_rank(basis(6, (1, 2)), s)
+
+
+def test_classifier_refuses_zero_and_the_wrong_ambient_dimension():
+    with pytest.raises(ValueError, match="zero vector"):
+        classify_membership(ExteriorVector.zero(6, 2, F), 3)
+    with pytest.raises(ValueError, match=r"ambient dimension must equal degree \* m"):
+        classify_membership(basis(8, (1, 2), F), 3)
+
+
+def test_ev_m_det_refuses_points_of_mismatched_shapes():
+    rng = random.Random(73)
+    first = random_grass_point(2, 4, F, rng)
+    with pytest.raises(ValueError, match="empty tuple"):
+        ev_m_det([])
+    for other in (random_grass_point(1, 4, F, rng), random_grass_point(2, 5, F, rng)):
+        with pytest.raises(ValueError, match="shape mismatch between points"):
+            ev_m_det([first, other])

@@ -23,6 +23,7 @@ from pluckerlab.exterior import (
 from pluckerlab.grassmann import random_grass_point
 from pluckerlab.plucker_form import (
     PointTuple,
+    _tangent_array,
     diagonal_multiplicity,
     diagonal_tangent_codim,
     evaluate_expansion,
@@ -406,3 +407,25 @@ def test_diagonal_tangent_codim_validation():
     with pytest.raises(ValueError):
         diagonal_tangent_codim(basis(6, (1, 2)), 2)
     assert diagonal_tangent_codim(basis(4, (1, 2)), 2) == 1
+
+
+# -- refusals -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r, m", [(8, 9), (65, 1)])
+def test_expand_form_refuses_an_ambient_dimension_above_64(r, m):
+    with pytest.raises(ValueError, match="ambient dimension exceeds 64"):
+        expand_form(r, m)
+
+
+@pytest.mark.parametrize("k", [-1, 3, 4])
+def test_tangent_array_refuses_an_order_out_of_range(k):
+    p = random_tuple(2, 3, F, random.Random(79))
+    with pytest.raises(ValueError, match=r"singularity order must be in 0\.\.m-1"):
+        _tangent_array(p, k)
+
+
+def test_diagonal_multiplicity_refuses_n_not_a_multiple_of_r():
+    for w in (basis(5, (1, 2)), ExteriorVector(4, 0, {0: F.one()}, F)):
+        with pytest.raises(ValueError, match="ambient dimension must be a multiple of the degree"):
+            diagonal_multiplicity(w)
