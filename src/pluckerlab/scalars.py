@@ -546,23 +546,18 @@ def submul_mod_p(S: np.ndarray, X: np.ndarray, Y: np.ndarray, p) -> None:
 
     Both routes update S 64 rows at a time, which bounds the temporaries,
     and skip a row block of X that is all zero.  Object arrays (p above
-    2^31.5, or None) take the product in Python ints, which cannot overflow.
-    When X or Y has a zero entry, it is one outer product per inner index j,
-    of X[:, j]'s nonzero entries by Y[j]'s, subtracted from S at those rows
-    and columns, so sparse blocks pay for their nonzero products alone: the
-    Schur blocks X and Y of a (4,3) member over Q are about 16% nonzero.
-    Blocks with no zero entry, as the panels of ``rank_mod_p`` above 2^31.5
-    mostly are, take one object matmul instead.  Where p is set, S is
-    reduced once at the end.
+    2^31.5, or None) take the product in Python ints, which cannot overflow,
+    as one outer product per inner index j, of X[:, j]'s nonzero entries by
+    Y[j]'s, subtracted from S at those rows and columns; where p is set, S
+    is reduced once at the end.  So sparse blocks pay for their nonzero
+    products alone: the Schur blocks X and Y of a (4,3) member over Q are
+    about 16% nonzero.
     """
     if S.dtype == object:
-        if X.all() and Y.all():
-            S -= X @ Y
-        else:
-            for j in range(X.shape[1]):
-                rows, cols = np.flatnonzero(X[:, j]), np.flatnonzero(Y[j])
-                if rows.size and cols.size:
-                    S[np.ix_(rows, cols)] -= np.multiply.outer(X[rows, j], Y[j, cols])
+        for j in range(X.shape[1]):
+            rows, cols = np.flatnonzero(X[:, j]), np.flatnonzero(Y[j])
+            if rows.size and cols.size:
+                S[np.ix_(rows, cols)] -= np.multiply.outer(X[rows, j], Y[j, cols])
         if p is not None:
             S %= p
         return

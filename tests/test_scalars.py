@@ -348,31 +348,6 @@ def test_object_submul_over_the_nonzeros_matches_the_dense_product(p):
     assert S.dtype == object and (base[:, :n] == want).all()
 
 
-@pytest.mark.parametrize("p", [None, 2**61 - 1], ids=["z", "p61"])
-@pytest.mark.parametrize("zero_in", [None, "X", "Y"])
-def test_object_submul_on_dense_blocks_matches_the_dense_product(p, zero_in, monkeypatch):
-    # Blocks with no zero entry take one object matmul; one zero entry in X
-    # or in Y sends them back to the outer products over the nonzeros, which
-    # index S through np.ix_.  Both agree with numpy's product of the object
-    # arrays, over Z with signed entries above 2^64 and mod 2^61 - 1.
-    rng = random.Random(71)
-    entry = (lambda: rng.randrange(-(2**70), 2**70) or 1) if p is None else (lambda: rng.randrange(1, p))
-    dense = lambda rows, cols: np.array([[entry() for _ in range(cols)] for _ in range(rows)], dtype=object)
-    m, k, n = 24, 9, 17
-    X, Y, S = dense(m, k), dense(k, n), dense(m, n)
-    if zero_in == "X":
-        X[5, 3] = 0
-    elif zero_in == "Y":
-        Y[8, 16] = 0
-    want = S - X @ Y if p is None else (S - X @ Y) % p
-    calls = []
-    ix = np.ix_
-    monkeypatch.setattr(np, "ix_", lambda *a: calls.append(a) or ix(*a))
-    submul_mod_p(S, X, Y, p)
-    assert S.dtype == object and (S == want).all()
-    assert bool(calls) == (zero_in is not None)
-
-
 
 def largest_short_k(p):
     """The largest inner dimension k with k (p // 2)^2 + p < 2^63, the bound
