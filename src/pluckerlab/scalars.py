@@ -34,8 +34,10 @@ update forms products of two residues, so the arrays are int64 only when
 (p - 1)^2 < 2^63 (p below about 2^31.5); for larger primes the same
 elimination runs on an object array of Python ints, which cannot overflow.
 ``_residue_dtype`` holds that rule, and :func:`rank_mod_p` refuses any
-other dtype and any entry outside [0, p), since int64 array arithmetic
-wraps around without a warning.  ``submul_mod_p``
+other dtype, an object entry that is not a Python int and any entry outside
+[0, p), since int64 array arithmetic wraps around without a warning, and a
+modulus that is not prime.  Its panel step delays the reduction mod p for
+as many updates as int64 holds.  ``submul_mod_p``
 forms S - X Y mod p on the same arrays, for that Schur complement and for
 the panel update of :func:`rank_mod_p`.  Over
 int64 residues X is balanced into (-p/2, p/2]; a short inner dimension k,
@@ -418,10 +420,11 @@ def _mod_p(a: np.ndarray, p: int) -> np.ndarray:
 
 # Rows per panel of rank_mod_p.  The panel's pivot loop costs about b rank-1
 # updates of b rows per panel, the update of the rows below one pass per
-# panel, so b trades the one against the other.  Best times on a 2-vCPU VM,
-# p = 2^31 - 1, for b = 16, 32, 64: the 64^2 S of a (3,3) non-member 1.06,
-# 1.04, 1.28 ms; a 425^2 (4,3) S 38, 35, 42 ms and a 2751^2 (5,3) S 6.1,
-# 4.2, 3.6 s, both on one BLAS thread.
+# panel, so b trades the one against the other.  Medians of 5 alternating
+# rounds on a 2-vCPU VM, p = 2^31 - 1, one BLAS thread, with the delayed
+# reduction, for b = 16, 32, 64: the 64^2 S of a (3,3) non-member 0.97,
+# 1.01, 1.22 ms; a 425^2 (4,3) S 26, 24, 28 ms; a 1485^2 (4,3) tangent
+# array of rank 210 0.33, 0.20, 0.18 s and a 2751^2 (5,3) S 5.4, 3.5, 2.7 s.
 _PANEL = 32
 
 
@@ -431,8 +434,10 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     A, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008;
     Jeannerod, Pernet and Storjohann, J. Symb. Comput. 56, 2013).
 
-    Any other dtype, or an entry outside [0, p), is refused: int64
-    arithmetic on arrays wraps around without a warning, so the dtype and
+    A modulus that is not prime is refused, and so is any other dtype, an
+    object entry that is not a Python int, or an entry outside [0, p):
+    int64 arithmetic on arrays wraps around without a warning, and numpy
+    integers wrap inside object arrays too, so the dtype, the entry type and
     the range are what keep every product of two residues exact.
 
     A is eliminated ``_PANEL`` rows at a time.  Each panel T is reduced to
@@ -445,37 +450,63 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     by inv, when it is the only one, and otherwise those rows gathered and
     written back.  A sparse panel skips most of the work.
 
-    The int64 bound of this panel step: f is reduced from products of two
-    residues, and every updated entry is s - f y with s, f and y in [0, p),
-    so it lies in [-(p - 1)^2, p), inside int64 by the dtype rule.
-    :func:`_mod_p` takes it back to [0, p): ``%`` cannot overflow, and the
-    floor remainder of a large panel passes through
-    a // p * p >= a - p + 1 >= -p (p - 1) > -2^63, since p (p - 1) < 2^63
-    holds up to 3037000493, the largest prime with int64 residues.
+    The reduction mod p is delayed (Dumas, Giorgi and Pernet, ACM TOMS
+    35(3), 2008): an entry is reduced by :func:`_mod_p` only where it is
+    read as a residue, column c before its zero test and the pivot row
+    before it is used as y, and the whole tail T[:, c:] only once the
+    panel has had J = (2^63 - p - 1) // (p - 1)^2 updates since its last
+    reduction.  J is 2 at p = 2^31 - 1, 1 for the int64 primes above 2^31,
+    and beyond any panel at small primes.  The int64 bound: a reduced entry
+    lies in [0, p), f is reduced from the product of a reduced entry of
+    column c and inv, and y is reduced, so each update subtracts f y in
+    [0, (p - 1)^2], and after j updates since the last reduction every
+    entry a of T[:, c:] lies in [-j (p - 1)^2, p).  With j <= J that is
+    inside int64, and so is its reduction: ``%`` cannot overflow, and the
+    floor remainder a - a // p * p passes through a // p * p, which lies in
+    [a - p + 1, a], so above -J (p - 1)^2 - p + 1 > -2^63, because
+    J (p - 1)^2 + p < 2^63 by the choice of J.  J >= 1 for every int64
+    prime: J = 0 would need p (p - 1) + 2 > 2^63, and p (p - 1) + 2 <=
+    2^63 holds up to 3037000493, the largest prime with int64 residues.
+    Object arrays, whose Python ints cannot overflow but grow, take J = 1,
+    one reduction per pivot.
 
-    The panel's k pivot rows E are then the identity on its pivot columns
-    P, so every later row x is reduced by x[P] E: the rows below become
-    ``rest[:, ~P] - rest[:, P] E[:, ~P]``, formed in place by
-    :func:`submul_mod_p`, whose inner dimension is k <= ``_PANEL`` and whose
-    docstring proves the product exact.  The rank grows by k, and the panel
+    The panel's k pivot rows E are then the identity mod p on its pivot
+    columns P, so every later row x is reduced by x[P] E: the rows below
+    become ``rest[:, ~P] - rest[:, P] E[:, ~P]``, formed in place by
+    :func:`submul_mod_p` from E[:, ~P] reduced into [0, p) (the only part
+    of the panel read again), whose inner dimension is k <= ``_PANEL`` and
+    whose docstring proves the product exact.  The rank grows by k, and the panel
     and the columns P are dropped: the non-pivot columns at or past the new
     width are copied into the pivot columns before it, so the rows left
     stay a view of A.  A panel with no pivot is all zero and is dropped
     alone.
     """
+    if not isinstance(p, int) or not _is_prime(p):
+        raise ValueError(f"modulus {p!r} is not prime")
     dtype = np.dtype(_residue_dtype(p))
     if A.dtype != dtype:
         raise ValueError(f"residues mod {p} need dtype {dtype}, not {A.dtype}")
+    if dtype == object and A.size:
+        others = set(map(type, A.ravel().tolist())) - {int}
+        if others:
+            names = ", ".join(sorted(t.__name__ for t in others))
+            raise ValueError(f"object entries must be Python ints, not {names}")
     if A.size and (A.min() < 0 or A.max() >= p):
         raise ValueError(f"entries must be residues in [0, {p})")
+    budget = 1 if dtype == object else (2**63 - p - 1) // (p - 1) ** 2
     rank = 0
     while A.shape[0] and A.shape[1]:
         T, rest = A[:_PANEL], A[_PANEL:]
-        pivots, rows = [], T.shape[0]
+        pivots, rows, pending = [], T.shape[0], 0
         for c in range(T.shape[1]):
             i = len(pivots)
             if i == rows:
                 break
+            if pending == budget:
+                _mod_p(T[:, c:], p)
+                pending = 0
+            elif pending:
+                _mod_p(T[:, c], p)
             nz = T[:, c].nonzero()[0]
             whole = nz.size == rows
             at = i if whole else int(nz.searchsorted(i))
@@ -484,6 +515,8 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
             if nz[at] != i:
                 T[[i, nz[at]]] = T[[nz[at], i]]
                 nz[at] = i
+            if pending:
+                _mod_p(T[i, c:], p)
             inv = pow(int(T[i, c]), -1, p)
             if nz.size == 1:
                 T[i, c:] = _mod_p(T[i, c:] * inv, p)
@@ -492,9 +525,9 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
                 f = _mod_p(tail[:, 0] * inv, p)
                 f[at] = (1 - inv) % p
                 tail -= f[:, None] * tail[at]
-                _mod_p(tail, p)
                 if not whole:
                     T[nz, c:] = tail
+                pending += 1
             pivots.append(c)
         k = len(pivots)
         if not k:
@@ -512,7 +545,10 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
         cols = np.arange(n)
         cols[into] = moved
         A = rest[:, :n]
-        submul_mod_p(A, X, T[:k, cols], p)
+        Y = T[:k, cols]
+        if pending:
+            _mod_p(Y, p)
+        submul_mod_p(A, X, Y, p)
     return rank
 
 

@@ -188,6 +188,18 @@ def test_mod_p_matches_python_on_both_sides_of_the_size_rule(p, size):
     check_mod_p(np.array(products_and_edges(p, size, rng), dtype=_residue_dtype(p)), p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2147483659, 3037000493])
+@pytest.mark.parametrize("size", [15, _FLOOR_FROM, 4 * _FLOOR_FROM])
+def test_mod_p_down_to_the_delayed_reduction_bound(p, size):
+    # rank_mod_p reduces a panel entry after up to J = (2^63 - p - 1) //
+    # (p - 1)^2 deferred updates, so the entry lies in [-J (p - 1)^2, p).
+    low = -((2**63 - p - 1) // (p - 1) ** 2) * (p - 1) ** 2
+    rng = random.Random(size)
+    edges = [low, low + 1, low + -low % p, low + p - 1, -1, 0, p - 1]
+    values = (edges + [rng.randrange(low, p) for _ in range(size)])[:size]
+    check_mod_p(np.array(values, dtype=np.int64), p)
+
+
 @pytest.mark.parametrize("p", MOD_PRIMES)
 @pytest.mark.parametrize("rows, cols", [(3, 5), (_PANEL, 12), (_PANEL, 40), (64, 64)])
 def test_mod_p_matches_python_on_2d_strided_and_fancy_indexed_arrays(p, rows, cols):
@@ -246,6 +258,29 @@ def test_rank_mod_p_refuses_a_dtype_other_than_the_residue_dtype():
         rank_mod_p(A.astype(object), 7)
     with pytest.raises(ValueError, match="dtype"):
         rank_mod_p(np.eye(2), 7)
+
+
+@pytest.mark.parametrize("p", [-7, 0, 1, 4, 9, 561, 3215031751, 2**61 - 3, 7.0, Fraction(7)])
+def test_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    # Unchecked, p = 9 failed inside pow ("base is not invertible") and
+    # p = 1 ranked every matrix 0.
+    for dtype in (np.int64, object):
+        with pytest.raises(ValueError, match="is not prime"):
+            rank_mod_p(np.array([[3, 0], [0, 3]], dtype=dtype), p)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), Fraction(5), np.int64(5), True, "5"])
+def test_rank_mod_p_refuses_object_entries_that_are_not_python_ints(bad):
+    # Unchecked, [[2.5, 5], [1, 2]] was ranked 2 over 2^61 - 1, and a
+    # Fraction failed inside pow; numpy integers wrap around inside object
+    # arrays as they do in int64 ones.
+    p = 2**61 - 1
+    A = np.array([[0, 5], [1, 2]], dtype=object)
+    A[0, 0] = bad
+    with pytest.raises(ValueError, match="must be Python ints, not"):
+        rank_mod_p(A, p)
+    A[0, 0] = 5 * pow(2, -1, p) % p
+    assert rank_mod_p(A, p) == 1
 
 
 @pytest.mark.parametrize("p", [7, 2**31 - 1, 2**61 - 1])
@@ -479,6 +514,44 @@ def permutation_like(p, rng):
     return [scaled, repeated, scaled[:-1] + random_rows(1, m, p, rng), swap]
 
 
+def extremal_lu(m, k, p, skip):
+    """L U mod p for L (m x k) with 1 on the diagonal and -1 below it (0
+    where (i + c) % 3 == 0 when ``skip``) and U (k x m) with -1 on and above
+    the diagonal.  Each pivot row is then U's row, all p - 1, and each row
+    below is 1 or 0 in the pivot column, so every update subtracts (p - 1)^2
+    from every entry of every row it changes: the largest deferred sums.
+    The rows past k end as zero mod p, so an entry that left int64 on the
+    way shows as a higher rank.  With ``skip`` a row misses every third
+    pivot while holding updates."""
+    L = [[int(i == c) if c >= i else 0 if skip and (i + c) % 3 == 0 else -1 for c in range(k)] for i in range(m)]
+    return [[-sum(L[i][: min(i, j, k - 1) + 1]) % p for j in range(m)] for i in range(m)]
+
+
+def delayed_updates(p, rng):
+    # The panel reduces its entries only when one more update could leave
+    # int64 (after 2 updates at 2^31 - 1, 1 above 2^31, never in a panel at
+    # small primes); these reach that bound and read entries in between.
+    m, n = 2 * B + 1, 3 * B + 5
+    # Rows c u + v, with v zero in the first two columns, between dense
+    # rows: the first pivot's update leaves them zero mod p in the second
+    # column (a multiple of p until reduced) with a deferred update in every
+    # later one, so they skip the second pivot.
+    u = [rng.randrange(1, p) for _ in range(n)]
+    cleared = []
+    for _ in range(B):
+        c, v = rng.randrange(1, p), [0, 0] + [rng.randrange(p) for _ in range(n - 2)]
+        cleared.append([(c * x + y) % p for x, y in zip(u, v)])
+    interleaved = [u] + [row for pair in zip(cleared, random_rows(B, n, p, rng)) for row in pair]
+    # Every entry p - 1 (rank 1), and a first panel of rank B - 1 whose
+    # dependent row is zero mod p in every column after its last pivot, so
+    # the panel ends with an update pending.
+    top = [[p - 1] * m for _ in range(m)]
+    first = random_rows(B - 1, n, p, rng)
+    one_short = first + times(random_rows(1, B - 1, p, rng), first, p) + random_rows(B + 1, n, p, rng)
+    extremal = [extremal_lu(m, B - 4, p, skip) for skip in (False, True)]
+    return extremal + [interleaved, top, one_short]
+
+
 RANK_FAMILIES = [
     edge_shapes,
     tall_and_wide,
@@ -489,11 +562,18 @@ RANK_FAMILIES = [
     crafted_43_schur,
     sparse_rows,
     permutation_like,
+    delayed_updates,
 ]
+
+# The submul primes and 2147483659, the smallest prime above 2^31: the
+# panel's budget of updates between reductions is the whole panel at 2 and
+# 3, 2 at 2^31 - 1 and 1 at 2147483659 and 3037000493, so the rule is met on
+# both sides of 2^31; 2^61 - 1 takes object arrays.
+RANK_PRIMES = [2, 3, 2**31 - 1, 2147483659, 3037000493, 2**61 - 1]
 
 
 @pytest.mark.parametrize("family", RANK_FAMILIES, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("p", SUBMUL_PRIMES)
+@pytest.mark.parametrize("p", RANK_PRIMES)
 def test_blocked_rank_matches_the_loop_kernel_and_the_row_loop(p, family):
     rng = random.Random(p)
     for rows in family(p, rng):
