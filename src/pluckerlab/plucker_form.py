@@ -9,6 +9,12 @@ obtained by evaluating wedges in natural slot order, never from a separate
 permutation-parity formula; the Taylor-coefficient identity (checked by the
 test suite) pins the convention.
 
+The lattice of slot subsets has one walk, a memo of ordered wedges w_S
+filled on demand (``_SlotWedges``).  ``multiplicity_at`` reads the full
+wedge's prefix chain first and stops each later level at its first nonzero
+w_S; ``_tangent_array`` reads the level of its stratum and the one below
+it.  ``polar`` and ``expand_form`` walk their subsets on their own.
+
 Tangent systems are built once, as one array of unboxed entries (residues
 over F_p, Fractions over Q) filled block by block from
 ``exterior._wedge_array``, and ``tangent_codim`` ranks that array through
@@ -163,41 +169,61 @@ def polar(k: int, w: PointTuple, t: Sequence[ExteriorVector]) -> Scalar:
     return total
 
 
-def _subset_wedge_levels(slots: Sequence[ExteriorVector]):
-    """The lattice of slot subsets, one level at a time: for |S| = 1, ..., m
-    yields {smask: w_S}, the ordered wedges of the slots in S.
+class _SlotWedges(dict):
+    """The lattice of slot subsets, filled on demand: ``self[smask]`` is w_S,
+    the ordered wedge of the slots in S, keyed by the bitmask of S over slot
+    positions (bit i = slot i).
 
-    Keys are bitmasks over slot positions (bit i = slot i).  Built bottom-up:
-    w_S = w_min ^ w_{S - min}.  Once a level is all zero every later one is.
+    A missing w_S is built as w_{S - max S} ^ w_{max S} and kept, so reading
+    the full set builds the prefix chain w_{0}, w_{0,1}, ... in m - 1 wedges,
+    and every later read reuses what earlier reads built.
     """
-    m = len(slots)
-    level = {1 << i: slots[i] for i in range(m)}
-    yield level
-    for size in range(2, m + 1):
-        prev, level = level, {}
-        for comb in itertools.combinations(range(m), size):
-            smask = 0
-            for i in comb:
-                smask |= 1 << i
-            level[smask] = wedge(slots[comb[0]], prev[smask ^ (smask & -smask)])
-        yield level
+
+    def __init__(self, slots: Sequence[ExteriorVector]):
+        self.slots = slots
+
+    def __missing__(self, smask: int) -> ExteriorVector:
+        top = smask.bit_length() - 1
+        rest = smask ^ (1 << top)
+        w = wedge(self[rest], self.slots[top]) if rest else self.slots[top]
+        self[smask] = w
+        return w
 
 
-def _all_zero(level: dict) -> bool:
-    return all(w.is_zero for w in level.values())
+def _masks(m: int, size: int):
+    """Bitmasks of the size-element subsets of the m slots, in lex order."""
+    return (sum(1 << i for i in S) for S in itertools.combinations(range(m), size))
 
 
 def multiplicity_at(p: PointTuple) -> int:
-    """Multiplicity of the zero divisor of the form at the given point.
+    """Multiplicity of the zero divisor of the form at the given point: the
+    largest k with every ordered wedge w_S, |S| = m-k+1, vanishing.  Always
+    at most m-1 because the slots are nonzero.
 
-    Largest k with all partial wedges w_S, |S| = m-k+1, vanishing; ascends
-    the subset lattice and stops at the first all-zero level.  Always at most
-    m-1 because the slots are nonzero.
+    Reads the full wedge first (the prefix chain, m-1 wedges) and returns 0
+    when it is nonzero.  Otherwise it tests the sizes 2, ..., m-1 in
+    ascending order, each level stopping at its first nonzero w_S; the first
+    all-zero level, of size s, gives m-s+1, and 1 when none is all zero.
+
+    Proof.  Zero levels are upward closed: if every w_S with |S| = s
+    vanishes, so does every w_T with |T| = s+1, which is w_{T - max T} ^
+    w_{max T}.  So the all-zero sizes are s0, s0+1, ..., m+1 for one s0 (the
+    level of size m+1 is empty, hence vacuously zero), the multiplicity is
+    m-s0+1, and s0 >= 2 because the slots are nonzero.  A nonzero full
+    wedge means s0 = m+1, and 0 is returned.  Otherwise s0 <= m: the first
+    all-zero size among 2, ..., m-1 is s0 when s0 < m, and when there is
+    none s0 = m, so 1 is returned.  By associativity of ^ every memo entry
+    equals the ordered wedge of its slots, whichever split built it, so
+    each test reads the same vectors as a walk over whole levels would.
     """
-    for size, level in enumerate(_subset_wedge_levels(p.slots), 1):
-        if _all_zero(level):
-            return p.m - size + 1
-    return 0
+    m = p.m
+    memo = _SlotWedges(p.slots)
+    if not memo[(1 << m) - 1].is_zero:
+        return 0
+    for size in range(2, m):
+        if all(memo[smask].is_zero for smask in _masks(m, size)):
+            return m - size + 1
+    return 1
 
 
 def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
@@ -222,16 +248,14 @@ def _tangent_array(p: PointTuple, k: int) -> np.ndarray:
         raise ValueError("singularity order must be in 0..m-1")
     ssize = m - k + 1
     # Multiplicity at least k means the level of size ssize is all zero.
-    levels = _subset_wedge_levels(p.slots)
-    memo = next(itertools.islice(levels, ssize - 2, None))
-    if not _all_zero(next(levels)):
+    memo = _SlotWedges(p.slots)
+    if not all(memo[smask].is_zero for smask in _masks(m, ssize)):
         raise ValueError("point does not lie on the k-th singular stratum")
     rows_per_block = len(lex_masks(n, r * ssize))
     subsets = list(itertools.combinations(range(m), ssize))
     A = np.full((len(subsets) * rows_per_block, cols_total), zero, dtype=dtype)
-    for b, S in enumerate(subsets):
+    for b, (S, smask) in enumerate(zip(subsets, _masks(m, ssize))):
         rows = slice(b * rows_per_block, (b + 1) * rows_per_block)
-        smask = sum(1 << i for i in S)
         for pos, i in enumerate(S):
             # Substituting t_i in place inside the ordered wedge over S equals
             # (-1)^(r*(pos + |S| - 1)) times u ^ t_i with u = w_{S - i}.

@@ -14,8 +14,9 @@ inversions of their concatenation, and ``reference_top_wedge`` folds it over
 the slots of a top wedge; ``reference_wedge_gather`` builds the wedge's index
 table by scanning every pair of masks and sorting the disjoint ones by
 output coordinate; ``evaluation_matrix`` sums each section's boxed terms
-c u^a v^(d - a) at each point, straight from ``pair.sections``.  None of them
-is part of the package's API.
+c u^a v^(d - a) at each point, straight from ``pair.sections``;
+``reference_multiplicity`` folds ``wedge`` over every slot subset, with no
+memo and no early exit.  None of them is part of the package's API.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pluckerlab.exterior import (
     _odd_above,
     _wedge_array,
     lex_masks,
+    wedge,
 )
 from pluckerlab.plucker_form import PointTuple, _tangent_array
 from pluckerlab.scalars import (
@@ -176,6 +178,22 @@ def build_tangent_system(p: PointTuple, k: int) -> DenseMatrix:
     """Boxed tangent system of the k-th singular stratum at p, the matrix
     that ``tangent_codim`` ranks."""
     return _boxed(_tangent_array(p, k), p.field)
+
+
+def reference_multiplicity(p: PointTuple) -> int:
+    """Multiplicity of the form's zero divisor at p, straight from its
+    definition: the largest k in 0..m with the ordered wedge of the slots in
+    S zero for every S of size m - k + 1, each wedge folded left to right
+    from the slots alone."""
+    m = p.m
+    zero_at = {size: True for size in range(1, m + 2)}
+    for size in range(1, m + 1):
+        for S in itertools.combinations(range(m), size):
+            acc = p.slots[S[0]]
+            for i in S[1:]:
+                acc = wedge(acc, p.slots[i])
+            zero_at[size] = zero_at[size] and acc.is_zero
+    return max(k for k in range(m + 1) if zero_at[m - k + 1])
 
 
 def evaluation_matrix(pair: BundlePairP1, points: Sequence[P1Point]) -> DenseMatrix:

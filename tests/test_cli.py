@@ -219,6 +219,11 @@ GOLDEN_BODIES = {
     ("p1-divisor", 3, 2): "11994cb330e2f7b48acca786a5c84c49471e53f37f084f7248e6fc5427a0ebbc",
     ("p1-lambda", 1, 4): "319d7a82f68fe57fd8ccf05b3c587792d138ad6e82c38f58316ccc2fa4e837db",
     ("p1-lambda", 3, 2): "ce10e5dc0a070d63ee9b898459167a9ceba186a2c2ac77e19cfb777974a1455a",
+    # Deep slot-subset lattices, recorded with every level of the lattice
+    # built in full.
+    ("multiplicity-bound", 1, 10): "10cdeec59a9bb1479dc063a68af22f846dbd56ca365ddfc053622b4484c90c00",
+    ("multiplicity-bound", 2, 5): "7c208acaf54a4c9867e9132bd4a0cbcb3105d9a2a632ce0bc2523554fd247467",
+    ("codim-threshold", 2, 4): "b5867e0872698fc4aef43541aa6fa4be0b2587cd684ebe2f13e453b7f7e9d823",
 }
 
 
@@ -254,6 +259,8 @@ GOLDEN_BODIES_Q = {
     ("p1-divisor", 3, 2): "debb530b8f25a1eb446264dc708cd21910b0fd460717f1ec1a11b66b4d1c559e",
     ("p1-lambda", 1, 4): "b011eeb1936f729b4fa6c260839f665b56ae68150a26ab13d05f5193cdcb0c7a",
     ("p1-lambda", 3, 2): "139d92705ab2a34fb976367c379d6d815284951562dd266f91c6a4b1d5119719",
+    # Recorded with every level of the slot-subset lattice built in full.
+    ("multiplicity-bound", 2, 4): "b92bbfb2a1a25e2b2250ebe7f96ffc196bf9e6ef77f88f8d5cb863414e069bf5",
 }
 
 

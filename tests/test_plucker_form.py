@@ -11,8 +11,10 @@ from oracles import (
     from_coefficients,
     mat_rank,
     mat_vec,
+    reference_multiplicity,
     wedge_matrix,
 )
+from pluckerlab import plucker_form
 from pluckerlab.exterior import (
     ExteriorVector,
     plucker_relations_hold,
@@ -34,7 +36,7 @@ from pluckerlab.plucker_form import (
     polar,
     tangent_codim,
 )
-from pluckerlab.scalars import QQ, PrimeField, poly_interpolate
+from pluckerlab.scalars import QQ, DenseMatrix, PrimeField, poly_interpolate
 
 F = PrimeField()
 
@@ -196,6 +198,113 @@ def test_diagonal_multiplicity_consistency():
     for r, m in [(2, 3), (3, 3), (2, 2)]:
         w = random_exterior(r * m, r, F, rng)
         assert diagonal_multiplicity(w) == multiplicity_at(PointTuple.diagonal(w, m))
+
+
+# Degrees r per m with r * m <= 10, so the oracle's 2^m - 1 folds stay cheap.
+LATTICE_SHAPES = [(r, m) for m in range(2, 7) for r in range(1, 5) if r * m <= 10]
+
+
+def _lattice_tuples(r, m, field, rng):
+    """Random tuples, a repeated slot at every position pair, diagonal
+    tuples, and for m = 4 and odd r the tuples [a, a, b, c] and [a, b, a, c],
+    whose prefix chain vanishes while a later subset wedge need not."""
+    n = r * m
+    base = [random_exterior(n, r, field, rng) for _ in range(m)]
+    yield base
+    yield [random_exterior(n, r, field, rng) for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        slots = list(base)
+        slots[j] = slots[i]
+        yield slots
+    yield [base[0]] * m
+    yield [base[1]] * m
+    if m == 4 and r % 2:
+        a, b, c = base[:3]
+        yield [a, a, b, c]
+        yield [a, b, a, c]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(3), F, PrimeField(2**61 - 1), QQ],
+    ids=["f2", "f3", "fp", "p61", "q"],
+)
+@pytest.mark.parametrize("r,m", LATTICE_SHAPES)
+def test_multiplicity_matches_the_definition(field, r, m):
+    # The lazy lattice against every subset wedge folded from the slots; the
+    # tangent array refuses exactly the orders above the multiplicity.
+    rng = random.Random(1000 * r + m)
+    for slots in _lattice_tuples(r, m, field, rng):
+        p = PointTuple.of(slots)
+        mu = multiplicity_at(p)
+        assert mu == reference_multiplicity(p)
+        if mu + 1 <= m - 1:
+            with pytest.raises(ValueError, match="does not lie on the k-th singular stratum"):
+                _tangent_array(p, mu + 1)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_multiplicity_when_the_prefix_chain_vanishes_before_a_later_subset(r):
+    # w_{0,1} = a ^ a or w_{0,1,2} = a ^ b ^ a is zero for odd r, so the full
+    # wedge is zero, while b ^ a ^ c or a ^ b ^ c is not: multiplicity 1.
+    rng = random.Random(83 + r)
+    a, b, c = (random_exterior(4 * r, r, F, rng) for _ in range(3))
+    for slots in ([a, a, b, c], [a, b, a, c]):
+        p = PointTuple.of(slots)
+        assert not eval_form(p) and multiplicity_at(p) == 1
+
+
+def test_multiplicity_of_vectors_spanning_rho_dimensions():
+    # For r = 1, w_S = 0 exactly when the vectors of S are dependent, so m
+    # vectors of span dimension rho have multiplicity m - rho.  The span is
+    # measured by the boxed rank of their coordinates.
+    rng = random.Random(89)
+    for m in range(1, 9):
+        for rho in range(1, m + 1):
+            basis_vectors = [random_exterior(m, 1, F, rng) for _ in range(rho)]
+            slots = []
+            for _ in range(m):
+                v = ExteriorVector.zero(m, 1, F)
+                for u in basis_vectors:
+                    v = v + u.scale(F.sample(rng))
+                slots.append(v)
+            rows = [coefficient_vector(v) for v in slots]
+            assert mat_rank(DenseMatrix.from_rows(rows)) == rho
+            assert multiplicity_at(PointTuple.of(slots)) == m - rho
+
+
+def _counted_wedges(monkeypatch):
+    calls = []
+
+    def spy(u, v):
+        calls.append((u.degree, v.degree))
+        return wedge(u, v)
+
+    monkeypatch.setattr(plucker_form, "wedge", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_multiplicity_off_the_divisor_costs_the_prefix_chain(m, monkeypatch):
+    rng = random.Random(97 + m)
+    p = random_tuple(1, m, F, rng)
+    assert eval_form(p)
+    calls = _counted_wedges(monkeypatch)
+    assert multiplicity_at(p) == 0
+    assert len(calls) == m - 1
+
+
+def test_multiplicity_levels_stop_at_their_first_nonzero_wedge(monkeypatch):
+    # (3,3): [a, b, a] builds a ^ b and a ^ b ^ a = 0, and level 2 stops at
+    # the memo's nonzero a ^ b.  The diagonal [a, a, a] also needs the two
+    # other pair wedges, since level 2 is all zero.
+    rng = random.Random(101)
+    a, b = (random_exterior(9, 3, F, rng) for _ in range(2))
+    for slots, mu, cost in [([a, b, a], 1, 2), ([a, a, a], 2, 4)]:
+        p = PointTuple.of(slots)
+        calls = _counted_wedges(monkeypatch)
+        assert multiplicity_at(p) == mu
+        assert len(calls) == cost
 
 
 def test_diagonal_multiplicity_odd_degree_at_least_m_minus_one():
